@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,28 +100,6 @@ def render_rows(rows, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _max_workers():
-    env = os.environ.get("THERMOPROBE_THREADS", "")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError("THERMOPROBE_THREADS", f"not an integer: {env!r}") from None
-        if n < 1:
-            raise ConfigError("THERMOPROBE_THREADS", f"must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
-
-def _map_ordered(tasks):
-    """Run thunks possibly in parallel, returning results in input order."""
-    workers = min(_max_workers(), max(len(tasks), 1))
-    if workers == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 def _require_positive(params, *names):
     for name in names:
         if not params[name] > 0:
@@ -143,15 +119,11 @@ def cmd_equilibrium_scan(params):
         raise ConfigError("points", f"need at least 2 grid points, got {params['points']}")
     grid = np.geomspace(params["x_min"], params["x_max"], params["points"])
     gap = params["gap"]
-    tasks = [
-        (lambda n=n: qfi_equilibrium_scan([n], grid, gap=gap, include_harmonic=False))
-        for n in n_list
-    ]
-    if params["harmonic"]:
-        tasks.append(lambda: qfi_equilibrium_scan([], grid, gap=gap, include_harmonic=True))
     rows = []
-    for chunk in _map_ordered(tasks):
-        rows.extend(chunk)
+    for n in n_list:
+        rows.extend(qfi_equilibrium_scan([n], grid, gap=gap, include_harmonic=False))
+    if params["harmonic"]:
+        rows.extend(qfi_equilibrium_scan([], grid, gap=gap, include_harmonic=True))
     return rows
 
 
@@ -225,17 +197,12 @@ def cmd_transient_scan(params):
             raise ConfigError("t_prep", f"preparation temperatures must be positive, got {t_prep}")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
     grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
-    tasks = [(lambda n=n: transient_scan(["ground"], [n], model, grid)) for n in n_list]
-    for t_prep in params["t_prep"]:
-        tasks.append(lambda tp=t_prep: transient_scan([f"thermal:{tp}"], [], model, grid))
+    preps = ["ground"] + [f"thermal:{t_prep}" for t_prep in params["t_prep"]]
     if params["include_plus"]:
-        tasks.append(lambda: transient_scan(["plus"], [], model, grid))
+        preps.append("plus")
     if params["include_harmonic"]:
-        tasks.append(lambda: transient_scan(["harmonic"], [], model, grid))
-    rows = []
-    for chunk in _map_ordered(tasks):
-        rows.extend(chunk)
-    return rows
+        preps.append("harmonic")
+    return transient_scan(preps, n_list, model, grid)
 
 
 def cmd_limits(params):
@@ -332,6 +299,24 @@ def _build_parser():
     return parser
 
 
+def _matches_default(value, default):
+    """Whether a config value has the type of its built-in default.
+
+    Any int stands for a float, a bool never stands for a number, list entries
+    match the default's entries, and a None default (a value the command
+    works out itself) takes null or a number.
+    """
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_matches_default(v, default[0]) for v in value)
+    return isinstance(value, (int, float)) or (default is None and value is None)
+
+
 def build_run_config(args):
     """Merge CLI flags over a JSON config file over built-in defaults."""
     command = args.command
@@ -351,14 +336,14 @@ def build_run_config(args):
                 raise ConfigError("config", f"unknown parameter {key!r} for {command}")
             if key in _LIST_PARSERS and isinstance(value, str):
                 value = _LIST_PARSERS[key](key, value)
+            default = _DEFAULTS[command][key]
+            if not _matches_default(value, default):
+                raise ConfigError(key, f"must match the type of its default {default!r}, got {value!r}")
             params[key] = value
     for key in params:
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = _LIST_PARSERS[key](key, flag) if key in _LIST_PARSERS else flag
-    for key in _LIST_PARSERS:
-        if key in params and isinstance(params[key], str):
-            params[key] = _LIST_PARSERS[key](key, params[key])
     return RunConfig(command=command, parameters=params, out=args.out, fmt=args.format)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import QfiValue
-from .numerics import central_diff, find_root
+from .numerics import NonFiniteState, central_diff, find_root
 from .spectra import EffectiveTwoLevelSpectrum
 
 
@@ -60,8 +60,10 @@ class DissipationModel:
 
     @property
     def relaxation_time(self):
-        """1 / (coupling * gap^3 * coth(ratio/2)), the qubit population timescale."""
-        return math.tanh(self.ratio / 2.0) / (self.coupling * self.gap**3)
+        """1 / (coupling * gap^3 * coth(ratio/2)), the qubit population timescale;
+        infinite when coupling * gap^3 underflows to zero."""
+        rate = self.coupling * self.gap**3
+        return math.tanh(self.ratio / 2.0) / rate if rate > 0.0 else math.inf
 
     @property
     def phase_space_damping(self):
@@ -102,9 +104,6 @@ class QubitState:
     @property
     def excited_population(self):
         return 0.5 * (1.0 + self.bloch[2])
-
-    def as_array(self):
-        return np.array(self.bloch)
 
 
 @dataclass(frozen=True)
@@ -211,20 +210,23 @@ def evolve_qubit(state, model, t):
     Populations relax at rate decay_rate * (1 + e^{-ratio}); coherences decay
     at half that rate and precess at the gap frequency (the free evolution is
     undone nowhere, i.e. the returned state lives in the lab frame).
+
+    A scalar ``t`` gives a QubitState; an array ``t`` gives the Bloch vectors
+    as an array of shape t.shape + (3,).
     """
-    if t < 0:
-        raise NegativeTime(f"t must be nonnegative, got {t}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise NegativeTime(f"t must be nonnegative, got {np.min(t)}")
     x = model.ratio
     tau = model.relaxation_time
     rx, ry, rz = state.bloch
     rz_eq = -math.tanh(x / 2.0)
-    rz_t = rz_eq + (rz - rz_eq) * math.exp(-t / tau)
-    envelope = math.exp(-t / (2.0 * tau))
+    rz_t = rz_eq + (rz - rz_eq) * np.exp(-t / tau)
+    envelope = np.exp(-t / (2.0 * tau))
     phase = model.gap * t
-    c, s = math.cos(phase), math.sin(phase)
-    rx_t = envelope * (rx * c - ry * s)
-    ry_t = envelope * (rx * s + ry * c)
-    return QubitState((rx_t, ry_t, rz_t))
+    c, s = np.cos(phase), np.sin(phase)
+    bloch = np.stack([envelope * (rx * c - ry * s), envelope * (rx * s + ry * c), rz_t], axis=-1)
+    return QubitState(tuple(bloch)) if t.ndim == 0 else bloch
 
 
 def evolve_nlevel(state, spectrum, model, t):
@@ -233,9 +235,13 @@ def evolve_nlevel(state, spectrum, model, t):
     The total excited population approaches its Gibbs value at rate
     decay_rate * (1 + (n-1) e^{-ratio}); imbalances between excited levels
     decay at the bare decay_rate, so symmetric preparations stay symmetric.
+
+    A scalar ``t`` gives a DiagonalState; an array ``t`` gives the populations
+    as an array of shape t.shape + (n,).
     """
-    if t < 0:
-        raise NegativeTime(f"t must be nonnegative, got {t}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise NegativeTime(f"t must be nonnegative, got {np.min(t)}")
     if spectrum.n0 != 1:
         raise ValueError(f"ladder dynamics assume a single ground level, got n0={spectrum.n0}")
     if spectrum.n != state.size:
@@ -248,15 +254,14 @@ def evolve_nlevel(state, spectrum, model, t):
     w = math.exp(-x)
     total_rate = down * (1.0 + (n - 1) * w)
     excited_eq = (n - 1) * w / (1.0 + (n - 1) * w)
-    p = state.populations
+    p = state.as_array()
     excited0 = 1.0 - p[0]
-    excited_t = excited_eq + (excited0 - excited_eq) * math.exp(-total_rate * t)
-    fade = math.exp(-down * t)
+    excited_t = excited_eq + (excited0 - excited_eq) * np.exp(-total_rate * t)
+    fade = np.exp(-down * t)
     share0 = excited0 / (n - 1)
-    out = [1.0 - excited_t]
-    for i in range(1, n):
-        out.append(excited_t / (n - 1) + (p[i] - share0) * fade)
-    return DiagonalState(tuple(out))
+    out = excited_t[..., None] / (n - 1) + (p - share0) * fade[..., None]
+    out[..., 0] = 1.0 - excited_t
+    return DiagonalState(tuple(out)) if t.ndim == 0 else out
 
 
 def qfi_transient(prep, model, dt, step=None):
@@ -271,45 +276,55 @@ def qfi_transient(prep, model, dt, step=None):
     Diagonal preparations use the classical Fisher information of the
     populations; qubit preparations with coherence use the Bloch-vector form
     |dr|^2 + (r . dr)^2 / (1 - |r|^2).
+
+    ``dt`` may be an array of contact times: the value is then an array over
+    it, and one central difference covers the whole grid.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dts = np.atleast_1d(np.asarray(dt, dtype=float))
+    if not np.all(dts > 0.0):
+        raise ValueError(f"dt must be positive, got {np.min(dts)}")
     t0 = model.temperature
     h = step if step is not None else 1e-4 * t0
     if isinstance(prep, DiagonalState):
         ladder = EffectiveTwoLevelSpectrum(gap=model.gap, n=prep.size, n0=1)
 
         def populations_at(temp):
-            return evolve_nlevel(prep, ladder, model.at_temperature(temp), dt).as_array()
+            return evolve_nlevel(prep, ladder, model.at_temperature(temp), dts)
 
         p = populations_at(t0)
         dp = central_diff(populations_at, t0, h, order=1)
-        value = float(np.sum(dp * dp / p))
+        # a population that underflows to 0 contributes the limit of dp^2 / p, which is 0
+        value = np.sum(np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
         label = "transient-ladder"
     elif isinstance(prep, QubitState):
         def bloch_at(temp):
-            return evolve_qubit(prep, model.at_temperature(temp), dt).as_array()
+            return evolve_qubit(prep, model.at_temperature(temp), dts)
 
         r = bloch_at(t0)
         dr = central_diff(bloch_at, t0, h, order=1)
-        flat = float(np.dot(dr, dr))
-        radial = float(np.dot(r, dr))
-        gap_to_surface = 1.0 - float(np.dot(r, r))
-        if gap_to_surface <= 0.0:
+        flat = np.sum(dr * dr, axis=-1)
+        radial = np.sum(r * dr, axis=-1)
+        gap_to_surface = 1.0 - np.sum(r * r, axis=-1)
+        if np.any(gap_to_surface <= 0.0):
             # outside the ball by roundoff: the radial correction is undefined
             raise SingularState(
-                f"|r|^2 - 1 = {-gap_to_surface:g} >= 0; the radial correction term diverges"
+                f"|r|^2 - 1 = {-np.min(gap_to_surface):g} >= 0; the radial correction term diverges"
             )
-        if gap_to_surface < 1e-13 and radial * radial > 1e-6 * gap_to_surface * max(flat, 1e-300):
+        ill = (gap_to_surface < 1e-13) & (
+            radial * radial > 1e-6 * gap_to_surface * np.maximum(flat, 1e-300)
+        )
+        if np.any(ill):
+            i = int(np.argmax(ill))
             raise SingularState(
-                f"|r|^2 = 1 - ({gap_to_surface:g}) with r . dr = {radial:g}; "
+                f"|r|^2 = 1 - ({gap_to_surface[i]:g}) with r . dr = {radial[i]:g}; "
                 "the radial correction is ill conditioned"
             )
         value = flat + radial * radial / gap_to_surface
         label = "transient-qubit"
     else:
         raise TypeError(f"prep must be a DiagonalState or QubitState, got {type(prep)}")
-    return QfiValue(value=max(value, 0.0), temperature=t0, probe=label)
+    value = np.maximum(value, 0.0)
+    return QfiValue(value=float(value[0]) if np.ndim(dt) == 0 else value, temperature=t0, probe=label)
 
 
 def qfi_transient_closed_form_qubit(ratio, dt, tau, temperature):
@@ -384,7 +399,7 @@ def optimize_protocol(model, prep, dt_grid):
     def rate(dt):
         return qfi_transient(prep, model, dt).value / dt
 
-    rates = [rate(dt) for dt in dts]
+    rates = rate(np.array(dts)).tolist()
     best = int(np.argmax(rates))
     if best == 0:
         limit = None
@@ -435,9 +450,19 @@ def parse_preparation_token(token):
 
 
 def log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0):
-    """Logarithmic interrogation-time grid spanning [lo, hi] relaxation times."""
+    """Logarithmic interrogation-time grid spanning [lo, hi] relaxation times.
+
+    Raises:
+        NonFiniteState: when an end of the grid is zero or infinite, as it is
+            for an infinite relaxation time.
+    """
     tau = model.relaxation_time
-    return np.geomspace(lo * tau, hi * tau, points)
+    start, stop = lo * tau, hi * tau
+    if not (start > 0.0 and stop < math.inf):
+        raise NonFiniteState(
+            f"interrogation grid [{start:g}, {stop:g}] for relaxation time {tau:g} is not finite and positive"
+        )
+    return np.geomspace(start, stop, points)
 
 
 def transient_scan(preps, n_list, model, dt_grid):
@@ -445,34 +470,29 @@ def transient_scan(preps, n_list, model, dt_grid):
 
     ``preps`` holds tokens: "ground" (one curve per n in ``n_list``), "plus",
     "harmonic", or "thermal:<T>" (two-level thermal preparation at temperature
-    T). Returns row dicts with keys prep, N, dt, fisher_rate.
+    T). Returns row dicts with keys prep, N, dt, fisher_rate. Each curve is one
+    transient QFI call over the whole grid.
     """
-    rows = []
+    from .gaussian import qfi_harmonic_transient, vacuum_covariance  # deferred: gaussian imports this module
+
     dts = [float(v) for v in dt_grid]
+    grid = np.array(dts)
+    rows = []
+
+    def add_curve(label, n, qfi):
+        rates = (qfi.value / grid).tolist()
+        rows.extend({"prep": label, "N": n, "dt": dt, "fisher_rate": r} for dt, r in zip(dts, rates))
+
     for token in preps:
         kind, t_prep = parse_preparation_token(token)
         if kind == "ground":
             for n in n_list:
-                prep = ground_diagonal(n)
-                for dt in dts:
-                    rows.append({"prep": "ground", "N": n, "dt": dt,
-                                 "fisher_rate": qfi_transient(prep, model, dt).value / dt})
+                add_curve("ground", n, qfi_transient(ground_diagonal(n), model, grid))
         elif kind == "thermal":
             prep = gibbs_diagonal(2, model.gap / t_prep)
-            label = f"thermal-{t_prep:g}"
-            for dt in dts:
-                rows.append({"prep": label, "N": 2, "dt": dt,
-                             "fisher_rate": qfi_transient(prep, model, dt).value / dt})
+            add_curve(f"thermal-{t_prep:g}", 2, qfi_transient(prep, model, grid))
         elif kind == "plus":
-            prep = plus_qubit()
-            for dt in dts:
-                rows.append({"prep": "plus", "N": 2, "dt": dt,
-                             "fisher_rate": qfi_transient(prep, model, dt).value / dt})
+            add_curve("plus", 2, qfi_transient(plus_qubit(), model, grid))
         else:  # harmonic
-            from .gaussian import qfi_harmonic_transient, vacuum_covariance  # deferred import
-
-            prep_cov = vacuum_covariance()
-            for dt in dts:
-                rows.append({"prep": "harmonic", "N": "ho", "dt": dt,
-                             "fisher_rate": qfi_harmonic_transient(prep_cov, model, dt).value / dt})
+            add_curve("harmonic", "ho", qfi_harmonic_transient(vacuum_covariance(), model, grid))
     return rows

@@ -30,14 +30,16 @@ class QfiValue:
 
     value carries units of 1/temperature^2; the lower bound on any unbiased
     estimator's standard deviation over nu interrogations is 1/sqrt(nu*value).
+    Transient QFIs computed over an array of contact times carry an array.
     """
 
-    value: float
+    value: float | np.ndarray
     temperature: float
     probe: str
 
     def __post_init__(self):
-        if self.value < 0.0:
+        negative = self.value < 0.0
+        if negative.any() if isinstance(negative, np.ndarray) else negative:
             raise ValueError(f"QFI must be nonnegative, got {self.value}")
 
 

@@ -45,8 +45,8 @@ class CovarianceMatrix:
     def is_isotropic(self):
         return self.xp == 0.0 and abs(self.xx - self.pp) <= 1e-14 * abs(self.xx)
 
-    def matrix(self):
-        return np.array([[self.xx, self.xp], [self.xp, self.pp]])
+    def entries(self):
+        return np.array([self.xx, self.xp, self.pp])
 
     @classmethod
     def from_matrix(cls, a):
@@ -118,12 +118,18 @@ def fidelity_gaussian(sigma1, sigma2):
     / Delta, which avoids the subtraction. Lambda is clamped at zero to absorb
     roundoff from near-pure inputs, and the result is capped at 1.
     """
-    m1, m2 = sigma1.matrix(), sigma2.matrix()
-    delta = float(np.linalg.det(m1 + m2))
-    lam = (sigma1.determinant - 1.0) * (sigma2.determinant - 1.0)
-    lam = max(lam, 0.0)
-    value = 2.0 * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta
-    return min(value, 1.0)
+    return float(_fidelity(sigma1.entries(), sigma2.entries()))
+
+
+def _fidelity(a, b):
+    """fidelity_gaussian on covariance entries (xx, xp, pp) along the last axis."""
+
+    def det(m):
+        return m[..., 0] * m[..., 2] - m[..., 1] * m[..., 1]
+
+    delta = det(a + b)
+    lam = np.maximum((det(a) - 1.0) * (det(b) - 1.0), 0.0)
+    return np.minimum(2.0 * (np.sqrt(delta + lam) + np.sqrt(lam)) / delta, 1.0)
 
 
 def qfi_harmonic_equilibrium(gap, temperature):
@@ -147,16 +153,19 @@ def evolve_covariance(sigma0, model, t):
     The second moments interpolate exponentially at the net phase-space
     damping rate (downward minus upward rate), which for this coupling is
     coupling * gap^3.
+
+    A scalar ``t`` gives a CovarianceMatrix; an array ``t`` gives the entries
+    (xx, xp, pp) as an array of shape t.shape + (3,).
     """
-    if t < 0:
-        raise NegativeTime(f"t must be nonnegative, got {t}")
-    f = math.exp(-model.phase_space_damping * t)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise NegativeTime(f"t must be nonnegative, got {np.min(t)}")
+    f = np.exp(-model.phase_space_damping * t)
     c = 1.0 / math.tanh(model.ratio / 2.0)
-    return CovarianceMatrix(
-        xx=f * sigma0.xx + (1.0 - f) * c,
-        xp=f * sigma0.xp,
-        pp=f * sigma0.pp + (1.0 - f) * c,
+    entries = np.stack(
+        [f * sigma0.xx + (1.0 - f) * c, f * sigma0.xp, f * sigma0.pp + (1.0 - f) * c], axis=-1
     )
+    return CovarianceMatrix(*entries.tolist()) if t.ndim == 0 else entries
 
 
 def _thermal_weight(c):
@@ -168,62 +177,43 @@ def _isotropic_fidelity_deficit(c1, c2):
     """1 - F for isotropic covariances c1*I, c2*I, accumulated without
     cancellation: (sqrt(w1) - sqrt(w2))^2 / (1 - sqrt(w1 w2))^2 in terms of
     the thermal weights w_i."""
-    s1 = math.sqrt(_thermal_weight(c1))
-    s2 = math.sqrt(_thermal_weight(c2))
+    s1 = np.sqrt(_thermal_weight(c1))
+    s2 = np.sqrt(_thermal_weight(c2))
     return (s1 - s2) ** 2 / (1.0 - s1 * s2) ** 2
 
 
-def qfi_harmonic_transient(sigma0, model, dt, freeze_rate=True, step=None):
+def qfi_harmonic_transient(sigma0, model, dt, step=None):
     """QFI of a Gaussian probe after thermal contact of length ``dt``.
 
     The fidelity curvature across the temperature family is differenced with
-    step ``step`` (default 1e-4 * T). ``freeze_rate`` pins the damping rate at
-    the working temperature; because the net damping carries no temperature
-    dependence for this coupling, the frozen and full variants coincide and
-    the flag only selects which code path evaluates the rate.
+    step ``step`` (default 1e-4 * T). ``dt`` may be an array of contact times:
+    the value is then an array over it, and one central difference covers
+    the whole grid.
 
     Isotropic preparations (ground, thermal) use a cancellation-free deficit
-    form of the fidelity; anisotropic ones difference fidelity_gaussian
-    directly.
+    form of the fidelity; anisotropic ones difference the fidelity directly.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dts = np.atleast_1d(np.asarray(dt, dtype=float))
+    if not np.all(dts > 0.0):
+        raise ValueError(f"dt must be positive, got {np.min(dts)}")
     t0 = model.temperature
     h = step if step is not None else 1e-4 * t0
-    frozen_rate = model.phase_space_damping
 
+    def entries_at(delta):
+        return evolve_covariance(sigma0, model.at_temperature(t0 + delta), dts)
+
+    base = entries_at(0.0)
     if sigma0.is_isotropic:
-        s0 = sigma0.xx
-
-        def scale_at(temp):
-            m = model.at_temperature(temp)
-            rate = frozen_rate if freeze_rate else m.phase_space_damping
-            f = math.exp(-rate * dt)
-            return f * s0 + (1.0 - f) / math.tanh(m.ratio / 2.0)
-
-        base = scale_at(t0)
-
         def deficit(delta):
-            return _isotropic_fidelity_deficit(base, scale_at(t0 + delta))
+            return _isotropic_fidelity_deficit(base[..., 0], entries_at(delta)[..., 0])
 
         # F = 1 - deficit with deficit(0) = deficit'(0) = 0, so QFI = 2 deficit''(0)
         value = 2.0 * central_diff(deficit, 0.0, h, order=2)
     else:
-        def cov_at(temp):
-            m = model.at_temperature(temp)
-            rate = frozen_rate if freeze_rate else m.phase_space_damping
-            f = math.exp(-rate * dt)
-            c = 1.0 / math.tanh(m.ratio / 2.0)
-            return CovarianceMatrix(
-                xx=f * sigma0.xx + (1.0 - f) * c,
-                xp=f * sigma0.xp,
-                pp=f * sigma0.pp + (1.0 - f) * c,
-            )
+        def fidelity(delta):
+            return _fidelity(base, entries_at(delta))
 
-        base = cov_at(t0)
-
-        def fid(delta):
-            return fidelity_gaussian(base, cov_at(t0 + delta))
-
-        value = -2.0 * central_diff(fid, 0.0, h, order=2)
-    return QfiValue(value=max(float(value), 0.0), temperature=t0, probe="harmonic-transient")
+        value = -2.0 * central_diff(fidelity, 0.0, h, order=2)
+    value = np.maximum(value, 0.0)
+    return QfiValue(value=float(value[0]) if np.ndim(dt) == 0 else value, temperature=t0,
+                    probe="harmonic-transient")

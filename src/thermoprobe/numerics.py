@@ -25,7 +25,8 @@ class NoConvergence(RuntimeError):
 
 
 class NonFiniteState(FloatingPointError):
-    """An ODE state component left the finite floating-point range."""
+    """A computed quantity, such as an ODE state or a relaxation time, left the
+    finite floating-point range."""
 
 
 class StepTooSmall(ValueError):

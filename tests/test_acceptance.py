@@ -258,14 +258,14 @@ def test_criterion_10_harmonic_qubit_equivalence():
     model = DissipationModel(gap=x * temp, temperature=temp, coupling=gamma)
 
     dt_limit = 1e-4 / model.decay_rate
-    limit_rate = qfi_harmonic_transient(vacuum_covariance(), model, dt_limit, freeze_rate=True).value / dt_limit
+    limit_rate = qfi_harmonic_transient(vacuum_covariance(), model, dt_limit).value / dt_limit
     limit_dev = abs(limit_rate / ultimate_rate(2, x, gamma, temp) - 1.0)
 
     grid = np.geomspace(0.01 / model.decay_rate, 5.0 / model.decay_rate, 200)
     tau = model.relaxation_time
     worst_curve = 0.0
     for dt in grid:
-        harmonic = qfi_harmonic_transient(vacuum_covariance(), model, dt, freeze_rate=True).value / dt
+        harmonic = qfi_harmonic_transient(vacuum_covariance(), model, dt).value / dt
         qubit = qfi_transient_closed_form_qubit(x, dt, tau, temp).value / dt
         worst_curve = max(worst_curve, abs(harmonic / qubit - 1.0))
     ok = limit_dev <= 1e-3 and worst_curve <= 0.02

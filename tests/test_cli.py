@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -59,13 +60,6 @@ class TestEquilibriumScan:
         for crow, jrow in zip(csv_rows, json_rows):
             for key in ("T", "qfi", "qfi_normalized"):
                 assert float(crow[key]) == jrow[key]  # bit-exact after re-parse
-
-    def test_deterministic_across_thread_counts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THERMOPROBE_THREADS", "1")
-        _, a = run(tmp_path, ["equilibrium-scan", "--points", "25"], name="a.csv")
-        monkeypatch.setenv("THERMOPROBE_THREADS", "4")
-        _, b = run(tmp_path, ["equilibrium-scan", "--points", "25"], name="b.csv")
-        assert a == b
 
 
 class TestOptimalGap:
@@ -131,6 +125,33 @@ class TestTransientScan:
         _, rows = parse_csv(text)
         assert len({(r["prep"], r["N"]) for r in rows}) == 7
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        argv = ["transient-scan", "--include-plus", "--include-harmonic"]
+        code_a, a = run(tmp_path, argv, name="a.csv")
+        code_b, b = run(tmp_path, argv, name="b.csv")
+        assert code_a == code_b == 0
+        assert a == b
+
+    def test_large_gap_writes_finite_rows(self, tmp_path):
+        # every excited population underflows to 0 and must contribute 0, not 0/0
+        code, text = run(tmp_path, ["transient-scan", "--gap", "1000"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert len(rows) == 5 * 200
+        assert all(math.isfinite(float(r[k])) for r in rows for k in ("dt", "fisher_rate"))
+
+    @pytest.mark.parametrize("flags", [
+        ["--temperature", "1e-300"],  # gap^3 underflows: the relaxation time is infinite
+        ["--gamma", "1e-320"],        # coupling * gap^3 is subnormal: the time overflows
+        ["--gamma", "1e-310"],        # finite relaxation time, but the grid's end overflows
+    ])
+    def test_degenerate_time_scale_exits_three(self, tmp_path, capsys, flags):
+        code, text = run(tmp_path, ["transient-scan"] + flags)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert text == ""
+        assert "numerical failure" in err and "Traceback" not in err
+
     def test_zero_coupling_exits_two(self, tmp_path):
         code, _ = run(tmp_path, ["transient-scan", "--gamma", "0"])
         assert code == 2
@@ -153,6 +174,29 @@ class TestTransientScan:
         cfg.write_text(json.dumps({"walrus": 1}))
         code, _ = run(tmp_path, ["transient-scan", "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("config, field", [
+        ({"points": "abc"}, "points"),
+        ({"points": 2.5}, "points"),
+        ({"n": [3.0]}, "n"),
+        ({"include_plus": 1}, "include_plus"),
+        ({"gamma": True}, "gamma"),
+    ])
+    def test_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, config, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _ = run(tmp_path, ["transient-scan", "--config", str(cfg)])
+        assert code == 2
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    def test_config_takes_ints_for_floats_and_null_gap(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 1, "temperature": 2, "gap": None, "t_prep": [1],
+                                   "points": 4}))
+        code, text = run(tmp_path, ["transient-scan", "--config", str(cfg)])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert len(rows) == 4 * 4  # three ground series and thermal-1
 
     def test_missing_config_file_exits_two(self, tmp_path):
         code, _ = run(tmp_path, ["transient-scan", "--config", str(tmp_path / "nope.json")])

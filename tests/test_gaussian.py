@@ -186,14 +186,6 @@ class TestHarmonicTransient:
         want = qfi_harmonic_equilibrium(m.gap, m.temperature).value
         assert got.value == pytest.approx(want, rel=1e-8)
 
-    def test_frozen_and_full_variants_coincide(self):
-        # the net damping has no temperature dependence, so freezing it is a no-op
-        m = model_at(X_TILDE)
-        dt = 0.8 / m.phase_space_damping
-        frozen = qfi_harmonic_transient(vacuum_covariance(), m, dt, freeze_rate=True).value
-        full = qfi_harmonic_transient(vacuum_covariance(), m, dt, freeze_rate=False).value
-        assert frozen == pytest.approx(full, rel=1e-12)
-
     def test_short_time_rate_matches_qubit_limit(self):
         from thermoprobe.dynamics import ultimate_rate
 

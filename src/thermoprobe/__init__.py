@@ -12,9 +12,7 @@ from .numerics import (
     NonFiniteState,
     NoSignChange,
     StepTooSmall,
-    SymmetricMatrix,
     central_diff,
-    eigenvalues_symmetric,
     find_root,
     integrate_ode,
 )

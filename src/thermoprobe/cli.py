@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -87,23 +90,60 @@ def _format_cell(value):
     return str(value)
 
 
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_cell(value):
+    """One value as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text)
+    return int.__repr__(value)
+
+
+def _encode_column(values, cell):
+    """The cells of one column, lazily: ``repr`` for a column of finite floats
+    or of ints, which for these exact types is float.__repr__ or int.__repr__
+    as both formats need, and ``cell`` per value otherwise."""
+    kinds = set(map(type, values))
+    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
+        return map(repr, values)
+    return map(cell, values)
+
+
 def render_rows(rows, fmt):
-    """Serialize row dicts to CSV (shortest round-trip floats) or JSON."""
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+    """Serialize row dicts that share one key order to CSV (shortest
+    round-trip floats) or JSON, byte for byte as ``json.dumps(rows, indent=2)``.
+
+    Each column is encoded once and every row is filled into one template.
+    """
     if not rows:
-        return "\n"
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[k]) for k in header))
-    return "\n".join(lines) + "\n"
+        return "[]\n" if fmt == "json" else "\n"
+    keys = list(rows[0])
+    if fmt == "json":
+        cell = _json_cell
+        fields = ",\n".join("    " + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+        head, template, sep, tail = "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n"
+    else:
+        cell = _format_cell
+        head, template, sep, tail = ",".join(keys) + "\n", ",".join(["%s"] * len(keys)), "\n", "\n"
+    columns = [_encode_column(list(map(itemgetter(k), rows)), cell) for k in keys]
+    return head + sep.join(map(template.__mod__, zip(*columns))) + tail
 
 
 def _require_positive(params, *names):
+    """Each named parameter, or each entry of a named list, is finite and positive."""
     for name in names:
-        if not params[name] > 0:
-            raise ConfigError(name, f"must be positive, got {params[name]}")
+        value = params[name]
+        for v in value if isinstance(value, list) else [value]:
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(name, f"must be finite and positive, got {value}")
 
 
 def cmd_equilibrium_scan(params):
@@ -118,13 +158,7 @@ def cmd_equilibrium_scan(params):
     if params["points"] < 2:
         raise ConfigError("points", f"need at least 2 grid points, got {params['points']}")
     grid = np.geomspace(params["x_min"], params["x_max"], params["points"])
-    gap = params["gap"]
-    rows = []
-    for n in n_list:
-        rows.extend(qfi_equilibrium_scan([n], grid, gap=gap, include_harmonic=False))
-    if params["harmonic"]:
-        rows.extend(qfi_equilibrium_scan([], grid, gap=gap, include_harmonic=True))
-    return rows
+    return qfi_equilibrium_scan(n_list, grid, gap=params["gap"], include_harmonic=params["harmonic"])
 
 
 def cmd_optimal_gap(params):
@@ -190,11 +224,9 @@ def cmd_transient_scan(params):
     gap = params["gap"]
     if gap is None:
         gap = optimal_interrogation_ratio() * params["temperature"]
-    elif gap <= 0:
-        raise ConfigError("gap", f"must be positive, got {gap}")
-    for t_prep in params["t_prep"]:
-        if t_prep <= 0:
-            raise ConfigError("t_prep", f"preparation temperatures must be positive, got {t_prep}")
+    else:
+        _require_positive(params, "gap")
+    _require_positive(params, "t_prep")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
     grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
     preps = ["ground"] + [f"thermal:{t_prep}" for t_prep in params["t_prep"]]

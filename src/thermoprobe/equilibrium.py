@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SymmetricMatrix, central_diff, eigenvalues_symmetric, find_root
+from .numerics import NoConvergence, NonFiniteState, central_diff, find_root
 from .spectra import (
     EffectiveTwoLevelSpectrum,
     Spectrum,
@@ -67,7 +67,7 @@ class HessianCertificate:
     temperature: float
     x_star: float
     block_entries: tuple  # (a, b, c, d): ground diag, excited diag, ground-excited, excited-excited
-    hessian: SymmetricMatrix
+    hessian: np.ndarray  # dense n x n
     eigenvalues: tuple
     analytic_eigenvalues: tuple
     eigenvalue_error: float
@@ -89,13 +89,17 @@ def qfi_thermal(ensemble):
 def qfi_effective_two_level(x, n, gap):
     """Closed-form QFI of an n-level probe with a single ground level and an
     (n-1)-fold degenerate excited level at ``gap``, evaluated at x = gap/T.
+    ``x`` may be an array; the value is then an array over it.
 
-    Written with decaying exponentials so large x cannot overflow.
+    Written with decaying exponentials so large x cannot overflow, and as
+    (n-1) (x^2 e^{-x/2} / (gap (1 + (n-1) e^{-x})))^2 so that no factor goes
+    subnormal before the result does (e^{-x/2} stays normal up to x = 1400).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    emx = math.exp(-x)
-    return x**4 * emx * (n - 1) / (gap**2 * ((n - 1) * emx + 1.0) ** 2)
+    x = np.asarray(x, dtype=float)
+    emh = np.exp(-0.5 * x)
+    return (n - 1) * (x * x * emh / (gap * ((n - 1) * emh * emh + 1.0))) ** 2
 
 
 def thermal_population_family(spectrum):
@@ -210,10 +214,15 @@ def optimal_gap(n, n0, temperature, tol=1e-12):
         x -= f(x) / slope
     residual = math.exp(x) - r * (x + 2.0) / (x - 2.0)
     if abs(residual) > 1e-10:
-        raise RuntimeError(f"gap equation residual {residual:g} exceeds 1e-10 for n={n}, n0={n0}")
+        raise NoConvergence(f"gap equation residual {residual:g} exceeds 1e-10 for n={n}, n0={n0}")
     gap = temperature * x
+    t4 = temperature**4
+    if t4 == 0.0:
+        raise NonFiniteState(f"temperature**4 underflows at T={temperature:g}")
     ens = thermalize(EffectiveTwoLevelSpectrum(gap=gap, n=n, n0=n0).expand(), temperature)
-    qfi = energy_variance(ens) / temperature**4
+    qfi = energy_variance(ens) / t4
+    if not math.isfinite(qfi):
+        raise NonFiniteState(f"peak QFI {qfi} is not finite for n={n}, n0={n0}, T={temperature:g}")
     return OptimalGapResult(x_star=x, gap=gap, n=n, n0=n0, qfi_at_optimum=qfi, residual=residual)
 
 
@@ -277,8 +286,7 @@ def hessian_certificate(n, temperature=1.0):
     dense[0, 1:] = c
     dense[1:, 0] = c
     np.fill_diagonal(dense[1:, 1:], b)
-    hessian = SymmetricMatrix.from_dense(dense)
-    numeric = eigenvalues_symmetric(hessian)
+    numeric = np.linalg.eigvalsh(dense)
     analytic = np.sort(np.array(
         [hessian_pair_eigenvalue(n, x), 0.0] + [hessian_shift_eigenvalue(n, x)] * (n - 2)
     ))
@@ -287,7 +295,7 @@ def hessian_certificate(n, temperature=1.0):
         temperature=t,
         x_star=x,
         block_entries=(a, b, c, d),
-        hessian=hessian,
+        hessian=dense,
         eigenvalues=tuple(float(v) for v in numeric),
         analytic_eigenvalues=tuple(float(v) for v in analytic),
         eigenvalue_error=float(np.abs(numeric - analytic).max()),
@@ -301,7 +309,11 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     Returns one row per (probe, grid point) as dicts with keys
     N, T, qfi, qfi_normalized. The normalized column divides each curve by its
     peak over the grid. The harmonic-oscillator curve is appended with
-    N = "ho" when requested.
+    N = "ho" when requested. Each curve is one kernel call over the grid.
+
+    Raises:
+        NonFiniteState: if a temperature or QFI is not finite, or a curve's
+            peak is zero, so that it cannot be normalized.
     """
     n_list = list(n_list)
     if not n_list and not include_harmonic:
@@ -309,19 +321,26 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     x_grid = np.asarray(list(x_grid), dtype=float)
     if x_grid.size == 0 or np.any(x_grid <= 0.0):
         raise ValueError("x_grid must be nonempty and strictly positive")
-    rows = []
-    for n in n_list:
-        values = np.array([qfi_effective_two_level(x, n, gap) for x in x_grid])
-        peak = float(values.max())
-        for x, v in zip(x_grid, values):
-            rows.append({"N": n, "T": float(gap / x), "qfi": float(v), "qfi_normalized": float(v) / peak})
-    if include_harmonic:
-        from .gaussian import qfi_harmonic_equilibrium  # deferred: gaussian imports QfiValue
+    # overflow and underflow are caught by the finiteness checks, not numpy warnings
+    with np.errstate(all="ignore"):
+        temperatures = gap / x_grid
+        series = [(n, qfi_effective_two_level(x_grid, n, gap)) for n in n_list]
+        if include_harmonic:
+            from .gaussian import qfi_harmonic_equilibrium  # deferred: gaussian imports QfiValue
 
-        values = np.array([qfi_harmonic_equilibrium(gap, gap / x).value for x in x_grid])
+            series.append(("ho", qfi_harmonic_equilibrium(gap, temperatures).value))
+    if not np.all(np.isfinite(temperatures)):
+        raise NonFiniteState(f"temperature gap/x is not finite on the grid (gap={gap:g})")
+    t_column = temperatures.tolist()
+    rows = []
+    for label, values in series:
         peak = float(values.max())
-        for x, v in zip(x_grid, values):
-            rows.append({"N": "ho", "T": float(gap / x), "qfi": float(v), "qfi_normalized": float(v) / peak})
+        if not (peak > 0.0 and np.all(np.isfinite(values))):
+            raise NonFiniteState(f"QFI curve N={label} has peak {peak} or non-finite values")
+        rows.extend(
+            {"N": label, "T": t, "qfi": v, "qfi_normalized": w}
+            for t, v, w in zip(t_column, values.tolist(), (values / peak).tolist())
+        )
     return rows
 
 

@@ -133,17 +133,20 @@ def _fidelity(a, b):
 
 
 def qfi_harmonic_equilibrium(gap, temperature):
-    """Equilibrium QFI of a thermalized harmonic probe.
+    """Equilibrium QFI of a thermalized harmonic probe, gap^2 / (4 T^4) *
+    csch^2(h) with h = gap / 2T. ``temperature`` may be an array; the value is
+    then an array over it.
 
-    Literal closed form gap^2 / (4 T^4) * csch^2(gap / 2T).
+    csch^2(h) is written 4 e^{-2h} / expm1(-2h)^2 and the whole form as the
+    square (gap e^{-h} / (T^2 expm1(-2h)))^2: nothing overflows at large h,
+    and no factor goes subnormal before the result does (e^{-h} stays normal
+    up to h = 700).
     """
-    if gap <= 0 or temperature <= 0:
+    t = np.asarray(temperature, dtype=float)
+    if gap <= 0 or np.any(t <= 0):
         raise ValueError("gap and temperature must be positive")
-    half = gap / (2.0 * temperature)
-    if half > 700.0:  # csch underflows; the sensitivity is zero to double precision
-        value = 0.0
-    else:
-        value = gap**2 / (4.0 * temperature**4) / math.sinh(half) ** 2
+    half = gap / (2.0 * t)
+    value = (gap * np.exp(-half) / (t * t * np.expm1(-2.0 * half))) ** 2
     return QfiValue(value=value, temperature=temperature, probe="harmonic-equilibrium")
 
 

@@ -1,6 +1,5 @@
-"""Shared numerical kernels: bracketed root finding, a symmetric eigensolver for
-small dense matrices, a fixed-step RK4 integrator, and Richardson-refined
-central differences.
+"""Shared numerical kernels: bracketed root finding, a fixed-step RK4
+integrator, and Richardson-refined central differences.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, so results can be frozen in regression tests.
@@ -12,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-MAX_EIGEN_DIMENSION = 64
 
 
 class NoSignChange(ValueError):
@@ -113,91 +110,6 @@ def find_root(f, lo, hi, tol, max_iter=200):
     lo_out = math.nextafter(min(b, c), -math.inf)
     hi_out = math.nextafter(max(b, c), math.inf)
     return BracketedRoot(lo=lo_out, hi=hi_out, root=b, residual=fb)
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Real symmetric matrix with the upper triangle stored once.
-
-    Symmetry holds by construction, so entry(i, j) == entry(j, i) exactly.
-    """
-
-    dimension: int
-    upper: tuple  # row-major upper triangle, including the diagonal
-
-    def __post_init__(self):
-        n = self.dimension
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        expected = n * (n + 1) // 2
-        if len(self.upper) != expected:
-            raise ValueError(f"expected {expected} stored entries for dimension {n}, got {len(self.upper)}")
-
-    @classmethod
-    def from_dense(cls, a):
-        """Build from a square array, reading only the upper triangle."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        upper = tuple(float(a[i, j]) for i in range(n) for j in range(i, n))
-        return cls(dimension=n, upper=upper)
-
-    def entry(self, i, j):
-        if i > j:
-            i, j = j, i
-        n = self.dimension
-        return self.upper[i * n - i * (i - 1) // 2 + (j - i)]
-
-    def to_dense(self):
-        n = self.dimension
-        a = np.empty((n, n))
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                a[i, j] = self.upper[k]
-                a[j, i] = self.upper[k]
-                k += 1
-        return a
-
-
-def eigenvalues_symmetric(m, max_sweeps=64):
-    """Ascending eigenvalues of a SymmetricMatrix via cyclic Jacobi rotations.
-
-    Intended for the small dense matrices this package produces; dimensions
-    above MAX_EIGEN_DIMENSION are rejected.
-    """
-    if m.dimension > MAX_EIGEN_DIMENSION:
-        raise ValueError(f"dimension {m.dimension} exceeds the dense-solver cap {MAX_EIGEN_DIMENSION}")
-    a = m.to_dense()
-    n = m.dimension
-    if n == 1:
-        return np.array([a[0, 0]])
-    frob = float(np.linalg.norm(a))
-    stop = 1e-15 * max(frob, 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, frob * frob - float(np.sum(np.diag(a) ** 2))))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= stop / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                cph = 1.0 / math.sqrt(t * t + 1.0)
-                sph = t * cph
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = cph * rp - sph * rq
-                a[q, :] = sph * rp + cph * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = cph * cp - sph * cq
-                a[:, q] = sph * cp + cph * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        frob = float(np.linalg.norm(a))
-    return np.sort(np.diag(a))
 
 
 def integrate_ode(rhs, y0, t_end, dt):

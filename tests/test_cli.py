@@ -49,6 +49,23 @@ class TestEquilibriumScan:
         code, _ = run(tmp_path, ["equilibrium-scan", "--x-min", "5", "--x-max", "1"])
         assert code == 2
 
+    def test_large_ratio_writes_finite_rows(self, tmp_path):
+        # x/2 runs to 1000, through the band where sinh(x/2)^2 overflows a double
+        code, text = run(tmp_path, ["equilibrium-scan", "--x-max", "2000"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert len(rows) == 6 * 400
+        assert all(math.isfinite(float(r[k])) for r in rows for k in ("T", "qfi", "qfi_normalized"))
+
+    def test_vanishing_curve_exits_three(self, tmp_path, capsys):
+        # every QFI underflows to 0, so no curve can be normalized by its peak
+        code, text = run(tmp_path, ["equilibrium-scan", "--x-min", "1e-300", "--x-max", "1e-299",
+                                    "--points", "3"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert text == ""
+        assert "numerical failure" in err and "Traceback" not in err
+
     def test_csv_round_trips_full_precision(self, tmp_path):
         code, text = run(tmp_path, ["equilibrium-scan", "--n", "3", "--points", "17"])
         assert code == 0
@@ -91,6 +108,17 @@ class TestOptimalGap:
         _, rows = parse_csv(text)
         assert [r["N"] for r in rows] == ["2", "3", "4"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--temperature", "1e-300"],  # T^4 underflows to 0
+        ["--n", "100000000"],         # the gap equation's residual stays above 1e-10
+    ])
+    def test_numerical_failure_exits_three(self, tmp_path, capsys, flags):
+        code, text = run(tmp_path, ["optimal-gap"] + flags)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert text == ""
+        assert "numerical failure" in err and "Traceback" not in err
+
 
 class TestHessianCheck:
     def test_default_range(self, tmp_path):
@@ -105,6 +133,14 @@ class TestHessianCheck:
     def test_invalid_range_exits_two(self, tmp_path):
         code, _ = run(tmp_path, ["hessian-check", "--n-min", "5", "--n-max", "3"])
         assert code == 2
+
+    def test_dimensions_beyond_64(self, tmp_path):
+        code, text = run(tmp_path, ["hessian-check", "--n-min", "60", "--n-max", "100"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert [int(r["N"]) for r in rows] == list(range(60, 101))
+        assert all(r["certifies_maximum"] == "true" for r in rows)
+        assert all(float(r["eigenvalue_error"]) <= 1e-8 for r in rows)
 
 
 class TestTransientScan:
@@ -233,6 +269,19 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "limits", explode)
         code = cli.main(["limits", "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("argv, field", [
+        (["transient-scan", "--gamma", "inf"], "gamma"),
+        (["equilibrium-scan", "--gap", "inf"], "gap"),
+        (["limits", "--temperature", "inf"], "temperature"),
+        (["limits", "--temperature", "nan"], "temperature"),
+    ])
+    def test_non_finite_float_exits_two(self, tmp_path, capsys, argv, field):
+        code, text = run(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert f"configuration error: {field}:" in err and "Traceback" not in err
 
     def test_stdout_default(self, capsys):
         code = cli.main(["limits", "--n", "2"])

@@ -9,9 +9,7 @@ from thermoprobe.numerics import (
     NonFiniteState,
     NoSignChange,
     StepTooSmall,
-    SymmetricMatrix,
     central_diff,
-    eigenvalues_symmetric,
     find_root,
     integrate_ode,
 )
@@ -75,49 +73,6 @@ class TestFindRoot:
         assert isinstance(res, BracketedRoot)
         assert res.lo < res.root < res.hi
         assert res.hi - res.lo <= 1e-12
-
-
-class TestEigenvaluesSymmetric:
-    def test_identity(self):
-        m = SymmetricMatrix.from_dense(np.eye(3))
-        assert np.allclose(eigenvalues_symmetric(m), [1.0, 1.0, 1.0], atol=1e-14)
-
-    def test_diagonal(self):
-        m = SymmetricMatrix.from_dense(np.diag([-2.0, 0.0, 5.0]))
-        assert np.allclose(eigenvalues_symmetric(m), [-2.0, 0.0, 5.0], atol=1e-14)
-
-    def test_pauli_x(self):
-        m = SymmetricMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
-        # characteristic polynomial l^2 - 1 by hand
-        assert np.allclose(eigenvalues_symmetric(m), [-1.0, 1.0], atol=1e-14)
-
-    def test_against_numpy(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 5, 8, 13):
-            a = rng.normal(size=(n, n))
-            a = a + a.T
-            got = eigenvalues_symmetric(SymmetricMatrix.from_dense(a))
-            want = np.linalg.eigvalsh(a)
-            assert np.abs(got - want).max() <= 1e-10 * np.linalg.norm(a)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(6, 6))
-        a = a + a.T
-        perm = rng.permutation(6)
-        b = a[np.ix_(perm, perm)]
-        ea = eigenvalues_symmetric(SymmetricMatrix.from_dense(a))
-        eb = eigenvalues_symmetric(SymmetricMatrix.from_dense(b))
-        assert np.abs(ea - eb).max() <= 1e-11 * np.linalg.norm(a)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            eigenvalues_symmetric(SymmetricMatrix.from_dense(np.eye(65)))
-
-    def test_entry_accessor(self):
-        m = SymmetricMatrix.from_dense([[1.0, 2.0], [2.0, 3.0]])
-        assert m.entry(0, 1) == m.entry(1, 0) == 2.0
-        assert np.array_equal(m.to_dense(), [[1.0, 2.0], [2.0, 3.0]])
 
 
 class TestIntegrateOde:

@@ -8,13 +8,14 @@ generator, where interrogation protocols are optimized over the contact time.
 
 from .numerics import (
     BracketedRoot,
+    NegativeTime,
     NoConvergence,
     NonFiniteState,
     NoSignChange,
+    QfiValue,
     StepTooSmall,
     central_diff,
     find_root,
-    integrate_ode,
 )
 from .spectra import (
     EffectiveTwoLevelSpectrum,
@@ -30,7 +31,6 @@ from .equilibrium import (
     DimensionTooSmall,
     HessianCertificate,
     OptimalGapResult,
-    QfiValue,
     full_width_half_max,
     hessian_certificate,
     optimal_gap,
@@ -44,8 +44,6 @@ from .equilibrium import (
 from .dynamics import (
     DiagonalState,
     DissipationModel,
-    NegativeTime,
-    ProtocolConfig,
     ProtocolOptimum,
     QubitState,
     SingularState,
@@ -61,13 +59,11 @@ from .dynamics import (
     plus_qubit,
     qfi_transient,
     qfi_transient_closed_form_qubit,
-    rate_matrix,
     transient_scan,
     ultimate_rate,
 )
 from .gaussian import (
     CovarianceMatrix,
-    GaussianProbe,
     UnphysicalCovariance,
     evolve_covariance,
     fidelity_gaussian,

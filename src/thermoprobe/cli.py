@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -38,16 +37,6 @@ class ConfigError(ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated command invocation: parameters, output target and format."""
-
-    command: str
-    parameters: dict
-    out: str | None
-    fmt: str
 
 
 def _parse_int_list(field, text):
@@ -224,6 +213,8 @@ def cmd_transient_scan(params):
     gap = params["gap"]
     if gap is None:
         gap = optimal_interrogation_ratio() * params["temperature"]
+        if not math.isfinite(gap):
+            raise NonFiniteState(f"default gap x_tilde * T overflows at T={params['temperature']:g}")
     else:
         _require_positive(params, "gap")
     _require_positive(params, "t_prep")
@@ -243,11 +234,13 @@ def cmd_limits(params):
         raise ConfigError("n", f"dimensions must be a nonempty list of ints >= 2, got {n_list}")
     _require_positive(params, "gamma", "temperature")
     x_tilde = optimal_interrogation_ratio()
-    return [
-        {"N": n, "x_tilde": x_tilde,
-         "rate": ultimate_rate(n, x_tilde, params["gamma"], params["temperature"])}
-        for n in n_list
-    ]
+    rows = []
+    for n in n_list:
+        rate = ultimate_rate(n, x_tilde, params["gamma"], params["temperature"])
+        if not math.isfinite(rate):
+            raise NonFiniteState(f"rate {rate} is not finite for N={n}")
+        rows.append({"N": n, "x_tilde": x_tilde, "rate": rate})
+    return rows
 
 
 _LIST_PARSERS = {"n": _parse_int_list, "n0": _parse_int_list, "t_prep": _parse_float_list}
@@ -350,7 +343,8 @@ def _matches_default(value, default):
 
 
 def build_run_config(args):
-    """Merge CLI flags over a JSON config file over built-in defaults."""
+    """Parameters of the command: CLI flags over a JSON config file over
+    built-in defaults."""
     command = args.command
     params = dict(_DEFAULTS[command])
     if args.config:
@@ -376,23 +370,22 @@ def build_run_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = _LIST_PARSERS[key](key, flag) if key in _LIST_PARSERS else flag
-    return RunConfig(command=command, parameters=params, out=args.out, fmt=args.format)
+    return params
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        config = build_run_config(args)
-        rows = _RUNNERS[config.command](config.parameters)
+        rows = _RUNNERS[args.command](build_run_config(args))
     except ConfigError as err:
         print(f"thermoprobe: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergence, NonFiniteState, OverflowError) as err:
+    except (NoConvergence, ArithmeticError) as err:
         print(f"thermoprobe: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = render_rows(rows, config.fmt)
-    if config.out:
-        Path(config.out).write_text(text)
+    text = render_rows(rows, args.format)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

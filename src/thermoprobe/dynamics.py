@@ -8,19 +8,13 @@ excited state along +z, so the ground preparation is bloch = (0, 0, -1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import QfiValue
-from .numerics import NonFiniteState, central_diff, find_root
-from .spectra import EffectiveTwoLevelSpectrum
-
-
-class NegativeTime(ValueError):
-    """Evolution times must be nonnegative."""
+from .gaussian import qfi_harmonic_transient, vacuum_covariance
+from .numerics import NegativeTime, NonFiniteState, QfiValue, central_diff, find_root
 
 
 class SingularState(ArithmeticError):
@@ -52,7 +46,7 @@ class DissipationModel:
 
     @property
     def decay_rate(self):
-        return self.coupling * self.gap**3 / -math.expm1(-self.ratio)
+        return self.phase_space_damping / -math.expm1(-self.ratio)
 
     @property
     def excitation_rate(self):
@@ -62,7 +56,7 @@ class DissipationModel:
     def relaxation_time(self):
         """1 / (coupling * gap^3 * coth(ratio/2)), the qubit population timescale;
         infinite when coupling * gap^3 underflows to zero."""
-        rate = self.coupling * self.gap**3
+        rate = self.phase_space_damping
         return math.tanh(self.ratio / 2.0) / rate if rate > 0.0 else math.inf
 
     @property
@@ -71,20 +65,18 @@ class DissipationModel:
 
         The detailed-balance factors cancel, leaving coupling * gap^3 with no
         temperature dependence.
+
+        Raises:
+            NonFiniteState: when gap^3 overflows.
         """
-        return self.coupling * self.gap**3
+        try:
+            return self.coupling * self.gap**3
+        except OverflowError:
+            raise NonFiniteState(f"rate scale coupling * gap**3 overflows at gap={self.gap:g}") from None
 
     def at_temperature(self, temperature):
         """Same probe and coupling in contact with a sample at ``temperature``."""
         return DissipationModel(gap=self.gap, temperature=temperature, coupling=self.coupling)
-
-    def to_json(self):
-        return json.dumps({"gap": self.gap, "temperature": self.temperature, "gamma": self.coupling})
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(gap=d["gap"], temperature=d["temperature"], coupling=d["gamma"])
 
 
 @dataclass(frozen=True)
@@ -134,27 +126,6 @@ class DiagonalState:
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    """Sequential estimation protocol: total time budget, one interrogation
-    duration, and the probe preparation used at the start of each round."""
-
-    total_time: float
-    interrogation_time: float
-    preparation: str = "ground"
-
-    def __post_init__(self):
-        if self.interrogation_time <= 0:
-            raise ValueError(f"interrogation_time must be positive, got {self.interrogation_time}")
-        if self.total_time < self.interrogation_time:
-            raise ValueError("total_time must allow at least one interrogation")
-        parse_preparation_token(self.preparation)  # validates the token
-
-    @property
-    def interrogations(self):
-        return self.total_time / self.interrogation_time
-
-
-@dataclass(frozen=True)
 class ProtocolOptimum:
     """Result of maximizing QFI per unit interrogation time over a grid."""
 
@@ -188,22 +159,6 @@ def gibbs_diagonal(n, ratio):
     return DiagonalState((1.0 / z,) + (w / z,) * (n - 1))
 
 
-def rate_matrix(n, model):
-    """Population generator L with dp/dt = L p for the n-level ladder.
-
-    Each excited level exchanges population with the ground level only, all at
-    the same transition frequency. The Gibbs vector is a null vector of L.
-    """
-    down = model.decay_rate
-    up = model.excitation_rate
-    gen = np.zeros((n, n))
-    gen[0, 0] = -(n - 1) * up
-    gen[0, 1:] = down
-    gen[1:, 0] = up
-    np.fill_diagonal(gen[1:, 1:], -down)
-    return gen
-
-
 def evolve_qubit(state, model, t):
     """Relax a qubit toward the Gibbs state for time ``t``.
 
@@ -229,8 +184,9 @@ def evolve_qubit(state, model, t):
     return QubitState(tuple(bloch)) if t.ndim == 0 else bloch
 
 
-def evolve_nlevel(state, spectrum, model, t):
-    """Relax diagonal populations of an effective two-level ladder.
+def evolve_nlevel(state, model, t):
+    """Relax diagonal populations of an effective two-level ladder: one ground
+    level and state.size - 1 excited levels at model.gap.
 
     The total excited population approaches its Gibbs value at rate
     decay_rate * (1 + (n-1) e^{-ratio}); imbalances between excited levels
@@ -242,12 +198,6 @@ def evolve_nlevel(state, spectrum, model, t):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise NegativeTime(f"t must be nonnegative, got {np.min(t)}")
-    if spectrum.n0 != 1:
-        raise ValueError(f"ladder dynamics assume a single ground level, got n0={spectrum.n0}")
-    if spectrum.n != state.size:
-        raise ValueError(f"state has {state.size} levels but spectrum has {spectrum.n}")
-    if abs(spectrum.gap - model.gap) > 1e-9 * model.gap:
-        raise ValueError(f"spectrum gap {spectrum.gap} does not match model gap {model.gap}")
     n = state.size
     x = model.ratio
     down = model.decay_rate
@@ -286,10 +236,8 @@ def qfi_transient(prep, model, dt, step=None):
     t0 = model.temperature
     h = step if step is not None else 1e-4 * t0
     if isinstance(prep, DiagonalState):
-        ladder = EffectiveTwoLevelSpectrum(gap=model.gap, n=prep.size, n0=1)
-
         def populations_at(temp):
-            return evolve_nlevel(prep, ladder, model.at_temperature(temp), dts)
+            return evolve_nlevel(prep, model.at_temperature(temp), dts)
 
         p = populations_at(t0)
         dp = central_diff(populations_at, t0, h, order=1)
@@ -472,16 +420,20 @@ def transient_scan(preps, n_list, model, dt_grid):
     "harmonic", or "thermal:<T>" (two-level thermal preparation at temperature
     T). Returns row dicts with keys prep, N, dt, fisher_rate. Each curve is one
     transient QFI call over the whole grid.
-    """
-    from .gaussian import qfi_harmonic_transient, vacuum_covariance  # deferred: gaussian imports this module
 
+    Raises:
+        NonFiniteState: if a curve has a non-finite value.
+    """
     dts = [float(v) for v in dt_grid]
     grid = np.array(dts)
     rows = []
 
     def add_curve(label, n, qfi):
-        rates = (qfi.value / grid).tolist()
-        rows.extend({"prep": label, "N": n, "dt": dt, "fisher_rate": r} for dt, r in zip(dts, rates))
+        rates = qfi.value / grid
+        if not np.all(np.isfinite(rates)):
+            raise NonFiniteState(f"QFI-per-time curve prep={label}, N={n} has non-finite values")
+        rows.extend({"prep": label, "N": n, "dt": dt, "fisher_rate": r}
+                    for dt, r in zip(dts, rates.tolist()))
 
     for token in preps:
         kind, t_prep = parse_preparation_token(token)

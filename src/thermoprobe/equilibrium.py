@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NoConvergence, NonFiniteState, central_diff, find_root
+from .dynamics import QubitState
+from .gaussian import CovarianceMatrix, fidelity_gaussian, qfi_harmonic_equilibrium
+from .numerics import NoConvergence, NonFiniteState, QfiValue, central_diff, find_root
 from .spectra import (
     EffectiveTwoLevelSpectrum,
     Spectrum,
@@ -22,25 +24,6 @@ from .spectra import (
 
 class DimensionTooSmall(ValueError):
     """Certificate machinery needs at least a two-level probe."""
-
-
-@dataclass(frozen=True)
-class QfiValue:
-    """Quantum Fisher information of a probe state w.r.t. temperature.
-
-    value carries units of 1/temperature^2; the lower bound on any unbiased
-    estimator's standard deviation over nu interrogations is 1/sqrt(nu*value).
-    Transient QFIs computed over an array of contact times carry an array.
-    """
-
-    value: float | np.ndarray
-    temperature: float
-    probe: str
-
-    def __post_init__(self):
-        negative = self.value < 0.0
-        if negative.any() if isinstance(negative, np.ndarray) else negative:
-            raise ValueError(f"QFI must be nonnegative, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +50,6 @@ class HessianCertificate:
     temperature: float
     x_star: float
     block_entries: tuple  # (a, b, c, d): ground diag, excited diag, ground-excited, excited-excited
-    hessian: np.ndarray  # dense n x n
     eigenvalues: tuple
     analytic_eigenvalues: tuple
     eigenvalue_error: float
@@ -139,9 +121,6 @@ def qfi_bures_oracle(probe, temperature, step=None):
         raise TypeError(f"probe must be a Spectrum or a temperature -> state callable, got {type(probe)}")
     h = step if step is not None else 1e-4 * temperature
     state0 = family(temperature)
-
-    from .gaussian import CovarianceMatrix, fidelity_gaussian  # deferred: gaussian imports QfiValue
-    from .dynamics import QubitState
 
     if isinstance(state0, QubitState):
         r0 = np.array(state0.bloch)
@@ -216,7 +195,10 @@ def optimal_gap(n, n0, temperature, tol=1e-12):
     if abs(residual) > 1e-10:
         raise NoConvergence(f"gap equation residual {residual:g} exceeds 1e-10 for n={n}, n0={n0}")
     gap = temperature * x
-    t4 = temperature**4
+    try:
+        t4 = temperature**4
+    except OverflowError:
+        raise NonFiniteState(f"temperature**4 overflows at T={temperature:g}") from None
     if t4 == 0.0:
         raise NonFiniteState(f"temperature**4 underflows at T={temperature:g}")
     ens = thermalize(EffectiveTwoLevelSpectrum(gap=gap, n=n, n0=n0).expand(), temperature)
@@ -295,7 +277,6 @@ def hessian_certificate(n, temperature=1.0):
         temperature=t,
         x_star=x,
         block_entries=(a, b, c, d),
-        hessian=dense,
         eigenvalues=tuple(float(v) for v in numeric),
         analytic_eigenvalues=tuple(float(v) for v in analytic),
         eigenvalue_error=float(np.abs(numeric - analytic).max()),
@@ -312,8 +293,9 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     N = "ho" when requested. Each curve is one kernel call over the grid.
 
     Raises:
-        NonFiniteState: if a temperature or QFI is not finite, or a curve's
-            peak is zero, so that it cannot be normalized.
+        NonFiniteState: if a temperature is not finite and positive, a QFI is
+            not finite, or a curve's peak is zero, so that it cannot be
+            normalized.
     """
     n_list = list(n_list)
     if not n_list and not include_harmonic:
@@ -324,13 +306,11 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     # overflow and underflow are caught by the finiteness checks, not numpy warnings
     with np.errstate(all="ignore"):
         temperatures = gap / x_grid
+        if not np.all(np.isfinite(temperatures) & (temperatures > 0.0)):
+            raise NonFiniteState(f"temperature gap/x is not finite and positive on the grid (gap={gap:g})")
         series = [(n, qfi_effective_two_level(x_grid, n, gap)) for n in n_list]
         if include_harmonic:
-            from .gaussian import qfi_harmonic_equilibrium  # deferred: gaussian imports QfiValue
-
             series.append(("ho", qfi_harmonic_equilibrium(gap, temperatures).value))
-    if not np.all(np.isfinite(temperatures)):
-        raise NonFiniteState(f"temperature gap/x is not finite on the grid (gap={gap:g})")
     t_column = temperatures.tolist()
     rows = []
     for label, values in series:

@@ -5,15 +5,12 @@ equilibrium QFI of a harmonic probe, and dissipative phase-space evolution.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NegativeTime
-from .equilibrium import QfiValue
-from .numerics import central_diff
+from .numerics import NegativeTime, QfiValue, central_diff
 
 
 class UnphysicalCovariance(ValueError):
@@ -47,36 +44,6 @@ class CovarianceMatrix:
 
     def entries(self):
         return np.array([self.xx, self.xp, self.pp])
-
-    @classmethod
-    def from_matrix(cls, a):
-        a = np.asarray(a, dtype=float)
-        if a.shape != (2, 2) or abs(a[0, 1] - a[1, 0]) > 1e-12 * max(1.0, abs(a[0, 1])):
-            raise ValueError(f"need a symmetric 2x2 matrix, got {a!r}")
-        return cls(xx=float(a[0, 0]), xp=float(a[0, 1]), pp=float(a[1, 1]))
-
-    def to_json(self):
-        return json.dumps([[self.xx, self.xp], [self.xp, self.pp]])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_matrix(json.loads(text))
-
-
-@dataclass(frozen=True)
-class GaussianProbe:
-    """Undisplaced single-mode probe: covariance plus the mode frequency.
-
-    First moments are fixed at zero, so the covariance is a complete
-    description of the state.
-    """
-
-    covariance: CovarianceMatrix
-    frequency: float
-
-    def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
 
 
 def vacuum_covariance():

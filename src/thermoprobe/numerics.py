@@ -1,5 +1,6 @@
-"""Shared numerical kernels: bracketed root finding, a fixed-step RK4
-integrator, and Richardson-refined central differences.
+"""Shared numerical kernels and types: bracketed root finding,
+Richardson-refined central differences, the QFI value type, and the exception
+types the other modules raise.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, so results can be frozen in regression tests.
@@ -22,12 +23,35 @@ class NoConvergence(RuntimeError):
 
 
 class NonFiniteState(FloatingPointError):
-    """A computed quantity, such as an ODE state or a relaxation time, left the
+    """A computed quantity, such as a relaxation time or a QFI curve, left the
     finite floating-point range."""
 
 
 class StepTooSmall(ValueError):
     """Finite-difference step is below the roundoff floor for this abscissa."""
+
+
+class NegativeTime(ValueError):
+    """Evolution times must be nonnegative."""
+
+
+@dataclass(frozen=True)
+class QfiValue:
+    """Quantum Fisher information of a probe state w.r.t. temperature.
+
+    value carries units of 1/temperature^2; the lower bound on any unbiased
+    estimator's standard deviation over nu interrogations is 1/sqrt(nu*value).
+    Transient QFIs computed over an array of contact times carry an array.
+    """
+
+    value: float | np.ndarray
+    temperature: float
+    probe: str
+
+    def __post_init__(self):
+        negative = self.value < 0.0
+        if negative.any() if isinstance(negative, np.ndarray) else negative:
+            raise ValueError(f"QFI must be nonnegative, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -110,37 +134,6 @@ def find_root(f, lo, hi, tol, max_iter=200):
     lo_out = math.nextafter(min(b, c), -math.inf)
     hi_out = math.nextafter(max(b, c), math.inf)
     return BracketedRoot(lo=lo_out, hi=hi_out, root=b, residual=fb)
-
-
-def integrate_ode(rhs, y0, t_end, dt):
-    """Integrate ``y' = rhs(y)`` from 0 to ``t_end`` with classic fixed-step RK4.
-
-    The step is ``t_end / ceil(t_end / dt)`` so the endpoint is hit exactly.
-    Accepts scalar or array states and returns the same kind.
-
-    Raises:
-        NonFiniteState: if any state component becomes non-finite.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    scalar = np.ndim(y0) == 0
-    y = np.array(y0, dtype=float, copy=True, ndmin=1)
-    if t_end > 0.0:
-        nsteps = max(1, math.ceil(t_end / dt))
-        h = t_end / nsteps
-        # overflow is detected via the isfinite check, not numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(nsteps):
-                k1 = np.asarray(rhs(y))
-                k2 = np.asarray(rhs(y + 0.5 * h * k1))
-                k3 = np.asarray(rhs(y + 0.5 * h * k2))
-                k4 = np.asarray(rhs(y + h * k3))
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(y)):
-                    raise NonFiniteState(f"state became non-finite during integration to t={t_end}")
-    return float(y[0]) if scalar else y
 
 
 def central_diff(f, x, h, order=1):

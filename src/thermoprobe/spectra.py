@@ -6,7 +6,6 @@ unit and heat capacity is dimensionless.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,13 +51,6 @@ class Spectrum:
             raise ValueError(f"scale factor must be positive, got {factor}")
         return Spectrum(tuple(e * factor for e in self.energies))
 
-    def to_json(self):
-        return json.dumps(list(self.energies))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(tuple(json.loads(text)))
-
 
 @dataclass(frozen=True)
 class EffectiveTwoLevelSpectrum:
@@ -83,23 +75,14 @@ class EffectiveTwoLevelSpectrum:
         """Dimensionless gap-to-temperature ratio at which the probe operates."""
         return self.gap / temperature
 
-    def to_json(self):
-        return json.dumps({"gap": self.gap, "n": self.n, "n0": self.n0})
-
-    @classmethod
-    def from_json(cls, text):
-        d = json.loads(text)
-        return cls(gap=d["gap"], n=d["n"], n0=d["n0"])
-
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """A spectrum at thermal equilibrium: Gibbs populations and partition sum."""
+    """A spectrum at thermal equilibrium: Gibbs populations and log partition sum."""
 
     spectrum: Spectrum
     temperature: float
     populations: tuple
-    partition: float
     log_partition: float
 
     def population_array(self):
@@ -126,7 +109,6 @@ def thermalize(spectrum, temperature):
         spectrum=spectrum,
         temperature=float(temperature),
         populations=tuple(float(p) for p in populations),
-        partition=scale * math.exp(-ground / temperature),
         log_partition=log_partition,
     )
 

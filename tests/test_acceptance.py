@@ -22,7 +22,6 @@ from thermoprobe.dynamics import (
     plus_qubit,
     qfi_transient,
     qfi_transient_closed_form_qubit,
-    rate_matrix,
     ultimate_rate,
 )
 from thermoprobe.equilibrium import (
@@ -39,8 +38,10 @@ from thermoprobe.gaussian import (
     thermal_covariance,
     vacuum_covariance,
 )
-from thermoprobe.numerics import central_diff, find_root, integrate_ode
+from thermoprobe.numerics import central_diff, find_root
 from thermoprobe.spectra import Spectrum, thermalize
+
+from oracles import integrate_ode, rate_matrix
 
 X_TILDE_ORACLE = 4.888709235047135  # bisection on e^x (5 - x) = 5 + 2x, frozen
 

@@ -283,6 +283,26 @@ class TestExitCodes:
         assert text == ""
         assert f"configuration error: {field}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, quantity", [
+        (["limits", "--gamma", "1e308", "--temperature", "1e308"], "rate"),
+        (["limits", "--gamma", "1e308", "--temperature", "1e100"], "rate"),
+        (["optimal-gap", "--temperature", "1e100"], "temperature**4"),
+        (["hessian-check", "--temperature", "1e100"], "temperature**4"),
+        (["transient-scan", "--gap", "1e300"], "gap**3"),
+        (["transient-scan", "--span-min", "1e-104", "--include-plus"], None),
+        (["transient-scan", "--temperature", "1e-300", "--gap", "0.5", "--include-harmonic"], "harmonic"),
+        (["transient-scan", "--temperature", "1e308"], "gap"),
+        (["equilibrium-scan", "--gap", "1e-200", "--x-min", "1e150", "--x-max", "1e200"], "temperature"),
+    ])
+    def test_numerical_edge_exits_three(self, tmp_path, capsys, argv, quantity):
+        code, text = run(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert text == ""
+        assert err.startswith("thermoprobe: numerical failure: ")
+        if quantity is not None:
+            assert quantity in err
+
     def test_stdout_default(self, capsys):
         code = cli.main(["limits", "--n", "2"])
         assert code == 0

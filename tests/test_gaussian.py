@@ -6,7 +6,6 @@ import pytest
 from thermoprobe.dynamics import DissipationModel, NegativeTime
 from thermoprobe.gaussian import (
     CovarianceMatrix,
-    GaussianProbe,
     UnphysicalCovariance,
     evolve_covariance,
     fidelity_gaussian,
@@ -53,20 +52,6 @@ class TestCovarianceMatrix:
             CovarianceMatrix(2.0, 1.5, 1.0)
         with pytest.raises(UnphysicalCovariance):
             CovarianceMatrix(math.nan, 0.0, 1.0)
-
-    def test_json_round_trip(self):
-        s = CovarianceMatrix(1.5, 0.2, 1.1)
-        assert CovarianceMatrix.from_json(s.to_json()) == s
-
-    def test_from_matrix_requires_symmetry(self):
-        with pytest.raises(ValueError):
-            CovarianceMatrix.from_matrix([[1.0, 0.3], [0.1, 1.0]])
-
-    def test_probe_wrapper(self):
-        p = GaussianProbe(covariance=vacuum_covariance(), frequency=2.0)
-        assert p.frequency == 2.0
-        with pytest.raises(ValueError):
-            GaussianProbe(covariance=vacuum_covariance(), frequency=0.0)
 
 
 class TestFidelity:

@@ -11,8 +11,9 @@ from thermoprobe.numerics import (
     StepTooSmall,
     central_diff,
     find_root,
-    integrate_ode,
 )
+
+from oracles import integrate_ode
 
 
 def bisect(f, a, b, tol=1e-14):

@@ -35,15 +35,10 @@ class TestSpectrum:
         s = Spectrum((0.0, 1.0, 1.0, 1.0))
         assert s.size == 4
 
-    def test_json_round_trip(self):
-        s = Spectrum((0.0, 0.5, 2.25))
-        assert Spectrum.from_json(s.to_json()) == s
-
     def test_effective_two_level(self):
         e = EffectiveTwoLevelSpectrum(gap=1.5, n=5, n0=2)
         assert e.expand() == Spectrum((0.0, 0.0, 1.5, 1.5, 1.5))
         assert e.ratio(0.5) == 3.0
-        assert EffectiveTwoLevelSpectrum.from_json(e.to_json()) == e
         with pytest.raises(ValueError):
             EffectiveTwoLevelSpectrum(gap=1.0, n=2, n0=2)
         with pytest.raises(ValueError):

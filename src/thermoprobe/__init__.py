@@ -23,7 +23,6 @@ from .spectra import (
     Spectrum,
     ThermalEnsemble,
     energy_variance,
-    heat_capacity,
     mean_energy,
     thermalize,
 )
@@ -31,15 +30,11 @@ from .equilibrium import (
     DimensionTooSmall,
     HessianCertificate,
     OptimalGapResult,
-    full_width_half_max,
     hessian_certificate,
     optimal_gap,
-    qfi_bures_oracle,
     qfi_effective_two_level,
     qfi_equilibrium_scan,
     qfi_thermal,
-    stationarity_residual,
-    thermal_population_family,
 )
 from .dynamics import (
     DiagonalState,
@@ -51,14 +46,11 @@ from .dynamics import (
     evolve_qubit,
     log_interrogation_grid,
     gibbs_diagonal,
-    gibbs_qubit,
     ground_diagonal,
-    ground_qubit,
     optimal_interrogation_ratio,
     optimize_protocol,
     plus_qubit,
     qfi_transient,
-    qfi_transient_closed_form_qubit,
     transient_scan,
     ultimate_rate,
 )
@@ -66,12 +58,8 @@ from .gaussian import (
     CovarianceMatrix,
     UnphysicalCovariance,
     evolve_covariance,
-    fidelity_gaussian,
     qfi_harmonic_equilibrium,
     qfi_harmonic_transient,
-    squeezed_covariance,
-    thermal_covariance,
-    thermal_covariance_family,
     vacuum_covariance,
 )
 

@@ -154,6 +154,8 @@ def cmd_optimal_gap(params):
     n_list, n0_list = params["n"], params["n0"]
     if not n_list:
         raise ConfigError("n", "probe dimension list must not be empty")
+    if not n0_list:
+        raise ConfigError("n0", "ground degeneracy list must not be empty")
     _require_positive(params, "temperature")
     t = params["temperature"]
     rows = []

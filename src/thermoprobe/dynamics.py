@@ -93,10 +93,6 @@ class QubitState:
         if math.sqrt(sum(v * v for v in r)) > 1.0 + 1e-12:
             raise ValueError(f"bloch norm exceeds 1: {r}")
 
-    @property
-    def excited_population(self):
-        return 0.5 * (1.0 + self.bloch[2])
-
 
 @dataclass(frozen=True)
 class DiagonalState:
@@ -135,17 +131,9 @@ class ProtocolOptimum:
     short_time_limit: float | None
 
 
-def ground_qubit():
-    return QubitState((0.0, 0.0, -1.0))
-
-
 def plus_qubit():
     """Maximally coherent preparation, equal populations with full coherence."""
     return QubitState((1.0, 0.0, 0.0))
-
-
-def gibbs_qubit(ratio):
-    return QubitState((0.0, 0.0, -math.tanh(ratio / 2.0)))
 
 
 def ground_diagonal(n):
@@ -214,14 +202,13 @@ def evolve_nlevel(state, model, t):
     return DiagonalState(tuple(out)) if t.ndim == 0 else out
 
 
-def qfi_transient(prep, model, dt, step=None):
+def qfi_transient(prep, model, dt):
     """QFI of the probe state after one thermal-contact stage of length ``dt``.
 
     The preparation and the coupling are held fixed while the sample
     temperature is varied, so the derivative includes the temperature
     dependence of the relaxation rates as well as of the Gibbs target. The
-    derivative is a Richardson central difference with step 1e-4 * T unless
-    overridden.
+    derivative is a Richardson central difference with step 1e-4 * T.
 
     Diagonal preparations use the classical Fisher information of the
     populations; qubit preparations with coherence use the Bloch-vector form
@@ -234,7 +221,7 @@ def qfi_transient(prep, model, dt, step=None):
     if not np.all(dts > 0.0):
         raise ValueError(f"dt must be positive, got {np.min(dts)}")
     t0 = model.temperature
-    h = step if step is not None else 1e-4 * t0
+    h = 1e-4 * t0
     if isinstance(prep, DiagonalState):
         def populations_at(temp):
             return evolve_nlevel(prep, model.at_temperature(temp), dts)
@@ -243,7 +230,6 @@ def qfi_transient(prep, model, dt, step=None):
         dp = central_diff(populations_at, t0, h, order=1)
         # a population that underflows to 0 contributes the limit of dp^2 / p, which is 0
         value = np.sum(np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
-        label = "transient-ladder"
     elif isinstance(prep, QubitState):
         def bloch_at(temp):
             return evolve_qubit(prep, model.at_temperature(temp), dts)
@@ -268,35 +254,10 @@ def qfi_transient(prep, model, dt, step=None):
                 "the radial correction is ill conditioned"
             )
         value = flat + radial * radial / gap_to_surface
-        label = "transient-qubit"
     else:
         raise TypeError(f"prep must be a DiagonalState or QubitState, got {type(prep)}")
     value = np.maximum(value, 0.0)
-    return QfiValue(value=float(value[0]) if np.ndim(dt) == 0 else value, temperature=t0, probe=label)
-
-
-def qfi_transient_closed_form_qubit(ratio, dt, tau, temperature):
-    """Closed-form transient QFI of a ground-prepared qubit.
-
-    With u = dt/tau and x = ratio:
-
-        F(dt) = x^2 [e^x (e^u - 1) + u (1 + e^x) csch x]^2
-                / [(1 + e^x)^2 (e^u - 1) (1 + e^x e^u) T^2]
-
-    The csch x factor is the logarithmic temperature derivative of the
-    relaxation rate; expm1 keeps the u << 1 regime exact.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x = ratio
-    u = dt / tau
-    em1 = math.expm1(u)
-    ex = math.exp(x)
-    bracket = ex * em1 + u * (1.0 + ex) / math.sinh(x)
-    value = x * x * bracket * bracket / (
-        (1.0 + ex) ** 2 * em1 * (1.0 + ex * math.exp(u)) * temperature**2
-    )
-    return QfiValue(value=value, temperature=temperature, probe="transient-qubit-closed-form")
+    return QfiValue(value=float(value[0]) if np.ndim(dt) == 0 else value)
 
 
 def ultimate_rate(n, ratio, coupling, temperature):
@@ -435,16 +396,18 @@ def transient_scan(preps, n_list, model, dt_grid):
         rows.extend({"prep": label, "N": n, "dt": dt, "fisher_rate": r}
                     for dt, r in zip(dts, rates.tolist()))
 
-    for token in preps:
-        kind, t_prep = parse_preparation_token(token)
-        if kind == "ground":
-            for n in n_list:
-                add_curve("ground", n, qfi_transient(ground_diagonal(n), model, grid))
-        elif kind == "thermal":
-            prep = gibbs_diagonal(2, model.gap / t_prep)
-            add_curve(f"thermal-{t_prep:g}", 2, qfi_transient(prep, model, grid))
-        elif kind == "plus":
-            add_curve("plus", 2, qfi_transient(plus_qubit(), model, grid))
-        else:  # harmonic
-            add_curve("harmonic", "ho", qfi_harmonic_transient(vacuum_covariance(), model, grid))
+    # overflow and underflow are caught by the finiteness check, not numpy warnings
+    with np.errstate(all="ignore"):
+        for token in preps:
+            kind, t_prep = parse_preparation_token(token)
+            if kind == "ground":
+                for n in n_list:
+                    add_curve("ground", n, qfi_transient(ground_diagonal(n), model, grid))
+            elif kind == "thermal":
+                prep = gibbs_diagonal(2, model.gap / t_prep)
+                add_curve(f"thermal-{t_prep:g}", 2, qfi_transient(prep, model, grid))
+            elif kind == "plus":
+                add_curve("plus", 2, qfi_transient(plus_qubit(), model, grid))
+            else:  # harmonic
+                add_curve("harmonic", "ho", qfi_harmonic_transient(vacuum_covariance(), model, grid))
     return rows

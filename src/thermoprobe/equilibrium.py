@@ -1,6 +1,7 @@
-"""Thermal-equilibrium sensitivity: QFI of fully thermalized probes, the
-optimal-spectrum solver, and the analytic certificate that the optimum is a
-true maximum of the energy variance.
+"""Thermal-equilibrium sensitivity: QFI of fully thermalized probes, in
+general and in closed form for effective two-level spectra, the optimal-gap
+solver, the analytic certificate that the optimum is a true maximum of the
+energy variance, and the equilibrium scan over temperature.
 """
 
 from __future__ import annotations
@@ -10,16 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QubitState
-from .gaussian import CovarianceMatrix, fidelity_gaussian, qfi_harmonic_equilibrium
-from .numerics import NoConvergence, NonFiniteState, QfiValue, central_diff, find_root
-from .spectra import (
-    EffectiveTwoLevelSpectrum,
-    Spectrum,
-    energy_variance,
-    mean_energy,
-    thermalize,
-)
+from .gaussian import qfi_harmonic_equilibrium
+from .numerics import NoConvergence, NonFiniteState, QfiValue, find_root
+from .spectra import EffectiveTwoLevelSpectrum, energy_variance, thermalize
 
 
 class DimensionTooSmall(ValueError):
@@ -64,8 +58,7 @@ class HessianCertificate:
 
 def qfi_thermal(ensemble):
     """Equilibrium QFI, variance over T^4 (equivalently heat capacity over T^2)."""
-    t = ensemble.temperature
-    return QfiValue(value=energy_variance(ensemble) / t**4, temperature=t, probe="thermal-spectrum")
+    return QfiValue(value=energy_variance(ensemble) / ensemble.temperature**4)
 
 
 def qfi_effective_two_level(x, n, gap):
@@ -82,88 +75,6 @@ def qfi_effective_two_level(x, n, gap):
     x = np.asarray(x, dtype=float)
     emh = np.exp(-0.5 * x)
     return (n - 1) * (x * x * emh / (gap * ((n - 1) * emh * emh + 1.0))) ** 2
-
-
-def thermal_population_family(spectrum):
-    """Map a temperature to the Gibbs populations of ``spectrum``."""
-
-    def family(temperature):
-        return thermalize(spectrum, temperature).population_array()
-
-    return family
-
-
-def _qubit_fidelity(r1, r2):
-    # Uhlmann fidelity of two qubits from their Bloch vectors.
-    p1 = max(0.0, 1.0 - float(np.dot(r1, r1)))
-    p2 = max(0.0, 1.0 - float(np.dot(r2, r2)))
-    return 0.5 * (1.0 + float(np.dot(r1, r2)) + math.sqrt(p1 * p2))
-
-
-def qfi_bures_oracle(probe, temperature, step=None):
-    """QFI from the curvature of the Uhlmann fidelity across the family.
-
-    ``probe`` is either a Spectrum (its thermal family is used) or a callable
-    mapping temperature to a state: a population vector, a QubitState, or a
-    CovarianceMatrix. The curvature -2 d^2F/d delta^2 at delta = 0 is taken by
-    Richardson central differences with step ``step`` (default 1e-4 * T).
-
-    For commuting families the fidelity is the squared Bhattacharyya overlap;
-    its deficit from 1 is accumulated at the sqrt-population level, which
-    avoids the roundoff floor of differencing fidelities that all equal
-    1 - O(delta^2).
-    """
-    if isinstance(probe, Spectrum):
-        family = thermal_population_family(probe)
-    elif callable(probe):
-        family = probe
-    else:
-        raise TypeError(f"probe must be a Spectrum or a temperature -> state callable, got {type(probe)}")
-    h = step if step is not None else 1e-4 * temperature
-    state0 = family(temperature)
-
-    if isinstance(state0, QubitState):
-        r0 = np.array(state0.bloch)
-
-        def fid(delta):
-            return _qubit_fidelity(r0, np.array(family(temperature + delta).bloch))
-
-        value = -2.0 * central_diff(fid, 0.0, h, order=2)
-        label = "bures-oracle-qubit"
-    elif isinstance(state0, CovarianceMatrix):
-        def fid(delta):
-            return fidelity_gaussian(family(temperature), family(temperature + delta))
-
-        value = -2.0 * central_diff(fid, 0.0, h, order=2)
-        label = "bures-oracle-gaussian"
-    else:
-        sqrt0 = np.sqrt(np.asarray(state0, dtype=float))
-
-        def hellinger(delta):
-            diff = sqrt0 - np.sqrt(np.asarray(family(temperature + delta), dtype=float))
-            return 0.5 * float(np.dot(diff, diff))
-
-        # F = (1 - D)^2 with D(0) = D'(0) = 0, hence -2 F''(0) = 4 D''(0)
-        value = 4.0 * central_diff(hellinger, 0.0, h, order=2)
-        label = "bures-oracle-populations"
-    return QfiValue(value=max(float(value), 0.0), temperature=temperature, probe=label)
-
-
-def stationarity_residual(spectrum, temperature):
-    """Pairwise stationarity conditions of the energy variance.
-
-    For every level pair i < j returns (e_i - e_j)(e_i + e_j - 2(<H> + T));
-    all entries vanish exactly at spectra that are stationary points of the
-    variance, i.e. effective two-level configurations at the critical gap.
-    """
-    ens = thermalize(spectrum, temperature)
-    mu = mean_energy(ens)
-    eps = spectrum.energies
-    out = []
-    for i in range(len(eps)):
-        for j in range(i + 1, len(eps)):
-            out.append((eps[i] - eps[j]) * (eps[i] + eps[j] - 2.0 * (mu + temperature)))
-    return out
 
 
 def optimal_gap(n, n0, temperature, tol=1e-12):
@@ -323,25 +234,3 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
         )
     return rows
 
-
-def full_width_half_max(xs, ys):
-    """Width of the region where ``ys`` exceeds half its maximum.
-
-    Crossing points are located by linear interpolation; raises if either
-    flank never drops below half maximum inside the grid.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-    half = ys.max() / 2.0
-    i = int(np.argmax(ys))
-    left = np.nonzero(ys[:i] < half)[0]
-    right = np.nonzero(ys[i:] < half)[0]
-    if left.size == 0 or right.size == 0:
-        raise ValueError("half maximum is not bracketed inside the grid")
-    l = left[-1]
-    r = i + right[0]
-    x_lo = xs[l] + (half - ys[l]) * (xs[l + 1] - xs[l]) / (ys[l + 1] - ys[l])
-    x_hi = xs[r - 1] + (half - ys[r - 1]) * (xs[r] - xs[r - 1]) / (ys[r] - ys[r - 1])
-    return x_hi - x_lo

@@ -1,6 +1,7 @@
 """Single-mode Gaussian probes: covariance matrices in the vacuum = identity
-convention, Uhlmann fidelity from determinant invariants, the closed-form
-equilibrium QFI of a harmonic probe, and dissipative phase-space evolution.
+convention, the closed-form equilibrium QFI of a harmonic probe, dissipative
+phase-space evolution, and the transient QFI of isotropic (ground or thermal)
+preparations.
 """
 
 from __future__ import annotations
@@ -42,61 +43,9 @@ class CovarianceMatrix:
     def is_isotropic(self):
         return self.xp == 0.0 and abs(self.xx - self.pp) <= 1e-14 * abs(self.xx)
 
-    def entries(self):
-        return np.array([self.xx, self.xp, self.pp])
-
 
 def vacuum_covariance():
     return CovarianceMatrix(1.0, 0.0, 1.0)
-
-
-def thermal_covariance(gap, temperature):
-    """coth(gap / 2T) times the identity."""
-    if gap <= 0 or temperature <= 0:
-        raise ValueError("gap and temperature must be positive")
-    c = 1.0 / math.tanh(gap / (2.0 * temperature))
-    return CovarianceMatrix(c, 0.0, c)
-
-
-def squeezed_covariance(squeeze):
-    """diag(s, 1/s), a pure quadrature-squeezed state."""
-    if squeeze <= 0:
-        raise ValueError(f"squeeze must be positive, got {squeeze}")
-    return CovarianceMatrix(squeeze, 0.0, 1.0 / squeeze)
-
-
-def thermal_covariance_family(gap):
-    """Map a temperature to the thermal covariance at fixed mode frequency."""
-
-    def family(temperature):
-        return thermal_covariance(gap, temperature)
-
-    return family
-
-
-def fidelity_gaussian(sigma1, sigma2):
-    """Uhlmann fidelity of two undisplaced single-mode Gaussian states.
-
-    With Delta = det(sigma1 + sigma2) and Lambda = (det sigma1 - 1)(det sigma2 - 1):
-
-        F = 2 / (sqrt(Delta + Lambda) - sqrt(Lambda))
-
-    evaluated in the rationalized form 2 (sqrt(Delta + Lambda) + sqrt(Lambda))
-    / Delta, which avoids the subtraction. Lambda is clamped at zero to absorb
-    roundoff from near-pure inputs, and the result is capped at 1.
-    """
-    return float(_fidelity(sigma1.entries(), sigma2.entries()))
-
-
-def _fidelity(a, b):
-    """fidelity_gaussian on covariance entries (xx, xp, pp) along the last axis."""
-
-    def det(m):
-        return m[..., 0] * m[..., 2] - m[..., 1] * m[..., 1]
-
-    delta = det(a + b)
-    lam = np.maximum((det(a) - 1.0) * (det(b) - 1.0), 0.0)
-    return np.minimum(2.0 * (np.sqrt(delta + lam) + np.sqrt(lam)) / delta, 1.0)
 
 
 def qfi_harmonic_equilibrium(gap, temperature):
@@ -114,7 +63,7 @@ def qfi_harmonic_equilibrium(gap, temperature):
         raise ValueError("gap and temperature must be positive")
     half = gap / (2.0 * t)
     value = (gap * np.exp(-half) / (t * t * np.expm1(-2.0 * half))) ** 2
-    return QfiValue(value=value, temperature=temperature, probe="harmonic-equilibrium")
+    return QfiValue(value=value)
 
 
 def evolve_covariance(sigma0, model, t):
@@ -152,38 +101,35 @@ def _isotropic_fidelity_deficit(c1, c2):
     return (s1 - s2) ** 2 / (1.0 - s1 * s2) ** 2
 
 
-def qfi_harmonic_transient(sigma0, model, dt, step=None):
-    """QFI of a Gaussian probe after thermal contact of length ``dt``.
+def qfi_harmonic_transient(sigma0, model, dt):
+    """QFI of an isotropic Gaussian probe after thermal contact of length ``dt``.
 
-    The fidelity curvature across the temperature family is differenced with
-    step ``step`` (default 1e-4 * T). ``dt`` may be an array of contact times:
-    the value is then an array over it, and one central difference covers
-    the whole grid.
+    The state stays isotropic, c(t) times the identity, so its Uhlmann
+    fidelity with the state at a nearby temperature is 1 minus a deficit
+    accumulated without cancellation. The deficit's curvature across the
+    temperature family is a Richardson central difference with step 1e-4 * T.
+    ``dt`` may be an array of contact times: the value is then an array over
+    it, and one central difference covers the whole grid.
 
-    Isotropic preparations (ground, thermal) use a cancellation-free deficit
-    form of the fidelity; anisotropic ones difference the fidelity directly.
+    Raises:
+        ValueError: if ``sigma0`` is not isotropic or a contact time is not
+            positive.
     """
+    if not sigma0.is_isotropic:
+        raise ValueError(f"preparation must be isotropic, got {sigma0}")
     dts = np.atleast_1d(np.asarray(dt, dtype=float))
     if not np.all(dts > 0.0):
         raise ValueError(f"dt must be positive, got {np.min(dts)}")
     t0 = model.temperature
-    h = step if step is not None else 1e-4 * t0
 
-    def entries_at(delta):
-        return evolve_covariance(sigma0, model.at_temperature(t0 + delta), dts)
+    def scale_at(delta):
+        return evolve_covariance(sigma0, model.at_temperature(t0 + delta), dts)[..., 0]
 
-    base = entries_at(0.0)
-    if sigma0.is_isotropic:
-        def deficit(delta):
-            return _isotropic_fidelity_deficit(base[..., 0], entries_at(delta)[..., 0])
+    base = scale_at(0.0)
 
-        # F = 1 - deficit with deficit(0) = deficit'(0) = 0, so QFI = 2 deficit''(0)
-        value = 2.0 * central_diff(deficit, 0.0, h, order=2)
-    else:
-        def fidelity(delta):
-            return _fidelity(base, entries_at(delta))
+    def deficit(delta):
+        return _isotropic_fidelity_deficit(base, scale_at(delta))
 
-        value = -2.0 * central_diff(fidelity, 0.0, h, order=2)
-    value = np.maximum(value, 0.0)
-    return QfiValue(value=float(value[0]) if np.ndim(dt) == 0 else value, temperature=t0,
-                    probe="harmonic-transient")
+    # F = 1 - deficit with deficit(0) = deficit'(0) = 0, so QFI = 2 deficit''(0)
+    value = np.maximum(2.0 * central_diff(deficit, 0.0, 1e-4 * t0, order=2), 0.0)
+    return QfiValue(value=float(value[0]) if np.ndim(dt) == 0 else value)

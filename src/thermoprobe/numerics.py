@@ -1,6 +1,7 @@
 """Shared numerical kernels and types: bracketed root finding,
-Richardson-refined central differences, the QFI value type, and the exception
-types the other modules raise.
+Richardson-refined central differences for the transient kernels, the QFI
+value type (a nonnegative value, scalar or array), and the exception types the
+other modules raise.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, so results can be frozen in regression tests.
@@ -45,8 +46,6 @@ class QfiValue:
     """
 
     value: float | np.ndarray
-    temperature: float
-    probe: str
 
     def __post_init__(self):
         negative = self.value < 0.0

@@ -1,7 +1,7 @@
 """Probe energy spectra and their Gibbs-state statistics.
 
 Units: hbar = k_B = 1 throughout, so energies, temperatures and gaps share one
-unit and heat capacity is dimensionless.
+unit.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ class Spectrum:
     def as_array(self):
         return np.array(self.energies)
 
-    def shifted(self, offset):
-        return Spectrum(tuple(e + offset for e in self.energies))
-
-    def scaled(self, factor):
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        return Spectrum(tuple(e * factor for e in self.energies))
-
 
 @dataclass(frozen=True)
 class EffectiveTwoLevelSpectrum:
@@ -70,10 +62,6 @@ class EffectiveTwoLevelSpectrum:
 
     def expand(self):
         return Spectrum((0.0,) * self.n0 + (self.gap,) * (self.n - self.n0))
-
-    def ratio(self, temperature):
-        """Dimensionless gap-to-temperature ratio at which the probe operates."""
-        return self.gap / temperature
 
 
 @dataclass(frozen=True)
@@ -125,8 +113,3 @@ def energy_variance(ensemble):
     p = ensemble.population_array()
     mu = float(np.dot(p, eps))
     return max(float(np.dot(p, (eps - mu) ** 2)), 0.0)
-
-
-def heat_capacity(ensemble):
-    """d<H>/dT of the probe, equal to the energy variance over T^2."""
-    return energy_variance(ensemble) / ensemble.temperature**2

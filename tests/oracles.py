@@ -1,14 +1,27 @@
-"""Independent oracles for the relaxation dynamics, used only by the tests: a
-fixed-step RK4 integrator and the population generator of the n-level ladder.
-The package evolves populations in closed form; these integrate the master
-equation instead.
+"""Independent oracles and helpers used only by the tests.
+
+- Relaxation dynamics: a fixed-step RK4 integrator and the population
+  generator of the n-level ladder. The package evolves populations in closed
+  form; these integrate the master equation instead.
+- Fidelity curvature: the QFI as -2 d^2F/dT^2 of the Uhlmann fidelity, for
+  population vectors, qubits and single-mode Gaussian states, with the
+  Gaussian fidelity from determinant invariants. The package uses the
+  variance form at equilibrium and a deficit form for isotropic Gaussians.
+- Closed forms: the transient QFI of a ground-prepared qubit, the heat
+  capacity, and the qubit and Gaussian states the tests prepare.
+- Spectrum optimality: the pairwise stationarity conditions of the energy
+  variance and a global multi-start search for its maximum, against which the
+  two-level gap equation of the package is checked.
 """
 
 import math
 
 import numpy as np
 
-from thermoprobe.numerics import NonFiniteState
+from thermoprobe.dynamics import QubitState
+from thermoprobe.gaussian import CovarianceMatrix, evolve_covariance
+from thermoprobe.numerics import NonFiniteState, central_diff
+from thermoprobe.spectra import Spectrum, energy_variance, mean_energy, thermalize
 
 
 def integrate_ode(rhs, y0, t_end, dt):
@@ -56,3 +69,276 @@ def rate_matrix(n, model):
     gen[1:, 0] = up
     np.fill_diagonal(gen[1:, 1:], -down)
     return gen
+
+
+# Spectra
+
+
+def shifted(spectrum, offset):
+    return Spectrum(tuple(e + offset for e in spectrum.energies))
+
+
+def scaled(spectrum, factor):
+    if factor <= 0:
+        raise ValueError(f"scale factor must be positive, got {factor}")
+    return Spectrum(tuple(e * factor for e in spectrum.energies))
+
+
+def gap_ratio(spectrum, temperature):
+    """Gap-to-temperature ratio at which an effective two-level probe operates."""
+    return spectrum.gap / temperature
+
+
+def heat_capacity(ensemble):
+    """d<H>/dT of the probe, equal to the energy variance over T^2."""
+    return energy_variance(ensemble) / ensemble.temperature**2
+
+
+# States
+
+
+def ground_qubit():
+    return QubitState((0.0, 0.0, -1.0))
+
+
+def gibbs_qubit(ratio):
+    return QubitState((0.0, 0.0, -math.tanh(ratio / 2.0)))
+
+
+def excited_population(state):
+    """Excited-level population of a qubit, with the excited state along +z."""
+    return 0.5 * (1.0 + state.bloch[2])
+
+
+def thermal_covariance(gap, temperature):
+    """coth(gap / 2T) times the identity."""
+    if gap <= 0 or temperature <= 0:
+        raise ValueError("gap and temperature must be positive")
+    c = 1.0 / math.tanh(gap / (2.0 * temperature))
+    return CovarianceMatrix(c, 0.0, c)
+
+
+def squeezed_covariance(squeeze):
+    """diag(s, 1/s), a pure quadrature-squeezed state."""
+    if squeeze <= 0:
+        raise ValueError(f"squeeze must be positive, got {squeeze}")
+    return CovarianceMatrix(squeeze, 0.0, 1.0 / squeeze)
+
+
+def thermal_covariance_family(gap):
+    """Map a temperature to the thermal covariance at fixed mode frequency."""
+
+    def family(temperature):
+        return thermal_covariance(gap, temperature)
+
+    return family
+
+
+# Fidelity curvature
+
+
+def fidelity_gaussian(sigma1, sigma2):
+    """Uhlmann fidelity of two undisplaced single-mode Gaussian states.
+
+    With Delta = det(sigma1 + sigma2) and Lambda = (det sigma1 - 1)(det sigma2 - 1):
+
+        F = 2 / (sqrt(Delta + Lambda) - sqrt(Lambda))
+
+    evaluated in the rationalized form 2 (sqrt(Delta + Lambda) + sqrt(Lambda))
+    / Delta, which avoids the subtraction. Lambda is clamped at zero to absorb
+    roundoff from near-pure inputs, and the result is capped at 1.
+    """
+    xx, xp, pp = sigma1.xx + sigma2.xx, sigma1.xp + sigma2.xp, sigma1.pp + sigma2.pp
+    delta = xx * pp - xp * xp
+    lam = max((sigma1.determinant - 1.0) * (sigma2.determinant - 1.0), 0.0)
+    return min(2.0 * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta, 1.0)
+
+
+def thermal_population_family(spectrum):
+    """Map a temperature to the Gibbs populations of ``spectrum``."""
+
+    def family(temperature):
+        return thermalize(spectrum, temperature).population_array()
+
+    return family
+
+
+def _qubit_fidelity(r1, r2):
+    # Uhlmann fidelity of two qubits from their Bloch vectors.
+    p1 = max(0.0, 1.0 - float(np.dot(r1, r1)))
+    p2 = max(0.0, 1.0 - float(np.dot(r2, r2)))
+    return 0.5 * (1.0 + float(np.dot(r1, r2)) + math.sqrt(p1 * p2))
+
+
+def qfi_bures_oracle(probe, temperature, step=None):
+    """QFI from the curvature of the Uhlmann fidelity across the family.
+
+    ``probe`` is either a Spectrum (its thermal family is used) or a callable
+    mapping temperature to a state: a population vector, a QubitState, or a
+    CovarianceMatrix. The curvature -2 d^2F/d delta^2 at delta = 0 is taken by
+    Richardson central differences with step ``step`` (default 1e-4 * T).
+
+    For commuting families the fidelity is the squared Bhattacharyya overlap;
+    its deficit from 1 is accumulated at the sqrt-population level, which
+    avoids the roundoff floor of differencing fidelities that all equal
+    1 - O(delta^2).
+    """
+    if isinstance(probe, Spectrum):
+        family = thermal_population_family(probe)
+    elif callable(probe):
+        family = probe
+    else:
+        raise TypeError(f"probe must be a Spectrum or a temperature -> state callable, got {type(probe)}")
+    h = step if step is not None else 1e-4 * temperature
+    state0 = family(temperature)
+
+    if isinstance(state0, QubitState):
+        r0 = np.array(state0.bloch)
+
+        def fid(delta):
+            return _qubit_fidelity(r0, np.array(family(temperature + delta).bloch))
+
+        value = -2.0 * central_diff(fid, 0.0, h, order=2)
+    elif isinstance(state0, CovarianceMatrix):
+        def fid(delta):
+            return fidelity_gaussian(state0, family(temperature + delta))
+
+        value = -2.0 * central_diff(fid, 0.0, h, order=2)
+    else:
+        sqrt0 = np.sqrt(np.asarray(state0, dtype=float))
+
+        def hellinger(delta):
+            diff = sqrt0 - np.sqrt(np.asarray(family(temperature + delta), dtype=float))
+            return 0.5 * float(np.dot(diff, diff))
+
+        # F = (1 - D)^2 with D(0) = D'(0) = 0, hence -2 F''(0) = 4 D''(0)
+        value = 4.0 * central_diff(hellinger, 0.0, h, order=2)
+    return max(float(value), 0.0)
+
+
+def qfi_harmonic_transient_oracle(sigma0, model, dt):
+    """Transient QFI of any Gaussian preparation, isotropic or not, from the
+    fidelity curvature of the evolved covariance across the temperature family."""
+
+    def family(temperature):
+        return evolve_covariance(sigma0, model.at_temperature(temperature), dt)
+
+    return qfi_bures_oracle(family, model.temperature)
+
+
+# Closed forms
+
+
+def qfi_transient_closed_form_qubit(ratio, dt, tau, temperature):
+    """Closed-form transient QFI of a ground-prepared qubit.
+
+    With u = dt/tau and x = ratio:
+
+        F(dt) = x^2 [e^x (e^u - 1) + u (1 + e^x) csch x]^2
+                / [(1 + e^x)^2 (e^u - 1) (1 + e^x e^u) T^2]
+
+    The csch x factor is the logarithmic temperature derivative of the
+    relaxation rate; expm1 keeps the u << 1 regime exact.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    x = ratio
+    u = dt / tau
+    em1 = math.expm1(u)
+    ex = math.exp(x)
+    bracket = ex * em1 + u * (1.0 + ex) / math.sinh(x)
+    return x * x * bracket * bracket / (
+        (1.0 + ex) ** 2 * em1 * (1.0 + ex * math.exp(u)) * temperature**2
+    )
+
+
+def full_width_half_max(xs, ys):
+    """Width of the region where ``ys`` exceeds half its maximum.
+
+    Crossing points are located by linear interpolation; raises if either
+    flank never drops below half maximum inside the grid.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    order = np.argsort(xs)
+    xs, ys = xs[order], ys[order]
+    half = ys.max() / 2.0
+    i = int(np.argmax(ys))
+    left = np.nonzero(ys[:i] < half)[0]
+    right = np.nonzero(ys[i:] < half)[0]
+    if left.size == 0 or right.size == 0:
+        raise ValueError("half maximum is not bracketed inside the grid")
+    l = left[-1]
+    r = i + right[0]
+    x_lo = xs[l] + (half - ys[l]) * (xs[l + 1] - xs[l]) / (ys[l + 1] - ys[l])
+    x_hi = xs[r - 1] + (half - ys[r - 1]) * (xs[r] - xs[r - 1]) / (ys[r] - ys[r - 1])
+    return x_hi - x_lo
+
+
+# Spectrum optimality
+
+
+def stationarity_residual(spectrum, temperature):
+    """Pairwise stationarity conditions of the energy variance.
+
+    For every level pair i < j returns (e_i - e_j)(e_i + e_j - 2(<H> + T));
+    all entries vanish exactly at spectra that are stationary points of the
+    variance, i.e. effective two-level configurations at the critical gap.
+    """
+    ens = thermalize(spectrum, temperature)
+    mu = mean_energy(ens)
+    eps = spectrum.energies
+    out = []
+    for i in range(len(eps)):
+        for j in range(i + 1, len(eps)):
+            out.append((eps[i] - eps[j]) * (eps[i] + eps[j] - 2.0 * (mu + temperature)))
+    return out
+
+
+def _variance_terms(eps, temperature):
+    """Gibbs populations p, deviations d = eps - <H>, variance V and
+    h = 2d - (d^2 - V)/T of each row of nonnegative energies ``eps``.
+    The variance gradient is dV/d eps_j = p_j h_j."""
+    w = np.exp(-eps / temperature)
+    p = w / w.sum(axis=-1, keepdims=True)
+    d = eps - (p * eps).sum(axis=-1, keepdims=True)
+    v = (p * d * d).sum(axis=-1, keepdims=True)
+    return p, d, v, 2.0 * d - (d * d - v) / temperature
+
+
+def max_variance_search(n, temperature, n0=1, starts=64, steps=400, seed=0):
+    """Largest Gibbs energy variance over n-level spectra whose n0 lowest
+    levels are pinned at energy 0.
+
+    The other n - n0 energies are free in [0, inf). For n0 = 1 this is the
+    unconstrained problem, since the variance is invariant under a common
+    shift and under permutations of the levels. The free energies of
+    ``starts`` random spectra, drawn from [0, 8T], climb the variance
+    together by projected gradient ascent; the best one is then polished by
+    Newton steps on the analytic Hessian of the free block.
+
+    Returns:
+        (variance, energies), the energies sorted ascending.
+    """
+    t = float(temperature)
+    rng = np.random.default_rng(seed)
+    eps = np.zeros((starts, n))
+    eps[:, n0:] = rng.uniform(0.0, 8.0 * t, (starts, n - n0))
+    for _ in range(steps):
+        p, _, _, h = _variance_terms(eps, t)
+        eps[:, n0:] = np.maximum(eps[:, n0:] + (p * h)[:, n0:], 0.0)
+    best = eps[np.argmax(_variance_terms(eps, t)[2][:, 0])]
+    eye = np.eye(n)
+    for _ in range(20):
+        p, d, v, h = _variance_terms(best, t)
+        g = p * h
+        # d/d eps_k of p_j h_j, from dp_j = -p_j (delta_jk - p_k) / T,
+        # d<H>/d eps_k = p_k (1 - d_k / T) and dV/d eps_k = g_k
+        hess = (-(p * h)[:, None] * (eye - p[None, :]) / t
+                + p[:, None] * ((2.0 - 2.0 * d / t)[:, None] * (eye - (p * (1.0 - d / t))[None, :])
+                                + g[None, :] / t))
+        move = np.linalg.solve(hess[n0:, n0:], g[n0:])
+        best[n0:] -= move
+        if np.abs(move).max() <= 1e-15 * t:
+            break
+    return float(_variance_terms(best, t)[2][0]), np.sort(best)

@@ -21,27 +21,27 @@ from thermoprobe.dynamics import (
     optimal_interrogation_ratio,
     plus_qubit,
     qfi_transient,
-    qfi_transient_closed_form_qubit,
     ultimate_rate,
 )
 from thermoprobe.equilibrium import (
-    full_width_half_max,
     hessian_certificate,
     optimal_gap,
-    qfi_bures_oracle,
     qfi_effective_two_level,
     qfi_thermal,
 )
-from thermoprobe.gaussian import (
-    fidelity_gaussian,
-    qfi_harmonic_transient,
-    thermal_covariance,
-    vacuum_covariance,
-)
+from thermoprobe.gaussian import qfi_harmonic_transient, vacuum_covariance
 from thermoprobe.numerics import central_diff, find_root
 from thermoprobe.spectra import Spectrum, thermalize
 
-from oracles import integrate_ode, rate_matrix
+from oracles import (
+    fidelity_gaussian,
+    full_width_half_max,
+    integrate_ode,
+    qfi_bures_oracle,
+    qfi_transient_closed_form_qubit,
+    rate_matrix,
+    thermal_covariance,
+)
 
 X_TILDE_ORACLE = 4.888709235047135  # bisection on e^x (5 - x) = 5 + 2x, frozen
 
@@ -61,7 +61,7 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(2, 7))
         spectrum = Spectrum(tuple(sorted(rng.uniform(0.0, 5.0, n))))
         temp = float(rng.uniform(0.2, 5.0))
-        fidelity_path = qfi_bures_oracle(spectrum, temp).value
+        fidelity_path = qfi_bures_oracle(spectrum, temp)
         variance_path = qfi_thermal(thermalize(spectrum, temp)).value
         worst = max(worst, abs(fidelity_path / variance_path - 1.0))
     elapsed = time.monotonic() - start
@@ -180,7 +180,7 @@ def test_criterion_06_transient_closed_form_vs_integrated_dynamics():
         p = excited_population(temp)
         dp = central_diff(excited_population, temp, 1e-4 * temp)
         integrated = dp * dp / (p * (1.0 - p))
-        closed = qfi_transient_closed_form_qubit(x, dt, tau, temp).value
+        closed = qfi_transient_closed_form_qubit(x, dt, tau, temp)
         worst = max(worst, abs(integrated / closed - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-5 and elapsed < 10.0
@@ -267,7 +267,7 @@ def test_criterion_10_harmonic_qubit_equivalence():
     worst_curve = 0.0
     for dt in grid:
         harmonic = qfi_harmonic_transient(vacuum_covariance(), model, dt).value / dt
-        qubit = qfi_transient_closed_form_qubit(x, dt, tau, temp).value / dt
+        qubit = qfi_transient_closed_form_qubit(x, dt, tau, temp) / dt
         worst_curve = max(worst_curve, abs(harmonic / qubit - 1.0))
     ok = limit_dev <= 1e-3 and worst_curve <= 0.02
     report(10, "harmonic probe mirrors the qubit", ok,

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -303,6 +305,38 @@ class TestExitCodes:
         if quantity is not None:
             assert quantity in err
 
+    @pytest.mark.parametrize("command, field", [
+        ("equilibrium-scan", "n"),
+        ("optimal-gap", "n"),
+        ("optimal-gap", "n0"),
+        ("transient-scan", "n"),
+        ("limits", "n"),
+    ])
+    def test_empty_list_in_config_exits_two(self, tmp_path, capsys, command, field):
+        # a flag cannot give an empty list, a config file can
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: []}))
+        code, text = run(tmp_path, [command, "--config", str(cfg)])
+        assert code == 2
+        assert text == ""
+        assert f"configuration error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--include-plus", "--gap", "10", "--span-max", "1e308"],
+        ["--temperature", "1e-300", "--gap", "0.5", "--include-harmonic"],
+    ])
+    def test_numerical_failure_prints_one_line(self, flags):
+        # a fresh interpreter shows numpy warnings on stderr as a user sees them
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermoprobe.cli", "transient-scan", *flags],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("thermoprobe: numerical failure: ")
+
     def test_stdout_default(self, capsys):
         code = cli.main(["limits", "--n", "2"])
         assert code == 0
@@ -323,9 +357,6 @@ class TestRendering:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
-        import subprocess
-        import sys
-
         out = tmp_path / "limits.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "thermoprobe.cli", "limits", "--n", "2", "--out", str(out)],

@@ -6,17 +6,13 @@ import pytest
 from thermoprobe.equilibrium import (
     DimensionTooSmall,
     QfiValue,
-    full_width_half_max,
     hessian_certificate,
     hessian_pair_eigenvalue,
     hessian_shift_eigenvalue,
     optimal_gap,
-    qfi_bures_oracle,
     qfi_effective_two_level,
     qfi_equilibrium_scan,
     qfi_thermal,
-    stationarity_residual,
-    thermal_population_family,
 )
 from thermoprobe.numerics import find_root
 from thermoprobe.spectra import (
@@ -24,6 +20,15 @@ from thermoprobe.spectra import (
     Spectrum,
     energy_variance,
     thermalize,
+)
+
+from oracles import (
+    full_width_half_max,
+    max_variance_search,
+    qfi_bures_oracle,
+    stationarity_residual,
+    thermal_covariance_family,
+    thermal_population_family,
 )
 
 
@@ -48,44 +53,44 @@ class TestQfiThermal:
 
     def test_qfi_value_rejects_negative(self):
         with pytest.raises(ValueError):
-            QfiValue(value=-1.0, temperature=1.0, probe="x")
+            QfiValue(value=-1.0)
 
 
 class TestBuresOracle:
     def test_matches_variance_form(self):
         s = Spectrum((0.0, 1.0, 2.0))
         t = 0.7
-        got = qfi_bures_oracle(s, t).value
+        got = qfi_bures_oracle(s, t)
         want = qfi_thermal(thermalize(s, t)).value
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_self_fidelity_curvature_nonnegative(self):
         s = Spectrum((0.0, 0.5))
-        assert qfi_bures_oracle(s, 1.3).value >= 0.0
+        assert qfi_bures_oracle(s, 1.3) >= 0.0
 
     def test_two_level_at_x_two(self):
         t = 1.0
         s = Spectrum((0.0, 2.0))
-        assert qfi_bures_oracle(s, t).value == pytest.approx(
+        assert qfi_bures_oracle(s, t) == pytest.approx(
             qfi_thermal(thermalize(s, t)).value, rel=1e-6
         )
 
     def test_population_family_callable(self):
         s = Spectrum((0.0, 1.5))
         fam = thermal_population_family(s)
-        direct = qfi_bures_oracle(s, 0.9).value
-        via_family = qfi_bures_oracle(fam, 0.9).value
+        direct = qfi_bures_oracle(s, 0.9)
+        via_family = qfi_bures_oracle(fam, 0.9)
         assert direct == via_family
 
     def test_harmonic_thermal_family(self):
         # oracle on the covariance family reproduces gap^2/(4T^4) csch^2(gap/2T);
         # the step sits above the roundoff floor of direct fidelity differencing
-        from thermoprobe.gaussian import qfi_harmonic_equilibrium, thermal_covariance_family
+        from thermoprobe.gaussian import qfi_harmonic_equilibrium
 
         fam = thermal_covariance_family(1.0)
         for x in np.linspace(0.2, 10.0, 15):
             t = 1.0 / x
-            got = qfi_bures_oracle(fam, t, step=2e-3 * t).value
+            got = qfi_bures_oracle(fam, t, step=2e-3 * t)
             assert got == pytest.approx(qfi_harmonic_equilibrium(1.0, t).value, rel=1e-6)
 
     def test_random_spectra_oracle_equivalence(self):
@@ -95,7 +100,7 @@ class TestBuresOracle:
             n = rng.integers(2, 7)
             s = Spectrum(tuple(sorted(rng.uniform(0, 5, n))))
             t = rng.uniform(0.2, 5.0)
-            got = qfi_bures_oracle(s, t).value
+            got = qfi_bures_oracle(s, t)
             want = qfi_thermal(thermalize(s, t)).value
             worst = max(worst, abs(got / want - 1.0))
         assert worst <= 1e-5
@@ -125,6 +130,30 @@ class TestStationarity:
     def test_generic_spectrum_not_stationary(self):
         res = stationarity_residual(Spectrum((0.0, 1.0, 3.0)), 1.0)
         assert max(abs(r) for r in res) > 1e-3
+
+
+class TestGlobalSpectrumSearch:
+    """The optimal spectrum found over all n-level spectra, not only over
+    effective two-level ones, is the single-ground-level solution of the gap
+    equation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10, 20])
+    def test_argmax_is_one_ground_level_below_a_degenerate_excited_level(self, n):
+        for t in (0.5, 1.0, 2.5):
+            variance, eps = max_variance_search(n, t)
+            want = optimal_gap(n, 1, t)
+            assert variance == pytest.approx(want.qfi_at_optimum * t**4, rel=1e-12)
+            assert eps[1] - eps[0] == pytest.approx(want.gap, rel=1e-9)
+            assert eps[-1] - eps[1] <= 1e-9 * t
+            assert max(abs(r) for r in stationarity_residual(Spectrum(tuple(eps)), t)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 20])
+    def test_degenerate_ground_level_loses(self, n):
+        best, _ = max_variance_search(n, 1.0)
+        for n0 in (2, 3):
+            restricted, _ = max_variance_search(n, 1.0, n0=n0)
+            assert restricted == pytest.approx(optimal_gap(n, n0, 1.0).qfi_at_optimum, rel=1e-12)
+            assert restricted < best
 
 
 class TestOptimalGap:

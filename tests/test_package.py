@@ -1,7 +1,9 @@
-"""Structure of the package: every import sits at module top, and the module
-graph runs one way, from ``numerics`` at the leaf up to ``cli``."""
+"""Structure of the package: every import sits at module top, the module
+graph runs one way, from ``numerics`` at the leaf up to ``cli``, and the
+test-only oracles stay out of it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,10 @@ def test_imports_only_lower_layers(module):
     imported = {node.module for node in ast.walk(parse(module))
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert imported <= set(LAYERS[:LAYERS.index(module)])
+
+
+def test_oracles_are_not_in_the_package():
+    oracles = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    defined = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    modules = [thermoprobe] + [importlib.import_module(f"thermoprobe.{m}") for m in LAYERS]
+    assert sorted(name for name in defined if any(hasattr(mod, name) for mod in modules)) == []

@@ -14,6 +14,7 @@ from .numerics import (
     NoSignChange,
     QfiValue,
     StepTooSmall,
+    Table,
     central_diff,
     find_root,
 )

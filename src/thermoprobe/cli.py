@@ -11,7 +11,6 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .dynamics import (
     ultimate_rate,
 )
 from .equilibrium import hessian_certificate, optimal_gap, qfi_equilibrium_scan
-from .numerics import NoConvergence, NonFiniteState
+from .numerics import NoConvergence, NonFiniteState, Table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,33 +96,63 @@ def _json_cell(value):
 
 
 def _encode_column(values, cell):
-    """The cells of one column, lazily: ``repr`` for a column of finite floats
-    or of ints, which for these exact types is float.__repr__ or int.__repr__
-    as both formats need, and ``cell`` per value otherwise."""
+    """The cells of one column: ``repr`` for a column of finite floats or of
+    ints, which for these exact types is float.__repr__ or int.__repr__ as
+    both formats need, and ``cell`` per value otherwise."""
     kinds = set(map(type, values))
     if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
-        return map(repr, values)
-    return map(cell, values)
+        return list(map(repr, values))
+    return list(map(cell, values))
 
 
-def render_rows(rows, fmt):
-    """Serialize row dicts that share one key order to CSV (shortest
-    round-trip floats) or JSON, byte for byte as ``json.dumps(rows, indent=2)``.
+def render_rows(table, fmt):
+    """Serialize a Table to CSV (shortest round-trip floats) or JSON, byte for
+    byte as ``json.dumps(rows, indent=2)`` of its rows as dicts.
 
-    Each column is encoded once and every row is filled into one template.
+    Each distinct column list is encoded once, however many blocks share it,
+    and each scalar column once per block. The text is one list of the key
+    prefixes and cells of every row, joined once.
     """
-    if not rows:
+    total = len(table)
+    if not total:
         return "[]\n" if fmt == "json" else "\n"
-    keys = list(rows[0])
+    names = table.columns
     if fmt == "json":
         cell = _json_cell
-        fields = ",\n".join("    " + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-        head, template, sep, tail = "[\n", "  {\n" + fields + "\n  }", ",\n", "\n]\n"
+        keys = ["    " + encode_basestring_ascii(k) + ": " for k in names]
+        mids = [",\n" + k for k in keys[1:]]
+        head, sep, tail = "[\n  {\n" + keys[0], "\n  },\n  {\n" + keys[0], "\n  }\n]\n"
     else:
         cell = _format_cell
-        head, template, sep, tail = ",".join(keys) + "\n", ",".join(["%s"] * len(keys)), "\n", "\n"
-    columns = [_encode_column(list(map(itemgetter(k), rows)), cell) for k in keys]
-    return head + sep.join(map(template.__mod__, zip(*columns))) + tail
+        mids = [","] * (len(names) - 1)
+        head, sep, tail = ",".join(names) + "\n", "\n", "\n"
+    # a row is cell, mid, ..., mid, cell, sep; head joins the first cell, tail replaces the last sep
+    width = 2 * len(names)
+    unit = [None] * width
+    unit[1::2] = mids + [sep]
+    out = unit * total
+    encoded = {}
+    start = 0
+    for block in table.blocks:
+        count = Table.block_rows(block)
+        stop = start + width * count
+        for j, values in enumerate(block):
+            if not isinstance(values, list):
+                cells = [cell(values)] * count
+            elif id(values) in encoded:
+                cells = encoded[id(values)]
+            else:
+                cells = encoded[id(values)] = _encode_column(values, cell)
+            out[start + 2 * j:stop:width] = cells
+        start = stop
+    out[0] = head + out[0]
+    out[-1] = tail
+    return "".join(out)
+
+
+def _one_block(columns, rows):
+    """A Table of one block from a nonempty list of row tuples."""
+    return Table(columns, [tuple(map(list, zip(*rows)))])
 
 
 def _require_positive(params, *names):
@@ -162,24 +191,18 @@ def cmd_optimal_gap(params):
     for n in n_list:
         if n < 2:
             raise ConfigError("n", f"every dimension must be >= 2, got {n}")
+        solved = {}
         for n0 in n0_list:
             if not 1 <= n0 <= n - 1:
                 raise ConfigError("n0", f"n0={n0} outside [1, {n - 1}] for n={n}")
-            res = optimal_gap(n, n0, t)
+            res = solved[n0] = optimal_gap(n, n0, t)
             if n0 == 1:
                 excess = None
             else:
-                prev = optimal_gap(n, n0 - 1, t)
+                prev = solved.get(n0 - 1) or optimal_gap(n, n0 - 1, t)
                 excess = (prev.qfi_at_optimum - res.qfi_at_optimum) * t**4
-            rows.append({
-                "N": n,
-                "n0": n0,
-                "x_star": res.x_star,
-                "gap": res.gap,
-                "qfi_peak": res.qfi_at_optimum,
-                "variance_excess_vs_lower_n0": excess,
-            })
-    return rows
+            rows.append((n, n0, res.x_star, res.gap, res.qfi_at_optimum, excess))
+    return _one_block(("N", "n0", "x_star", "gap", "qfi_peak", "variance_excess_vs_lower_n0"), rows)
 
 
 def cmd_hessian_check(params):
@@ -192,17 +215,10 @@ def cmd_hessian_check(params):
     for n in range(params["n_min"], params["n_max"] + 1):
         cert = hessian_certificate(n, params["temperature"])
         analytic = sorted(set(cert.analytic_eigenvalues))
-        rows.append({
-            "N": n,
-            "x_star": cert.x_star,
-            "lambda_pair": analytic[0],
-            "lambda_shift": analytic[1] if n > 2 else None,
-            "shift_multiplicity": n - 2,
-            "eigenvalue_error": cert.eigenvalue_error,
-            "zero_mode_residual": cert.zero_mode_residual,
-            "certifies_maximum": cert.certifies_maximum,
-        })
-    return rows
+        rows.append((n, cert.x_star, analytic[0], analytic[1] if n > 2 else None, n - 2,
+                     cert.eigenvalue_error, cert.zero_mode_residual, cert.certifies_maximum))
+    return _one_block(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity",
+                       "eigenvalue_error", "zero_mode_residual", "certifies_maximum"), rows)
 
 
 def cmd_transient_scan(params):
@@ -236,13 +252,13 @@ def cmd_limits(params):
         raise ConfigError("n", f"dimensions must be a nonempty list of ints >= 2, got {n_list}")
     _require_positive(params, "gamma", "temperature")
     x_tilde = optimal_interrogation_ratio()
-    rows = []
+    rates = []
     for n in n_list:
         rate = ultimate_rate(n, x_tilde, params["gamma"], params["temperature"])
         if not math.isfinite(rate):
             raise NonFiniteState(f"rate {rate} is not finite for N={n}")
-        rows.append({"N": n, "x_tilde": x_tilde, "rate": rate})
-    return rows
+        rates.append(rate)
+    return Table(("N", "x_tilde", "rate"), [(list(n_list), x_tilde, rates)])
 
 
 _LIST_PARSERS = {"n": _parse_int_list, "n0": _parse_int_list, "t_prep": _parse_float_list}
@@ -378,14 +394,14 @@ def build_run_config(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        rows = _RUNNERS[args.command](build_run_config(args))
+        table = _RUNNERS[args.command](build_run_config(args))
     except ConfigError as err:
         print(f"thermoprobe: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergence, ArithmeticError) as err:
         print(f"thermoprobe: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = render_rows(rows, args.format)
+    text = render_rows(table, args.format)
     if args.out:
         Path(args.out).write_text(text)
     else:

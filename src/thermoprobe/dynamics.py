@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import qfi_harmonic_transient, vacuum_covariance
-from .numerics import NegativeTime, NonFiniteState, QfiValue, central_diff, find_root
+from .numerics import NegativeTime, NonFiniteState, QfiValue, Table, central_diff, find_root
 
 
 class SingularState(ArithmeticError):
@@ -208,7 +208,8 @@ def qfi_transient(prep, model, dt):
     The preparation and the coupling are held fixed while the sample
     temperature is varied, so the derivative includes the temperature
     dependence of the relaxation rates as well as of the Gibbs target. The
-    derivative is a Richardson central difference with step 1e-4 * T.
+    derivative is a Richardson central difference with step 1e-4 * T; a
+    temperature so small that the step underflows raises NonFiniteState.
 
     Diagonal preparations use the classical Fisher information of the
     populations; qubit preparations with coherence use the Bloch-vector form
@@ -222,6 +223,8 @@ def qfi_transient(prep, model, dt):
         raise ValueError(f"dt must be positive, got {np.min(dts)}")
     t0 = model.temperature
     h = 1e-4 * t0
+    if not h / 2.0 > 0.0:  # central_diff steps by h and h/2
+        raise NonFiniteState(f"temperature step 1e-4*T underflows at T={t0!r}")
     if isinstance(prep, DiagonalState):
         def populations_at(temp):
             return evolve_nlevel(prep, model.at_temperature(temp), dts)
@@ -379,22 +382,22 @@ def transient_scan(preps, n_list, model, dt_grid):
 
     ``preps`` holds tokens: "ground" (one curve per n in ``n_list``), "plus",
     "harmonic", or "thermal:<T>" (two-level thermal preparation at temperature
-    T). Returns row dicts with keys prep, N, dt, fisher_rate. Each curve is one
-    transient QFI call over the whole grid.
+    T). Returns a Table with columns prep, N, dt, fisher_rate and one block per
+    curve, in which prep and N are the curve's labels and every block shares
+    one dt list. Each curve is one transient QFI call over the whole grid.
 
     Raises:
         NonFiniteState: if a curve has a non-finite value.
     """
     dts = [float(v) for v in dt_grid]
     grid = np.array(dts)
-    rows = []
+    blocks = []
 
     def add_curve(label, n, qfi):
         rates = qfi.value / grid
         if not np.all(np.isfinite(rates)):
             raise NonFiniteState(f"QFI-per-time curve prep={label}, N={n} has non-finite values")
-        rows.extend({"prep": label, "N": n, "dt": dt, "fisher_rate": r}
-                    for dt, r in zip(dts, rates.tolist()))
+        blocks.append((label, n, dts, rates.tolist()))
 
     # overflow and underflow are caught by the finiteness check, not numpy warnings
     with np.errstate(all="ignore"):
@@ -410,4 +413,4 @@ def transient_scan(preps, n_list, model, dt_grid):
                 add_curve("plus", 2, qfi_transient(plus_qubit(), model, grid))
             else:  # harmonic
                 add_curve("harmonic", "ho", qfi_harmonic_transient(vacuum_covariance(), model, grid))
-    return rows
+    return Table(("prep", "N", "dt", "fisher_rate"), blocks)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import qfi_harmonic_equilibrium
-from .numerics import NoConvergence, NonFiniteState, QfiValue, find_root
+from .numerics import NoConvergence, NonFiniteState, QfiValue, Table, find_root
 from .spectra import EffectiveTwoLevelSpectrum, energy_variance, thermalize
 
 
@@ -198,10 +198,11 @@ def hessian_certificate(n, temperature=1.0):
 def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     """Equilibrium QFI curves versus temperature at fixed probe gap.
 
-    Returns one row per (probe, grid point) as dicts with keys
-    N, T, qfi, qfi_normalized. The normalized column divides each curve by its
-    peak over the grid. The harmonic-oscillator curve is appended with
-    N = "ho" when requested. Each curve is one kernel call over the grid.
+    Returns a Table with columns N, T, qfi, qfi_normalized and one block per
+    probe, in which N is the probe's label and every block shares one T list.
+    The normalized column divides each curve by its peak over the grid. The
+    harmonic-oscillator curve is appended with N = "ho" when requested. Each
+    curve is one kernel call over the grid.
 
     Raises:
         NonFiniteState: if a temperature is not finite and positive, a QFI is
@@ -223,14 +224,11 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
         if include_harmonic:
             series.append(("ho", qfi_harmonic_equilibrium(gap, temperatures).value))
     t_column = temperatures.tolist()
-    rows = []
+    blocks = []
     for label, values in series:
         peak = float(values.max())
         if not (peak > 0.0 and np.all(np.isfinite(values))):
             raise NonFiniteState(f"QFI curve N={label} has peak {peak} or non-finite values")
-        rows.extend(
-            {"N": label, "T": t, "qfi": v, "qfi_normalized": w}
-            for t, v, w in zip(t_column, values.tolist(), (values / peak).tolist())
-        )
-    return rows
+        blocks.append((label, t_column, values.tolist(), (values / peak).tolist()))
+    return Table(("N", "T", "qfi", "qfi_normalized"), blocks)
 

@@ -1,7 +1,7 @@
 """Shared numerical kernels and types: bracketed root finding,
 Richardson-refined central differences for the transient kernels, the QFI
-value type (a nonnegative value, scalar or array), and the exception types the
-other modules raise.
+value type (a nonnegative value, scalar or array), the column table that scans
+and commands return, and the exception types the other modules raise.
 
 Everything here is deterministic: identical inputs produce bit-identical
 outputs, so results can be frozen in regression tests.
@@ -51,6 +51,36 @@ class QfiValue:
         negative = self.value < 0.0
         if negative.any() if isinstance(negative, np.ndarray) else negative:
             raise ValueError(f"QFI must be nonnegative, got {self.value}")
+
+
+@dataclass(frozen=True)
+class Table:
+    """Rows of data held as columns, one block per series.
+
+    ``columns`` names the fields in order. Each block is a tuple with one
+    entry per column: a list holds one value per row of the block, and any
+    other value repeats over the block. A list may be shared by several
+    blocks, such as the temperature grid of every equilibrium curve.
+    ``len(table)`` is the number of rows.
+    """
+
+    columns: tuple
+    blocks: list
+
+    def __post_init__(self):
+        for block in self.blocks:
+            lengths = {len(cell) for cell in block if isinstance(cell, list)}
+            if len(block) != len(self.columns) or len(lengths) != 1:
+                raise ValueError(f"a block needs one entry per column {self.columns} "
+                                 f"and lists of one length, got lengths {sorted(lengths)}")
+
+    def __len__(self):
+        return sum(map(self.block_rows, self.blocks))
+
+    @staticmethod
+    def block_rows(block):
+        """Number of rows of one block: the length of its lists."""
+        return next(len(cell) for cell in block if isinstance(cell, list))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@
 - Spectrum optimality: the pairwise stationarity conditions of the energy
   variance and a global multi-start search for its maximum, against which the
   two-level gap equation of the package is checked.
+- Tables: the row dicts a column Table stands for, expanded one row at a
+  time, so that tests read scans and the renderer's oracles see rows.
 """
 
 import math
@@ -342,3 +344,14 @@ def max_variance_search(n, temperature, n0=1, starts=64, steps=400, seed=0):
         if np.abs(move).max() <= 1e-15 * t:
             break
     return float(_variance_terms(best, t)[2][0]), np.sort(best)
+
+
+def rows_of(table):
+    """The rows of a Table as dicts in column order, block after block, with
+    each scalar repeated over its block."""
+    rows = []
+    for block in table.blocks:
+        count = next(len(cell) for cell in block if isinstance(cell, list))
+        columns = [cell if isinstance(cell, list) else [cell] * count for cell in block]
+        rows.extend(dict(zip(table.columns, values)) for values in zip(*columns))
+    return rows

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from thermoprobe import cli
+from thermoprobe.numerics import Table
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -295,6 +296,7 @@ class TestExitCodes:
         (["transient-scan", "--temperature", "1e-300", "--gap", "0.5", "--include-harmonic"], "harmonic"),
         (["transient-scan", "--temperature", "1e308"], "gap"),
         (["equilibrium-scan", "--gap", "1e-200", "--x-min", "1e150", "--x-max", "1e200"], "temperature"),
+        (["transient-scan", "--temperature", "1e-320", "--gap", "1"], "temperature step"),
     ])
     def test_numerical_edge_exits_three(self, tmp_path, capsys, argv, quantity):
         code, text = run(tmp_path, argv)
@@ -346,12 +348,12 @@ class TestExitCodes:
 
 class TestRendering:
     def test_none_becomes_empty_cell(self):
-        text = cli.render_rows([{"a": 1, "b": None}], "csv")
+        text = cli.render_rows(Table(("a", "b"), [([1], [None])]), "csv")
         assert text == "a,b\n1,\n"
 
     def test_float_shortest_round_trip(self):
         value = 0.1 + 0.2
-        text = cli.render_rows([{"v": value}], "csv")
+        text = cli.render_rows(Table(("v",), [([value],)]), "csv")
         assert float(text.splitlines()[1]) == value
 
 

@@ -32,6 +32,7 @@ from oracles import (
     qfi_bures_oracle,
     qfi_transient_closed_form_qubit,
     rate_matrix,
+    rows_of,
 )
 
 X_TILDE = 4.888709235047135
@@ -395,9 +396,9 @@ class TestTransientScan:
     def test_standard_series_composition(self):
         m = default_operating_model()
         grid = log_interrogation_grid(m, points=12)
-        rows = transient_scan(
+        rows = rows_of(transient_scan(
             ["ground", "thermal:0.8", "thermal:0.9"], [2, 4, 10], m, grid
-        )
+        ))
         labels = {(r["prep"], r["N"]) for r in rows}
         assert labels == {("ground", 2), ("ground", 4), ("ground", 10),
                           ("thermal-0.8", 2), ("thermal-0.9", 2)}
@@ -407,7 +408,7 @@ class TestTransientScan:
     def test_ground_curves_ordered_by_degeneracy_at_small_dt(self):
         m = default_operating_model()
         grid = [1e-3 * m.relaxation_time]
-        rows = transient_scan(["ground"], [2, 4, 10], m, grid)
+        rows = rows_of(transient_scan(["ground"], [2, 4, 10], m, grid))
         rates = {r["N"]: r["fisher_rate"] for r in rows}
         assert rates[4] / rates[2] == pytest.approx(3.0, rel=1e-3)
         assert rates[10] / rates[2] == pytest.approx(9.0, rel=1e-3)
@@ -415,7 +416,7 @@ class TestTransientScan:
     def test_harmonic_series(self):
         m = default_operating_model()
         grid = log_interrogation_grid(m, points=5)
-        rows = transient_scan(["harmonic"], [], m, grid)
+        rows = rows_of(transient_scan(["harmonic"], [], m, grid))
         assert all(r["N"] == "ho" and r["fisher_rate"] > 0 for r in rows)
 
     def test_unknown_preparation(self):

@@ -26,6 +26,7 @@ from oracles import (
     full_width_half_max,
     max_variance_search,
     qfi_bures_oracle,
+    rows_of,
     stationarity_residual,
     thermal_covariance_family,
     thermal_population_family,
@@ -323,7 +324,7 @@ class TestOptimality:
 
 class TestEquilibriumScan:
     def test_row_structure(self):
-        rows = qfi_equilibrium_scan([2, 4], [1.0, 2.0, 3.0], gap=1.0)
+        rows = rows_of(qfi_equilibrium_scan([2, 4], [1.0, 2.0, 3.0], gap=1.0))
         assert len(rows) == 3 * 3  # two probes + harmonic
         assert set(rows[0]) == {"N", "T", "qfi", "qfi_normalized"}
         for series in (2, 4, "ho"):

@@ -1,7 +1,7 @@
 """The column renderer against json.dumps and the row-at-a-time CSV writer.
 
-Random flat row lists sharing one key order, and the real rows of every
-command at its defaults, must render byte for byte as both oracles do.
+Random tables, and the real tables of every command at its defaults, must
+render byte for byte as both oracles render the rows the table stands for.
 """
 
 import json
@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from thermoprobe import cli
+from thermoprobe.numerics import Table
+
+from oracles import rows_of
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -37,6 +40,14 @@ def csv_oracle(rows):
     return "\n".join(lines) + "\n"
 
 
+def assert_renders_as_oracles(table):
+    rows = rows_of(table)
+    # the benchmark's tracer counts rendered rows as len(table)
+    assert len(table) == len(rows)
+    assert cli.render_rows(table, "json") == json.dumps(rows, indent=2) + "\n"
+    assert cli.render_rows(table, "csv") == csv_oracle(rows)
+
+
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
                                math.inf, -math.inf, math.nan])
 FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
@@ -49,27 +60,52 @@ COLUMNS = st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), FLO
 
 
 @st.composite
-def row_lists(draw):
-    """Flat rows sharing one key order."""
+def tables(draw):
+    """Tables of up to four blocks. Each column is a list shared by every
+    block, a list of its own in each block, or a scalar label per block."""
     keys = draw(st.lists(STRINGS, min_size=1, max_size=5, unique=True))
     kinds = [draw(COLUMNS) for _ in keys]
-    return [{k: draw(kind) for k, kind in zip(keys, kinds)} for _ in range(draw(st.integers(0, 6)))]
+    roles = draw(st.lists(st.sampled_from(["shared", "own", "scalar"]),
+                          min_size=len(keys), max_size=len(keys)))
+    if set(roles) == {"scalar"}:
+        roles[draw(st.integers(0, len(keys) - 1))] = draw(st.sampled_from(["shared", "own"]))
+    length = draw(st.integers(0, 6))
+    shared = {k: draw(st.lists(kind, min_size=length, max_size=length))
+              for k, kind, role in zip(keys, kinds, roles) if role == "shared"}
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        count = length if shared else draw(st.integers(0, 6))
+        blocks.append(tuple(
+            shared[k] if role == "shared"
+            else draw(st.lists(kind, min_size=count, max_size=count)) if role == "own"
+            else draw(kind)
+            for k, kind, role in zip(keys, kinds, roles)
+        ))
+    return Table(tuple(keys), blocks)
 
 
 @settings(deadline=None, database=None)
-@given(row_lists())
-def test_matches_json_dumps_and_csv_oracle(rows):
-    assert cli.render_rows(rows, "json") == json.dumps(rows, indent=2) + "\n"
-    assert cli.render_rows(rows, "csv") == csv_oracle(rows)
+@given(tables())
+def test_matches_json_dumps_and_csv_oracle(table):
+    assert_renders_as_oracles(table)
 
 
 def test_empty_row_list():
-    assert cli.render_rows([], "json") == json.dumps([], indent=2) + "\n"
-    assert cli.render_rows([], "csv") == csv_oracle([])
+    # no blocks, or blocks whose lists are empty
+    for table in [Table(("a",), []), Table(("a",), [([],)]), Table(("a", "b"), [([], "x"), ([], "y")])]:
+        assert_renders_as_oracles(table)
+
+
+@pytest.mark.parametrize("blocks", [
+    [([1, 2], [3])],  # lists of two lengths
+    [(1, 2)],         # no list gives the block's length
+    [([1],)],         # one entry for two columns
+])
+def test_malformed_block_is_rejected(blocks):
+    with pytest.raises(ValueError):
+        Table(("a", "b"), blocks)
 
 
 @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
 def test_command_rows_at_defaults(command):
-    rows = cli._RUNNERS[command](dict(cli._DEFAULTS[command]))
-    assert cli.render_rows(rows, "json") == json.dumps(rows, indent=2) + "\n"
-    assert cli.render_rows(rows, "csv") == csv_oracle(rows)
+    assert_renders_as_oracles(cli._RUNNERS[command](dict(cli._DEFAULTS[command])))

@@ -10,6 +10,8 @@ import pytest
 
 from thermoprobe.dynamics import DissipationModel, log_interrogation_grid, transient_scan
 
+from oracles import rows_of
+
 mp = pytest.importorskip("mpmath")
 
 X_TILDE = 4.888709235047135
@@ -110,7 +112,7 @@ def oracle_rate(row, gap, gamma, temp):
 def test_every_series_matches_exact_derivatives(gap, temperature, gamma):
     model = DissipationModel(gap=gap, temperature=temperature, coupling=gamma)
     grid = log_interrogation_grid(model, points=20, lo=1e-3, hi=20.0)
-    rows = transient_scan(["ground", "thermal:0.8", "plus", "harmonic"], [2, 4, 10], model, grid)
+    rows = rows_of(transient_scan(["ground", "thermal:0.8", "plus", "harmonic"], [2, 4, 10], model, grid))
     assert {(r["prep"], r["N"]) for r in rows} == {
         ("ground", 2), ("ground", 4), ("ground", 10), ("thermal-0.8", 2), ("plus", 2), ("harmonic", "ho"),
     }

@@ -6,6 +6,14 @@ and certified, and partly thermalized probes relaxing under a thermal
 generator, where interrogation protocols are optimized over the contact time.
 """
 
+import os
+import sys
+
+# The package's BLAS calls are too small to split, so OpenBLAS workers only
+# spin; the setting counts only before numpy loads, and an exported value wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .numerics import (
     BracketedRoot,
     NegativeTime,
@@ -24,7 +32,6 @@ from .spectra import (
     Spectrum,
     ThermalEnsemble,
     energy_variance,
-    mean_energy,
     thermalize,
 )
 from .equilibrium import (

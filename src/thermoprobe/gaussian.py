@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NegativeTime, QfiValue, central_diff
+from .numerics import NegativeTime, NonFiniteState, QfiValue, central_diff
 
 
 class UnphysicalCovariance(ValueError):
@@ -114,6 +114,8 @@ def qfi_harmonic_transient(sigma0, model, dt):
     Raises:
         ValueError: if ``sigma0`` is not isotropic or a contact time is not
             positive.
+        NonFiniteState: if the temperature is so small that the step
+            underflows.
     """
     if not sigma0.is_isotropic:
         raise ValueError(f"preparation must be isotropic, got {sigma0}")
@@ -121,6 +123,9 @@ def qfi_harmonic_transient(sigma0, model, dt):
     if not np.all(dts > 0.0):
         raise ValueError(f"dt must be positive, got {np.min(dts)}")
     t0 = model.temperature
+    h = 1e-4 * t0
+    if not h / 2.0 > 0.0:  # central_diff steps by h and h/2
+        raise NonFiniteState(f"temperature step 1e-4*T underflows at T={t0!r}")
 
     def scale_at(delta):
         return evolve_covariance(sigma0, model.at_temperature(t0 + delta), dts)[..., 0]
@@ -131,5 +136,5 @@ def qfi_harmonic_transient(sigma0, model, dt):
         return _isotropic_fidelity_deficit(base, scale_at(delta))
 
     # F = 1 - deficit with deficit(0) = deficit'(0) = 0, so QFI = 2 deficit''(0)
-    value = np.maximum(2.0 * central_diff(deficit, 0.0, 1e-4 * t0, order=2), 0.0)
+    value = np.maximum(2.0 * central_diff(deficit, 0.0, h, order=2), 0.0)
     return QfiValue(value=float(value[0]) if np.ndim(dt) == 0 else value)

@@ -101,12 +101,6 @@ def thermalize(spectrum, temperature):
     )
 
 
-def mean_energy(ensemble):
-    """Equilibrium mean energy, sum_n p_n eps_n."""
-    eps = ensemble.spectrum.as_array()
-    return float(np.dot(ensemble.population_array(), eps))
-
-
 def energy_variance(ensemble):
     """Equilibrium energy variance <H^2> - <H>^2, computed in centered form."""
     eps = ensemble.spectrum.as_array()

@@ -7,8 +7,9 @@
   population vectors, qubits and single-mode Gaussian states, with the
   Gaussian fidelity from determinant invariants. The package uses the
   variance form at equilibrium and a deficit form for isotropic Gaussians.
-- Closed forms: the transient QFI of a ground-prepared qubit, the heat
-  capacity, and the qubit and Gaussian states the tests prepare.
+- Closed forms: the transient QFI of a ground-prepared qubit, the mean
+  energy, the heat capacity, and the qubit and Gaussian states the tests
+  prepare.
 - Spectrum optimality: the pairwise stationarity conditions of the energy
   variance and a global multi-start search for its maximum, against which the
   two-level gap equation of the package is checked.
@@ -23,7 +24,7 @@ import numpy as np
 from thermoprobe.dynamics import QubitState
 from thermoprobe.gaussian import CovarianceMatrix, evolve_covariance
 from thermoprobe.numerics import NonFiniteState, central_diff
-from thermoprobe.spectra import Spectrum, energy_variance, mean_energy, thermalize
+from thermoprobe.spectra import Spectrum, energy_variance, thermalize
 
 
 def integrate_ode(rhs, y0, t_end, dt):
@@ -89,6 +90,11 @@ def scaled(spectrum, factor):
 def gap_ratio(spectrum, temperature):
     """Gap-to-temperature ratio at which an effective two-level probe operates."""
     return spectrum.gap / temperature
+
+
+def mean_energy(ensemble):
+    """Equilibrium mean energy, sum_n p_n eps_n."""
+    return float(np.dot(ensemble.population_array(), ensemble.spectrum.as_array()))
 
 
 def heat_capacity(ensemble):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoprobe.dynamics import DissipationModel, NegativeTime
+from thermoprobe.dynamics import DissipationModel, NegativeTime, transient_scan
 from thermoprobe.gaussian import (
     CovarianceMatrix,
     UnphysicalCovariance,
@@ -12,6 +12,7 @@ from thermoprobe.gaussian import (
     qfi_harmonic_transient,
     vacuum_covariance,
 )
+from thermoprobe.numerics import NonFiniteState
 
 from oracles import (
     fidelity_gaussian,
@@ -210,6 +211,14 @@ class TestHarmonicTransient:
     def test_validation(self):
         with pytest.raises(ValueError):
             qfi_harmonic_transient(vacuum_covariance(), model_at(2.0), 0.0)
+
+    def test_underflowing_temperature_step_is_a_numerical_failure(self):
+        # at T = 1e-320 the step 1e-4 * T underflows to 0
+        m = DissipationModel(gap=1.0, temperature=1e-320, coupling=1e-3)
+        with pytest.raises(NonFiniteState, match="temperature step"):
+            qfi_harmonic_transient(vacuum_covariance(), m, 1.0)
+        with pytest.raises(NonFiniteState, match="temperature step"):
+            transient_scan(["harmonic"], [], m, [1.0])
 
     def test_rejects_anisotropic_preparation(self):
         m = model_at(2.0)

@@ -1,9 +1,13 @@
 """Structure of the package: every import sits at module top, the module
-graph runs one way, from ``numerics`` at the leaf up to ``cli``, and the
-test-only oracles stay out of it."""
+graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
+test-only oracles stay out of it, and importing it keeps BLAS to one thread
+unless the caller chose otherwise."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,35 @@ def test_oracles_are_not_in_the_package():
     defined = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     modules = [thermoprobe] + [importlib.import_module(f"thermoprobe.{m}") for m in LAYERS]
     assert sorted(name for name in defined if any(hasattr(mod, name) for mod in modules)) == []
+
+
+def fresh_interpreter(code, **env):
+    """Run ``code`` in a new interpreter that imports this package, with
+    OPENBLAS_NUM_THREADS unset unless given in ``env``; return its stdout."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    child_env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    child_env.update(env)
+    done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return done.stdout.strip()
+
+
+needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+
+
+@needs_proc_tasks
+def test_import_leaves_one_thread():
+    assert fresh_interpreter("import os, thermoprobe; print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+@needs_proc_tasks
+def test_import_keeps_an_exported_thread_count():
+    code = "import os, thermoprobe; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_interpreter(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+@needs_proc_tasks
+def test_import_after_numpy_leaves_the_environment_alone():
+    code = "import os, numpy, thermoprobe; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert fresh_interpreter(code) == "None"

@@ -9,11 +9,10 @@ from thermoprobe.spectra import (
     NonPositiveTemperature,
     Spectrum,
     energy_variance,
-    mean_energy,
     thermalize,
 )
 
-from oracles import gap_ratio, heat_capacity, scaled, shifted
+from oracles import gap_ratio, heat_capacity, mean_energy, scaled, shifted
 
 
 def brute_force_variance(energies, temperature):

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -51,7 +52,10 @@ def _parse_int_list(field, text):
             raise ConfigError(field, f"cannot parse range {text!r}") from None
         if hi < lo:
             raise ConfigError(field, f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        try:
+            return list(range(lo, hi + 1))
+        except (MemoryError, OverflowError):
+            raise ConfigError(field, f"range {text!r} is too large") from None
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
@@ -175,7 +179,10 @@ def cmd_equilibrium_scan(params):
         raise ConfigError("x_max", "must exceed x_min")
     if params["points"] < 2:
         raise ConfigError("points", f"need at least 2 grid points, got {params['points']}")
-    grid = np.geomspace(params["x_min"], params["x_max"], params["points"])
+    try:
+        grid = np.geomspace(params["x_min"], params["x_max"], params["points"])
+    except (MemoryError, ValueError):
+        raise ConfigError("points", f"{params['points']} grid points do not fit in memory") from None
     return qfi_equilibrium_scan(n_list, grid, gap=params["gap"], include_harmonic=params["harmonic"])
 
 
@@ -237,7 +244,10 @@ def cmd_transient_scan(params):
         _require_positive(params, "gap")
     _require_positive(params, "t_prep")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
-    grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
+    try:
+        grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
+    except (MemoryError, ValueError):
+        raise ConfigError("points", f"{params['points']} grid points do not fit in memory") from None
     preps = ["ground"] + [f"thermal:{t_prep}" for t_prep in params["t_prep"]]
     if params["include_plus"]:
         preps.append("plus")
@@ -392,6 +402,10 @@ def build_run_config(args):
 
 
 def main(argv=None):
+    if argv is None:
+        # Running as the program: shutdown would otherwise walk every start-up
+        # object in full collections (~30 ms); reference counting still frees them.
+        gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
         table = _RUNNERS[args.command](build_run_config(args))

@@ -10,9 +10,13 @@ outputs, so results can be frozen in regression tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# Machine epsilon of a double, bound once so the Brent loop does not look it up per step.
+_EPS = sys.float_info.epsilon
 
 
 class NoSignChange(ValueError):
@@ -122,7 +126,7 @@ def find_root(f, lo, hi, tol, max_iter=200):
             fa, fb, fc = fb, fc, fb
         # b is the best estimate, [b, c] brackets the root. The step floor is
         # purely machine precision so steep residuals can still be polished.
-        tol1 = 2.0 * np.finfo(float).eps * abs(b)
+        tol1 = 2.0 * _EPS * abs(b)
         xm = 0.5 * (c - b)
         if abs(c - b) <= tol and abs(fb) <= tol:
             converged = True
@@ -177,7 +181,7 @@ def central_diff(f, x, h, order=1):
     """
     if h <= 0.0:
         raise StepTooSmall(f"step must be positive, got {h}")
-    if h < 1e3 * np.finfo(float).eps * abs(x):
+    if h < 1e3 * _EPS * abs(x):
         raise StepTooSmall(f"step {h:g} is below the roundoff floor at x={x:g}")
     if order == 1:
         def estimate(s):

@@ -286,6 +286,31 @@ class TestExitCodes:
         assert text == ""
         assert f"configuration error: {field}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, config, field", [
+        (["equilibrium-scan", "--points", "1000000000000000"], None, "points"),
+        (["equilibrium-scan", "--points", "100000000000000000000"], None, "points"),
+        (["equilibrium-scan"], {"points": 10**15}, "points"),
+        (["transient-scan", "--points", "1000000000000000"], None, "points"),
+        (["transient-scan", "--points", "100000000000000000000"], None, "points"),
+        (["transient-scan"], {"points": 10**20}, "points"),
+        (["limits", "--n", "2..1000000000000000"], None, "n"),
+        (["limits", "--n", "2..100000000000000000000"], None, "n"),
+        (["limits"], {"n": "2..1000000000000000"}, "n"),
+        (["optimal-gap", "--n0", "1..1000000000000000"], None, "n0"),
+        (["optimal-gap"], {"n0": "1..100000000000000000000"}, "n0"),
+    ])
+    def test_oversized_size_exits_two(self, tmp_path, capsys, argv, config, field):
+        # sizes of 1e15 and more exceed a 47-bit address space, so allocation fails at once
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        code, text = run(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert f"configuration error: {field}:" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, quantity", [
         (["limits", "--gamma", "1e308", "--temperature", "1e308"], "rate"),
         (["limits", "--gamma", "1e308", "--temperature", "1e100"], "rate"),

@@ -1,9 +1,11 @@
 """Structure of the package: every import sits at module top, the module
 graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
-test-only oracles stay out of it, and importing it keeps BLAS to one thread
-unless the caller chose otherwise."""
+test-only oracles stay out of it, importing it keeps BLAS to one thread
+unless the caller chose otherwise, and only the CLI run as the program freezes
+the collector's start-up heap."""
 
 import ast
+import gc
 import importlib
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import thermoprobe
+from thermoprobe import cli
 
 PACKAGE = Path(thermoprobe.__file__).parent
 # Each module imports only modules listed before it.
@@ -79,3 +82,18 @@ def test_import_keeps_an_exported_thread_count():
 def test_import_after_numpy_leaves_the_environment_alone():
     code = "import os, numpy, thermoprobe; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert fresh_interpreter(code) == "None"
+
+
+def test_running_as_the_program_freezes_the_heap(tmp_path):
+    out = tmp_path / "limits.csv"
+    code = ("import gc, sys; from thermoprobe.cli import main; "
+            f"sys.argv = ['thermoprobe', 'limits', '--out', {str(out)!r}]; "
+            "status = main(); print(gc.get_freeze_count() > 0, status)")
+    assert fresh_interpreter(code) == "True 0"
+    assert out.read_text().startswith("N,x_tilde,rate\n")
+
+
+def test_calling_main_leaves_the_collector_alone(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["limits", "--out", str(tmp_path / "limits.csv")]) == 0
+    assert gc.get_freeze_count() == frozen

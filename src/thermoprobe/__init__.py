@@ -3,7 +3,7 @@
 The package covers two regimes: fully thermalized probes, where the optimal
 energy spectrum and the equilibrium quantum Fisher information are computed
 and certified, and partly thermalized probes relaxing under a thermal
-generator, where interrogation protocols are optimized over the contact time.
+generator, where the QFI per unit time is traced over the contact time.
 """
 
 import os
@@ -47,7 +47,6 @@ from .equilibrium import (
 from .dynamics import (
     DiagonalState,
     DissipationModel,
-    ProtocolOptimum,
     QubitState,
     SingularState,
     evolve_nlevel,
@@ -56,7 +55,6 @@ from .dynamics import (
     gibbs_diagonal,
     ground_diagonal,
     optimal_interrogation_ratio,
-    optimize_protocol,
     plus_qubit,
     qfi_transient,
     transient_scan,

@@ -20,6 +20,7 @@ from .dynamics import (
     DissipationModel,
     log_interrogation_grid,
     optimal_interrogation_ratio,
+    thermal_label,
     transient_scan,
     ultimate_rate,
 )
@@ -217,6 +218,10 @@ def cmd_hessian_check(params):
         raise ConfigError("n_min", f"must be >= 2, got {params['n_min']}")
     if params["n_max"] < params["n_min"]:
         raise ConfigError("n_max", "must be >= n_min")
+    try:
+        np.empty((params["n_max"], params["n_max"]))  # the largest Hessian, before any is solved
+    except (MemoryError, ValueError):
+        raise ConfigError("n_max", f"the {params['n_max']}-square Hessian does not fit in memory") from None
     _require_positive(params, "temperature")
     rows = []
     for n in range(params["n_min"], params["n_max"] + 1):
@@ -243,17 +248,16 @@ def cmd_transient_scan(params):
     else:
         _require_positive(params, "gap")
     _require_positive(params, "t_prep")
+    labels = [thermal_label(t_prep) for t_prep in params["t_prep"]]
+    if len(set(labels)) < len(labels):
+        raise ConfigError("t_prep", f"temperatures {params['t_prep']} share a series label: {labels}")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
     try:
         grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
     except (MemoryError, ValueError):
         raise ConfigError("points", f"{params['points']} grid points do not fit in memory") from None
-    preps = ["ground"] + [f"thermal:{t_prep}" for t_prep in params["t_prep"]]
-    if params["include_plus"]:
-        preps.append("plus")
-    if params["include_harmonic"]:
-        preps.append("harmonic")
-    return transient_scan(preps, n_list, model, grid)
+    return transient_scan(model, grid, n_list, params["t_prep"],
+                          include_plus=params["include_plus"], include_harmonic=params["include_harmonic"])
 
 
 def cmd_limits(params):
@@ -297,58 +301,38 @@ _RUNNERS = {
 }
 
 
+_HELP = {
+    "equilibrium-scan": "QFI vs temperature curves at fixed gap",
+    "optimal-gap": "variance-maximizing gaps and peak QFI",
+    "hessian-check": "curvature certificate of the optimal spectrum",
+    "transient-scan": "QFI per unit time vs interrogation time",
+    "limits": "short-interrogation sensitivity bounds",
+}
+
+
 def _build_parser():
+    """One flag per key of ``_DEFAULTS``, --no-<key> for a switch that is on by
+    default; each defaults to None, so that only the flags given override."""
     parser = argparse.ArgumentParser(
         prog="thermoprobe",
         description="Precision limits of single-probe thermometry as machine-readable data series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, defaults in _DEFAULTS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        for key, default in defaults.items():
+            name = key.replace("_", "-")
+            if isinstance(default, bool):  # a switch; its flag turns it the other way
+                p.add_argument(f"--no-{name}" if default else f"--{name}", dest=key, default=None,
+                               action="store_false" if default else "store_true",
+                               help=f"{key} is {'on' if default else 'off'} by default")
+            else:
+                kind = str if key in _LIST_PARSERS else int if isinstance(default, int) else float
+                shown = ",".join(map(str, default)) if isinstance(default, list) else default
+                p.add_argument(f"--{name}", dest=key, type=kind, default=None, help=f"default: {shown}")
         p.add_argument("--config", help="JSON file with parameter defaults")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p = sub.add_parser("equilibrium-scan", help="QFI vs temperature curves at fixed gap")
-    p.add_argument("--n", help="probe dimensions, e.g. 2,4,6,8,10")
-    p.add_argument("--gap", type=float)
-    p.add_argument("--x-min", dest="x_min", type=float)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--no-harmonic", dest="harmonic", action="store_false", default=None)
-    common(p)
-
-    p = sub.add_parser("optimal-gap", help="variance-maximizing gaps and peak QFI")
-    p.add_argument("--n", help="probe dimensions, e.g. 2..10 or 3,5,7")
-    p.add_argument("--n0", help="ground degeneracies, e.g. 1 or 1,2,3")
-    p.add_argument("--temperature", type=float)
-    common(p)
-
-    p = sub.add_parser("hessian-check", help="curvature certificate of the optimal spectrum")
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--temperature", type=float)
-    common(p)
-
-    p = sub.add_parser("transient-scan", help="QFI per unit time vs interrogation time")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--gap", type=float, help="probe gap (default: optimal short-time ratio times T)")
-    p.add_argument("--n", help="ground-preparation probe dimensions")
-    p.add_argument("--t-prep", dest="t_prep", help="thermal preparation temperatures")
-    p.add_argument("--include-plus", dest="include_plus", action="store_true", default=None)
-    p.add_argument("--include-harmonic", dest="include_harmonic", action="store_true", default=None)
-    p.add_argument("--points", type=int)
-    p.add_argument("--span-min", dest="span_min", type=float, help="grid start in relaxation times")
-    p.add_argument("--span-max", dest="span_max", type=float, help="grid end in relaxation times")
-    common(p)
-
-    p = sub.add_parser("limits", help="short-interrogation sensitivity bounds")
-    p.add_argument("--n", help="probe dimensions")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--temperature", type=float)
-    common(p)
-
     return parser
 
 

@@ -121,16 +121,6 @@ class DiagonalState:
         return np.array(self.populations)
 
 
-@dataclass(frozen=True)
-class ProtocolOptimum:
-    """Result of maximizing QFI per unit interrogation time over a grid."""
-
-    interrogation_time: float
-    rate: float
-    short_time_supremum: bool
-    short_time_limit: float | None
-
-
 def plus_qubit():
     """Maximally coherent preparation, equal populations with full coherence."""
     return QubitState((1.0, 0.0, 0.0))
@@ -288,79 +278,6 @@ def optimal_interrogation_ratio(tol=1e-12):
     return find_root(lambda x: math.exp(x) * (5.0 - x) - (5.0 + 2.0 * x), 0.1, 4.999, tol=tol).root
 
 
-def _is_ground(prep):
-    if isinstance(prep, DiagonalState):
-        return prep.populations[0] == 1.0
-    if isinstance(prep, QubitState):
-        return prep.bloch == (0.0, 0.0, -1.0)
-    return False
-
-
-def optimize_protocol(model, prep, dt_grid):
-    """Maximize QFI per unit interrogation time over a grid of durations.
-
-    Interior maxima are refined by golden-section search between the
-    neighbors of the best grid point. When the maximum sits on the smallest
-    grid point the true optimum is the dt -> 0 supremum, which is flagged and,
-    for ground preparations, reported via the closed-form limit.
-    """
-    dts = [float(v) for v in dt_grid]
-    if not dts or any(b <= a for a, b in zip(dts, dts[1:])) or dts[0] <= 0:
-        raise ValueError("dt_grid must be positive and strictly ascending")
-
-    def rate(dt):
-        return qfi_transient(prep, model, dt).value / dt
-
-    rates = rate(np.array(dts)).tolist()
-    best = int(np.argmax(rates))
-    if best == 0:
-        limit = None
-        if _is_ground(prep):
-            n = prep.size if isinstance(prep, DiagonalState) else 2
-            limit = ultimate_rate(n, model.ratio, model.coupling, model.temperature)
-        return ProtocolOptimum(
-            interrogation_time=dts[0], rate=rates[0],
-            short_time_supremum=True, short_time_limit=limit,
-        )
-    if best == len(dts) - 1:
-        return ProtocolOptimum(
-            interrogation_time=dts[-1], rate=rates[-1],
-            short_time_supremum=False, short_time_limit=None,
-        )
-    lo, hi = dts[best - 1], dts[best + 1]
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_golden * (b - a)
-    d = a + inv_golden * (b - a)
-    fc, fd = rate(c), rate(d)
-    while b - a > 1e-10 * (1.0 + b):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_golden * (b - a)
-            fc = rate(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_golden * (b - a)
-            fd = rate(d)
-    dt_star = 0.5 * (a + b)
-    return ProtocolOptimum(
-        interrogation_time=dt_star, rate=rate(dt_star),
-        short_time_supremum=False, short_time_limit=None,
-    )
-
-
-def parse_preparation_token(token):
-    """Validate a preparation token: ground, plus, harmonic, or thermal:<T>."""
-    if token in ("ground", "plus", "harmonic"):
-        return token, None
-    if token.startswith("thermal:"):
-        t_prep = float(token.split(":", 1)[1])
-        if t_prep <= 0:
-            raise ValueError(f"preparation temperature must be positive, got {t_prep}")
-        return "thermal", t_prep
-    raise ValueError(f"unknown preparation {token!r}; use ground, plus, harmonic or thermal:<T>")
-
-
 def log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0):
     """Logarithmic interrogation-time grid spanning [lo, hi] relaxation times.
 
@@ -377,18 +294,26 @@ def log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0):
     return np.geomspace(start, stop, points)
 
 
-def transient_scan(preps, n_list, model, dt_grid):
+def thermal_label(t_prep):
+    """Series label of the two-level thermal preparation at temperature ``t_prep``."""
+    return f"thermal-{t_prep:g}"
+
+
+def transient_scan(model, dt_grid, n_list, t_preps, include_plus=False, include_harmonic=False):
     """QFI-per-time curves for a set of preparations and probe dimensions.
 
-    ``preps`` holds tokens: "ground" (one curve per n in ``n_list``), "plus",
-    "harmonic", or "thermal:<T>" (two-level thermal preparation at temperature
-    T). Returns a Table with columns prep, N, dt, fisher_rate and one block per
+    The curves come in this order: a ground preparation for each n in
+    ``n_list``, a two-level thermal preparation at each temperature in
+    ``t_preps``, then the plus qubit and the harmonic vacuum when included.
+    Returns a Table with columns prep, N, dt, fisher_rate and one block per
     curve, in which prep and N are the curve's labels and every block shares
     one dt list. Each curve is one transient QFI call over the whole grid.
 
     Raises:
         NonFiniteState: if a curve has a non-finite value.
     """
+    if not all(t > 0 for t in t_preps):
+        raise ValueError(f"preparation temperatures must be positive, got {t_preps}")
     dts = [float(v) for v in dt_grid]
     grid = np.array(dts)
     blocks = []
@@ -401,16 +326,13 @@ def transient_scan(preps, n_list, model, dt_grid):
 
     # overflow and underflow are caught by the finiteness check, not numpy warnings
     with np.errstate(all="ignore"):
-        for token in preps:
-            kind, t_prep = parse_preparation_token(token)
-            if kind == "ground":
-                for n in n_list:
-                    add_curve("ground", n, qfi_transient(ground_diagonal(n), model, grid))
-            elif kind == "thermal":
-                prep = gibbs_diagonal(2, model.gap / t_prep)
-                add_curve(f"thermal-{t_prep:g}", 2, qfi_transient(prep, model, grid))
-            elif kind == "plus":
-                add_curve("plus", 2, qfi_transient(plus_qubit(), model, grid))
-            else:  # harmonic
-                add_curve("harmonic", "ho", qfi_harmonic_transient(vacuum_covariance(), model, grid))
+        for n in n_list:
+            add_curve("ground", n, qfi_transient(ground_diagonal(n), model, grid))
+        for t_prep in t_preps:
+            prep = gibbs_diagonal(2, model.gap / t_prep)
+            add_curve(thermal_label(t_prep), 2, qfi_transient(prep, model, grid))
+        if include_plus:
+            add_curve("plus", 2, qfi_transient(plus_qubit(), model, grid))
+        if include_harmonic:
+            add_curve("harmonic", "ho", qfi_harmonic_transient(vacuum_covariance(), model, grid))
     return Table(("prep", "N", "dt", "fisher_rate"), blocks)

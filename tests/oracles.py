@@ -15,6 +15,7 @@
   two-level gap equation of the package is checked.
 - Tables: the row dicts a column Table stands for, expanded one row at a
   time, so that tests read scans and the renderer's oracles see rows.
+- Flags: the command-line form of one parameter value.
 """
 
 import math
@@ -361,3 +362,18 @@ def rows_of(table):
         columns = [cell if isinstance(cell, list) else [cell] * count for cell in block]
         rows.extend(dict(zip(table.columns, values)) for values in zip(*columns))
     return rows
+
+
+def flag(key, value):
+    """The command-line form of one parameter; None when no flag expresses it."""
+    if key == "harmonic":
+        return [] if value else ["--no-harmonic"]
+    if isinstance(value, bool):
+        return [f"--{key.replace('_', '-')}"] if value else []
+    if value is None or isinstance(value, dict):
+        return None
+    if isinstance(value, list):
+        value = ",".join(map(repr if key == "t_prep" else str, value))
+    elif isinstance(value, float):
+        value = repr(value)
+    return [f"--{key.replace('_', '-')}={value}"]

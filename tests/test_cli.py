@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 from thermoprobe import cli
 from thermoprobe.numerics import Table
+
+from oracles import flag
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -311,6 +314,41 @@ class TestExitCodes:
         assert text == ""
         assert f"configuration error: {field}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, config", [
+        (["transient-scan", "--t-prep", "0.8000001,0.8000002"], None),
+        (["transient-scan"], {"t_prep": [0.8000001, 0.8000002]}),
+    ])
+    def test_thermal_temperatures_sharing_a_label_exit_two(self, tmp_path, capsys, argv, config):
+        # both curves would be labelled thermal-0.8, so the output could not be read back
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        code, text = run(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert "configuration error: t_prep:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("n_max", [10**15, 10**20])
+    def test_unallocatable_hessian_exits_two(self, tmp_path, form, n_max):
+        # a fresh interpreter under a timeout, so that a loop of certificates
+        # without end fails the test instead of hanging the suite
+        argv = ["hessian-check", "--out", str(tmp_path / "out.csv")]
+        if form == "flag":
+            argv += ["--n-max", str(n_max)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"n_max": n_max}))
+            argv += ["--config", str(cfg)]
+        proc = subprocess.run([sys.executable, "-m", "thermoprobe.cli", *argv],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert not (tmp_path / "out.csv").exists()
+        assert proc.stderr.startswith("thermoprobe: configuration error: n_max:")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv, quantity", [
         (["limits", "--gamma", "1e308", "--temperature", "1e308"], "rate"),
         (["limits", "--gamma", "1e308", "--temperature", "1e100"], "rate"),
@@ -369,6 +407,28 @@ class TestExitCodes:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("N,x_tilde,rate")
+
+
+class TestGeneratedParser:
+    @pytest.mark.parametrize("command, key", [(c, k) for c in cli._DEFAULTS for k in cli._DEFAULTS[c]])
+    def test_flag_form_of_a_default_gives_the_defaults(self, command, key):
+        default = cli._DEFAULTS[command][key]
+        argv = flag(key, default) or []  # no flag expresses a None default
+        args = cli._build_parser().parse_args([command] + argv)
+        assert cli.build_run_config(args) == cli._DEFAULTS[command]
+        if isinstance(default, bool):  # the flag of a switch turns it the other way
+            args = cli._build_parser().parse_args([command] + flag(key, not default))
+            assert cli.build_run_config(args) == {**cli._DEFAULTS[command], key: not default}
+
+    @pytest.mark.parametrize("command", sorted(cli._DEFAULTS))
+    def test_help_names_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--help"])
+        assert stop.value.code == 0
+        shown = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        expected = {flag(key, not default)[0] if isinstance(default, bool) else "--" + key.replace("_", "-")
+                    for key, default in cli._DEFAULTS[command].items()}
+        assert expected | {"--config", "--out", "--format", "--help"} == shown
 
 
 class TestRendering:

@@ -18,6 +18,8 @@ import pytest
 
 from thermoprobe import cli
 
+from oracles import flag
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -67,21 +69,6 @@ FIELDS = {
 
 # a config value of the wrong type, or a flag value that does not parse
 JUNK = st.sampled_from(["abc", True, [1.5], {"a": 1}, None, "2..x"])
-
-
-def flag(key, value):
-    """The command-line form of one parameter; None when no flag expresses it."""
-    if key == "harmonic":
-        return [] if value else ["--no-harmonic"]
-    if isinstance(value, bool):
-        return [f"--{key.replace('_', '-')}"] if value else []
-    if value is None or isinstance(value, dict):
-        return None
-    if isinstance(value, list):
-        value = ",".join(map(repr if key == "t_prep" else str, value))
-    elif isinstance(value, float):
-        value = repr(value)
-    return [f"--{key.replace('_', '-')}={value}"]
 
 
 @st.composite

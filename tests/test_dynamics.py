@@ -15,7 +15,6 @@ from thermoprobe.dynamics import (
     gibbs_diagonal,
     ground_diagonal,
     optimal_interrogation_ratio,
-    optimize_protocol,
     plus_qubit,
     qfi_transient,
     transient_scan,
@@ -287,6 +286,18 @@ class TestTransientQfi:
         with pytest.raises(TypeError):
             qfi_transient("ground", m, 0.1)
 
+    def test_ground_rate_monotone_on_grid(self):
+        m = default_operating_model()
+        grid = log_interrogation_grid(m, points=50)
+        rates = [qfi_transient(ground_diagonal(2), m, dt).value / dt for dt in grid]
+        assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    def test_thermal_rate_has_interior_grid_maximum(self):
+        m = default_operating_model()
+        grid = log_interrogation_grid(m, points=60)
+        rates = qfi_transient(gibbs_diagonal(2, m.gap / 0.8), m, grid).value / grid
+        assert max(rates[1:-1]) > max(rates[0], rates[-1])
+
 
 class TestClosedForm:
     def test_short_time_limit(self):
@@ -358,47 +369,11 @@ class TestOptimalRatio:
         assert math.exp(x) * (5.0 - x) == pytest.approx(5.0 + 2.0 * x, rel=1e-10)
 
 
-class TestOptimizeProtocol:
-    def test_ground_preparation_supremum_flag(self):
-        m = default_operating_model()
-        grid = log_interrogation_grid(m, points=40)
-        res = optimize_protocol(m, ground_diagonal(2), grid)
-        assert res.short_time_supremum
-        assert res.interrogation_time == grid[0]
-        assert res.short_time_limit == pytest.approx(
-            ultimate_rate(2, m.ratio, m.coupling, m.temperature), rel=1e-12
-        )
-
-    def test_thermal_preparation_interior_maximum(self):
-        m = default_operating_model()
-        grid = log_interrogation_grid(m, points=60)
-        prep = gibbs_diagonal(2, m.gap / 0.8)
-        res = optimize_protocol(m, prep, grid)
-        assert not res.short_time_supremum
-        assert grid[0] < res.interrogation_time < grid[-1]
-        # refined value is at least as good as every grid value
-        rates = [qfi_transient(prep, m, dt).value / dt for dt in grid]
-        assert res.rate >= max(rates) - 1e-12 * max(rates)
-
-    def test_ground_rate_monotone_on_grid(self):
-        m = default_operating_model()
-        grid = log_interrogation_grid(m, points=50)
-        rates = [qfi_transient(ground_diagonal(2), m, dt).value / dt for dt in grid]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_grid_validation(self):
-        m = default_operating_model()
-        with pytest.raises(ValueError):
-            optimize_protocol(m, ground_diagonal(2), [0.2, 0.1])
-
-
 class TestTransientScan:
     def test_standard_series_composition(self):
         m = default_operating_model()
         grid = log_interrogation_grid(m, points=12)
-        rows = rows_of(transient_scan(
-            ["ground", "thermal:0.8", "thermal:0.9"], [2, 4, 10], m, grid
-        ))
+        rows = rows_of(transient_scan(m, grid, [2, 4, 10], [0.8, 0.9]))
         labels = {(r["prep"], r["N"]) for r in rows}
         assert labels == {("ground", 2), ("ground", 4), ("ground", 10),
                           ("thermal-0.8", 2), ("thermal-0.9", 2)}
@@ -408,7 +383,7 @@ class TestTransientScan:
     def test_ground_curves_ordered_by_degeneracy_at_small_dt(self):
         m = default_operating_model()
         grid = [1e-3 * m.relaxation_time]
-        rows = rows_of(transient_scan(["ground"], [2, 4, 10], m, grid))
+        rows = rows_of(transient_scan(m, grid, [2, 4, 10], []))
         rates = {r["N"]: r["fisher_rate"] for r in rows}
         assert rates[4] / rates[2] == pytest.approx(3.0, rel=1e-3)
         assert rates[10] / rates[2] == pytest.approx(9.0, rel=1e-3)
@@ -416,10 +391,18 @@ class TestTransientScan:
     def test_harmonic_series(self):
         m = default_operating_model()
         grid = log_interrogation_grid(m, points=5)
-        rows = rows_of(transient_scan(["harmonic"], [], m, grid))
+        rows = rows_of(transient_scan(m, grid, [], [], include_harmonic=True))
         assert all(r["N"] == "ho" and r["fisher_rate"] > 0 for r in rows)
 
-    def test_unknown_preparation(self):
+    def test_blocks_in_order_ground_thermal_plus_harmonic(self):
+        m = default_operating_model()
+        table = transient_scan(m, [0.1, 0.2], [4, 2], [1.7, 0.5], include_plus=True, include_harmonic=True)
+        assert [block[:2] for block in table.blocks] == [
+            ("ground", 4), ("ground", 2), ("thermal-1.7", 2), ("thermal-0.5", 2), ("plus", 2), ("harmonic", "ho"),
+        ]
+
+    @pytest.mark.parametrize("t_prep", [0.0, -0.8, math.nan])
+    def test_nonpositive_preparation_temperature(self, t_prep):
         m = default_operating_model()
         with pytest.raises(ValueError):
-            transient_scan(["sideways"], [2], m, [0.1])
+            transient_scan(m, [0.1], [2], [0.9, t_prep])

@@ -218,7 +218,7 @@ class TestHarmonicTransient:
         with pytest.raises(NonFiniteState, match="temperature step"):
             qfi_harmonic_transient(vacuum_covariance(), m, 1.0)
         with pytest.raises(NonFiniteState, match="temperature step"):
-            transient_scan(["harmonic"], [], m, [1.0])
+            transient_scan(m, [1.0], [], [], include_harmonic=True)
 
     def test_rejects_anisotropic_preparation(self):
         m = model_at(2.0)

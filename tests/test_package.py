@@ -1,13 +1,15 @@
 """Structure of the package: every import sits at module top, the module
 graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
 test-only oracles stay out of it, importing it keeps BLAS to one thread
-unless the caller chose otherwise, and only the CLI run as the program freezes
-the collector's start-up heap."""
+unless the caller chose otherwise, only the CLI run as the program freezes
+the collector's start-up heap, and the benchmark's copy of the CLI defaults
+stays equal to them."""
 
 import ast
 import gc
 import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +99,10 @@ def test_calling_main_leaves_the_collector_alone(tmp_path):
     frozen = gc.get_freeze_count()
     assert cli.main(["limits", "--out", str(tmp_path / "limits.csv")]) == 0
     assert gc.get_freeze_count() == frozen
+
+
+def test_benchmark_defaults_match_the_cli():
+    # the benchmark's checks rebuild each call's parameters from its own copy of
+    # the defaults; run_path reads the file without importing or compiling it to disk
+    workloads = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "workloads.py"))
+    assert workloads["DEFAULTS"] == cli._DEFAULTS

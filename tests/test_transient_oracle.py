@@ -112,7 +112,7 @@ def oracle_rate(row, gap, gamma, temp):
 def test_every_series_matches_exact_derivatives(gap, temperature, gamma):
     model = DissipationModel(gap=gap, temperature=temperature, coupling=gamma)
     grid = log_interrogation_grid(model, points=20, lo=1e-3, hi=20.0)
-    rows = rows_of(transient_scan(["ground", "thermal:0.8", "plus", "harmonic"], [2, 4, 10], model, grid))
+    rows = rows_of(transient_scan(model, grid, [2, 4, 10], [0.8], include_plus=True, include_harmonic=True))
     assert {(r["prep"], r["N"]) for r in rows} == {
         ("ground", 2), ("ground", 4), ("ground", 10), ("thermal-0.8", 2), ("plus", 2), ("harmonic", "ho"),
     }

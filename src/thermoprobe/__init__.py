@@ -15,34 +15,21 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .numerics import (
-    BracketedRoot,
     NegativeTime,
     NoConvergence,
     NonFiniteState,
-    NoSignChange,
     QfiValue,
     StepTooSmall,
     Table,
     central_diff,
-    find_root,
-)
-from .spectra import (
-    EffectiveTwoLevelSpectrum,
-    NonPositiveTemperature,
-    Spectrum,
-    ThermalEnsemble,
-    energy_variance,
-    thermalize,
 )
 from .equilibrium import (
     DimensionTooSmall,
-    HessianCertificate,
-    OptimalGapResult,
+    hessian_blocks,
     hessian_certificate,
     optimal_gap,
     qfi_effective_two_level,
     qfi_equilibrium_scan,
-    qfi_thermal,
 )
 from .dynamics import (
     DiagonalState,

@@ -155,11 +155,6 @@ def render_rows(table, fmt):
     return "".join(out)
 
 
-def _one_block(columns, rows):
-    """A Table of one block from a nonempty list of row tuples."""
-    return Table(columns, [tuple(map(list, zip(*rows)))])
-
-
 def _require_positive(params, *names):
     """Each named parameter, or each entry of a named list, is finite and positive."""
     for name in names:
@@ -195,22 +190,18 @@ def cmd_optimal_gap(params):
         raise ConfigError("n0", "ground degeneracy list must not be empty")
     _require_positive(params, "temperature")
     t = params["temperature"]
-    rows = []
     for n in n_list:
         if n < 2:
             raise ConfigError("n", f"every dimension must be >= 2, got {n}")
-        solved = {}
         for n0 in n0_list:
             if not 1 <= n0 <= n - 1:
                 raise ConfigError("n0", f"n0={n0} outside [1, {n - 1}] for n={n}")
-            res = solved[n0] = optimal_gap(n, n0, t)
-            if n0 == 1:
-                excess = None
-            else:
-                prev = solved.get(n0 - 1) or optimal_gap(n, n0 - 1, t)
-                excess = (prev.qfi_at_optimum - res.qfi_at_optimum) * t**4
-            rows.append((n, n0, res.x_star, res.gap, res.qfi_at_optimum, excess))
-    return _one_block(("N", "n0", "x_star", "gap", "qfi_peak", "variance_excess_vs_lower_n0"), rows)
+    ns = [n for n in n_list for _ in n0_list]
+    n0s = [n0 for _ in n_list for n0 in n0_list]
+    x, qfi, excess = (column.tolist() for column in optimal_gap(ns, n0s, t))
+    excess = [None if n0 == 1 else e for n0, e in zip(n0s, excess)]
+    return Table(("N", "n0", "x_star", "gap", "qfi_peak", "variance_excess_vs_lower_n0"),
+                 [(ns, n0s, x, [t * v for v in x], qfi, excess)])
 
 
 def cmd_hessian_check(params):
@@ -219,18 +210,12 @@ def cmd_hessian_check(params):
     if params["n_max"] < params["n_min"]:
         raise ConfigError("n_max", "must be >= n_min")
     try:
-        np.empty((params["n_max"], params["n_max"]))  # the largest Hessian, before any is solved
-    except (MemoryError, ValueError):
-        raise ConfigError("n_max", f"the {params['n_max']}-square Hessian does not fit in memory") from None
+        dims = np.arange(params["n_min"], params["n_max"] + 1, dtype=np.int64)
+    except (MemoryError, ValueError, OverflowError):
+        raise ConfigError("n_max", f"the dimensions {params['n_min']}..{params['n_max']} "
+                                   "do not fit in memory as 64-bit ints") from None
     _require_positive(params, "temperature")
-    rows = []
-    for n in range(params["n_min"], params["n_max"] + 1):
-        cert = hessian_certificate(n, params["temperature"])
-        analytic = sorted(set(cert.analytic_eigenvalues))
-        rows.append((n, cert.x_star, analytic[0], analytic[1] if n > 2 else None, n - 2,
-                     cert.eigenvalue_error, cert.zero_mode_residual, cert.certifies_maximum))
-    return _one_block(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity",
-                       "eigenvalue_error", "zero_mode_residual", "certifies_maximum"), rows)
+    return hessian_certificate(dims, params["temperature"])
 
 
 def cmd_transient_scan(params):

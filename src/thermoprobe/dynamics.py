@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import qfi_harmonic_transient, vacuum_covariance
-from .numerics import NegativeTime, NonFiniteState, QfiValue, Table, central_diff, find_root
+from .numerics import NegativeTime, NonFiniteState, QfiValue, Table, central_diff
 
 
 class SingularState(ArithmeticError):
@@ -268,14 +268,14 @@ def ultimate_rate(n, ratio, coupling, temperature):
     return coupling * temperature * (n - 1) * ratio**5 * emx / (-math.expm1(-ratio)) ** 3
 
 
-def optimal_interrogation_ratio(tol=1e-12):
+def optimal_interrogation_ratio():
     """Gap-to-temperature ratio maximizing the short-interrogation rate.
 
-    Solves e^x (5 - x) = 5 + 2x on [0.1, 4.999]; the bracket excludes the
-    spurious root at x = 0. The optimum is independent of the probe dimension
-    because the dimension only scales the rate.
+    The root of e^x (5 - x) = 5 + 2x other than x = 0, correctly rounded. The
+    optimum is independent of the probe dimension because the dimension only
+    scales the rate.
     """
-    return find_root(lambda x: math.exp(x) * (5.0 - x) - (5.0 + 2.0 * x), 0.1, 4.999, tol=tol).root
+    return 4.8887092350471315
 
 
 def log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0):

@@ -7,25 +7,31 @@
   population vectors, qubits and single-mode Gaussian states, with the
   Gaussian fidelity from determinant invariants. The package uses the
   variance form at equilibrium and a deficit form for isotropic Gaussians.
+- Gibbs statistics of arbitrary finite spectra: populations, the energy
+  variance and the equilibrium QFI as variance over T^4. The package computes
+  effective two-level probes in closed form instead.
 - Closed forms: the transient QFI of a ground-prepared qubit, the mean
   energy, the heat capacity, and the qubit and Gaussian states the tests
   prepare.
 - Spectrum optimality: the pairwise stationarity conditions of the energy
-  variance and a global multi-start search for its maximum, against which the
-  two-level gap equation of the package is checked.
+  variance, a global multi-start search for its maximum, against which the
+  two-level gap equation of the package is checked, and the dense n x n
+  variance Hessian with all its eigenvalues, against which the package's
+  2x2 block certificate is checked.
+- Roots: plain bisection.
 - Tables: the row dicts a column Table stands for, expanded one row at a
   time, so that tests read scans and the renderer's oracles see rows.
 - Flags: the command-line form of one parameter value.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from thermoprobe.dynamics import QubitState
 from thermoprobe.gaussian import CovarianceMatrix, evolve_covariance
-from thermoprobe.numerics import NonFiniteState, central_diff
-from thermoprobe.spectra import Spectrum, energy_variance, thermalize
+from thermoprobe.numerics import NonFiniteState, QfiValue, central_diff
 
 
 def integrate_ode(rhs, y0, t_end, dt):
@@ -76,6 +82,108 @@ def rate_matrix(n, model):
 
 
 # Spectra
+
+
+class NonPositiveTemperature(ValueError):
+    """Gibbs states are only defined here for strictly positive temperature."""
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Energy eigenvalues of a finite-dimensional probe, stored ascending.
+
+    Degenerate levels are kept explicitly (one entry per level) so that
+    optimizers over general spectra see the full parameter space.
+    """
+
+    energies: tuple
+
+    def __post_init__(self):
+        energies = tuple(float(e) for e in self.energies)
+        object.__setattr__(self, "energies", energies)
+        if len(energies) < 2:
+            raise ValueError(f"a probe needs at least 2 levels, got {len(energies)}")
+        if not all(math.isfinite(e) for e in energies):
+            raise ValueError("all energies must be finite")
+        if any(a > b for a, b in zip(energies, energies[1:])):
+            raise ValueError("energies must be sorted ascending")
+
+    @property
+    def size(self):
+        return len(self.energies)
+
+    def as_array(self):
+        return np.array(self.energies)
+
+
+@dataclass(frozen=True)
+class EffectiveTwoLevelSpectrum:
+    """Spectrum with only two distinct energies: n0 levels at 0, n - n0 at gap."""
+
+    gap: float
+    n: int
+    n0: int = 1
+
+    def __post_init__(self):
+        if not (math.isfinite(self.gap) and self.gap > 0):
+            raise ValueError(f"gap must be positive and finite, got {self.gap}")
+        if self.n < 2:
+            raise ValueError(f"need n >= 2 levels, got {self.n}")
+        if not 1 <= self.n0 <= self.n - 1:
+            raise ValueError(f"ground degeneracy n0={self.n0} must lie in [1, {self.n - 1}]")
+
+    def expand(self):
+        return Spectrum((0.0,) * self.n0 + (self.gap,) * (self.n - self.n0))
+
+
+@dataclass(frozen=True)
+class ThermalEnsemble:
+    """A spectrum at thermal equilibrium: Gibbs populations and log partition sum."""
+
+    spectrum: Spectrum
+    temperature: float
+    populations: tuple
+    log_partition: float
+
+    def population_array(self):
+        return np.array(self.populations)
+
+
+def thermalize(spectrum, temperature):
+    """Gibbs state of ``spectrum`` at ``temperature``.
+
+    Energies are shifted by the ground energy before exponentiating, which
+    keeps every Boltzmann weight in [0, 1] and leaves populations unchanged
+    (Gibbs weights are shift invariant). Large-gap regimes then degrade
+    gracefully instead of overflowing.
+    """
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise NonPositiveTemperature(f"temperature must be positive, got {temperature}")
+    eps = spectrum.as_array()
+    ground = eps[0]
+    weights = np.exp(-(eps - ground) / temperature)
+    scale = float(weights.sum())
+    populations = weights / scale
+    log_partition = math.log(scale) - ground / temperature
+    return ThermalEnsemble(
+        spectrum=spectrum,
+        temperature=float(temperature),
+        populations=tuple(float(p) for p in populations),
+        log_partition=log_partition,
+    )
+
+
+def energy_variance(ensemble):
+    """Equilibrium energy variance <H^2> - <H>^2, computed in centered form."""
+    eps = ensemble.spectrum.as_array()
+    p = ensemble.population_array()
+    mu = float(np.dot(p, eps))
+    return max(float(np.dot(p, (eps - mu) ** 2)), 0.0)
+
+
+def qfi_thermal(ensemble):
+    """Equilibrium QFI, variance over T^4 (equivalently heat capacity over T^2)."""
+    return QfiValue(value=energy_variance(ensemble) / ensemble.temperature**4)
 
 
 def shifted(spectrum, offset):
@@ -351,6 +459,46 @@ def max_variance_search(n, temperature, n0=1, starts=64, steps=400, seed=0):
         if np.abs(move).max() <= 1e-15 * t:
             break
     return float(_variance_terms(best, t)[2][0]), np.sort(best)
+
+
+def dense_hessian(n, entries):
+    """Eigenvalues, ascending, and largest absolute row sum of the n x n
+    variance Hessian with entries (a, b, c, d): a at (0, 0), c in the rest of
+    row and column 0, b on the rest of the diagonal and d elsewhere."""
+    a, b, c, d = entries
+    dense = np.full((n, n), d)
+    dense[0, 0] = a
+    dense[0, 1:] = c
+    dense[1:, 0] = c
+    np.fill_diagonal(dense[1:, 1:], b)
+    return np.linalg.eigvalsh(dense), float(np.abs(dense.sum(axis=1)).max())
+
+
+def certifies_maximum(eigenvalues):
+    """All eigenvalues at most 1e-8 relative to the largest (or 1), and
+    exactly one of them within that of zero: the uniform shift."""
+    evs = np.asarray(eigenvalues)
+    tol = 1e-8 * max(1.0, float(np.abs(evs).max()))
+    return bool(evs.max() <= tol and np.sum(np.abs(evs) <= tol) == 1)
+
+
+# Roots
+
+
+def bisect_root(f, lo, hi):
+    """Root of ``f`` in [lo, hi], where f changes sign, by bisection down to
+    adjacent doubles."""
+    f_lo = f(lo)
+    if f_lo * f(hi) >= 0.0:
+        raise ValueError(f"f({lo:g}) and f({hi:g}) do not bracket a root")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (f(mid) > 0.0) == (f_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
 
 
 def rows_of(table):

@@ -24,23 +24,27 @@ from thermoprobe.dynamics import (
     ultimate_rate,
 )
 from thermoprobe.equilibrium import (
+    hessian_blocks,
     hessian_certificate,
     optimal_gap,
     qfi_effective_two_level,
-    qfi_thermal,
 )
 from thermoprobe.gaussian import qfi_harmonic_transient, vacuum_covariance
-from thermoprobe.numerics import central_diff, find_root
-from thermoprobe.spectra import Spectrum, thermalize
+from thermoprobe.numerics import central_diff
 
 from oracles import (
+    Spectrum,
+    bisect_root,
     fidelity_gaussian,
     full_width_half_max,
     integrate_ode,
     qfi_bures_oracle,
+    qfi_thermal,
     qfi_transient_closed_form_qubit,
     rate_matrix,
+    rows_of,
     thermal_covariance,
+    thermalize,
 )
 
 X_TILDE_ORACLE = 4.888709235047135  # bisection on e^x (5 - x) = 5 + 2x, frozen
@@ -74,7 +78,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_optimal_gap_and_brute_force():
     start = time.monotonic()
-    x_star = optimal_gap(2, 1, 1.0).x_star
+    x_star = float(optimal_gap(2, 1, 1.0)[0])
     residual = abs(math.exp(x_star) - (x_star + 2.0) / (x_star - 2.0))
     xs = np.linspace(0.05, 12.0, 100000)
     ex = np.exp(xs)
@@ -96,12 +100,10 @@ def test_criterion_03_degeneracy_ordering():
     worst_identity = 0.0
     for n in range(3, 11):
         for n0 in range(2, n):
-            res_low = optimal_gap(n, n0 - 1, temp)
-            res_high = optimal_gap(n, n0, temp)
-            var_low = res_low.qfi_at_optimum * temp**4
-            var_high = res_high.qfi_at_optimum * temp**4
-            diff = var_low - var_high
-            want = temp * temp * (res_low.x_star**2 - res_high.x_star**2) / 4.0
+            x_low, qfi_low, _ = optimal_gap(n, n0 - 1, temp)
+            x_high, qfi_high, _ = optimal_gap(n, n0, temp)
+            diff = (qfi_low - qfi_high) * temp**4
+            want = temp * temp * (x_low**2 - x_high**2) / 4.0
             worst_gap = min(worst_gap, diff)
             worst_identity = max(worst_identity, abs(diff - want))
     ok = worst_gap > 0.0 and worst_identity <= 1e-9
@@ -113,13 +115,16 @@ def test_criterion_03_degeneracy_ordering():
 
 def test_criterion_04_hessian_certification():
     worst_eig = 0.0
-    for n in range(2, 21):
-        cert = hessian_certificate(n)
-        worst_eig = max(worst_eig, cert.eigenvalue_error)
-        zero_modes = [v for v in cert.eigenvalues if abs(v) <= 1e-8]
+    dims = list(range(2, 21))
+    _, (_, b, _, d), (low, high) = hessian_blocks(dims)
+    for k, row in enumerate(rows_of(hessian_certificate(dims))):
+        n = dims[k]
+        eigenvalues = [low[k], high[k]] + [b[k] - d[k]] * (n - 2)
+        worst_eig = max(worst_eig, row["eigenvalue_error"])
+        zero_modes = [v for v in eigenvalues if abs(v) <= 1e-8]
         assert len(zero_modes) == 1, f"n={n}: expected a single zero mode"
-        assert cert.zero_mode_residual <= 1e-8, f"n={n}: all-ones vector is not annihilated"
-        assert max(cert.eigenvalues) <= 1e-8
+        assert row["zero_mode_residual"] <= 1e-8, f"n={n}: all-ones vector is not annihilated"
+        assert max(eigenvalues) <= 1e-8
     ok = worst_eig <= 1e-8
     report(4, "Hessian eigenvalues match the analytic list", ok, f"worst {worst_eig:.2e}")
     assert ok
@@ -206,7 +211,11 @@ def test_criterion_07_short_time_limit():
 
 
 def test_criterion_08_optimal_ratio():
-    root = find_root(lambda x: math.exp(x) * (5.0 - x) - (5.0 + 2.0 * x), 0.1, 4.999, tol=1e-12).root
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = mp.findroot(lambda x: mp.exp(x) * (5 - x) - (5 + 2 * x), 4.9)
+    correctly_rounded = optimal_interrogation_ratio() == float(exact)
+    root = bisect_root(lambda x: math.exp(x) * (5.0 - x) - (5.0 + 2.0 * x), 0.1, 4.999)
     near_oracle = abs(root - X_TILDE_ORACLE) <= 1e-9
     near_quoted = abs(root - 4.885) <= 5e-3
 
@@ -218,14 +227,15 @@ def test_criterion_08_optimal_ratio():
         def slope(x):
             return central_diff(lambda xx: ultimate_rate(n, xx, 1e-3, 1.0), x, 1e-5)
 
-        return find_root(slope, xs[max(i - 2, 0)], xs[min(i + 2, len(xs) - 1)], tol=1e-10).root
+        return bisect_root(slope, xs[max(i - 2, 0)], xs[min(i + 2, len(xs) - 1)])
 
     argmaxes = [refined_argmax(n) for n in (2, 4, 10)]
     matches_root = max(abs(a - root) for a in argmaxes) <= 1e-6
     dimension_free = max(argmaxes) - min(argmaxes) <= 1e-9
-    ok = near_oracle and near_quoted and matches_root and dimension_free
+    ok = correctly_rounded and near_oracle and near_quoted and matches_root and dimension_free
     report(8, "optimal interrogation ratio", ok,
            f"root {root:.10f}, argmax spread {max(argmaxes) - min(argmaxes):.1e}")
+    assert correctly_rounded
     assert near_oracle
     assert near_quoted
     assert matches_root

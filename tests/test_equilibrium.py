@@ -5,31 +5,32 @@ import pytest
 
 from thermoprobe.equilibrium import (
     DimensionTooSmall,
-    QfiValue,
+    hessian_blocks,
     hessian_certificate,
     hessian_pair_eigenvalue,
     hessian_shift_eigenvalue,
     optimal_gap,
     qfi_effective_two_level,
     qfi_equilibrium_scan,
-    qfi_thermal,
 )
-from thermoprobe.numerics import find_root
-from thermoprobe.spectra import (
-    EffectiveTwoLevelSpectrum,
-    Spectrum,
-    energy_variance,
-    thermalize,
-)
+from thermoprobe.numerics import NoConvergence, QfiValue
 
 from oracles import (
+    EffectiveTwoLevelSpectrum,
+    Spectrum,
+    bisect_root,
+    certifies_maximum,
+    dense_hessian,
+    energy_variance,
     full_width_half_max,
     max_variance_search,
     qfi_bures_oracle,
+    qfi_thermal,
     rows_of,
     stationarity_residual,
     thermal_covariance_family,
     thermal_population_family,
+    thermalize,
 )
 
 
@@ -120,7 +121,7 @@ class TestBuresOracle:
 class TestStationarity:
     def test_optimal_two_level_is_stationary(self):
         t = 1.0
-        x = optimal_gap(2, 1, t).x_star
+        x, _, _ = optimal_gap(2, 1, t)
         res = stationarity_residual(Spectrum((0.0, t * x)), t)
         assert max(abs(r) for r in res) <= 1e-9
 
@@ -142,9 +143,9 @@ class TestGlobalSpectrumSearch:
     def test_argmax_is_one_ground_level_below_a_degenerate_excited_level(self, n):
         for t in (0.5, 1.0, 2.5):
             variance, eps = max_variance_search(n, t)
-            want = optimal_gap(n, 1, t)
-            assert variance == pytest.approx(want.qfi_at_optimum * t**4, rel=1e-12)
-            assert eps[1] - eps[0] == pytest.approx(want.gap, rel=1e-9)
+            x, qfi, _ = optimal_gap(n, 1, t)
+            assert variance == pytest.approx(qfi * t**4, rel=1e-12)
+            assert eps[1] - eps[0] == pytest.approx(t * x, rel=1e-9)
             assert eps[-1] - eps[1] <= 1e-9 * t
             assert max(abs(r) for r in stationarity_residual(Spectrum(tuple(eps)), t)) <= 1e-12
 
@@ -153,56 +154,86 @@ class TestGlobalSpectrumSearch:
         best, _ = max_variance_search(n, 1.0)
         for n0 in (2, 3):
             restricted, _ = max_variance_search(n, 1.0, n0=n0)
-            assert restricted == pytest.approx(optimal_gap(n, n0, 1.0).qfi_at_optimum, rel=1e-12)
+            assert restricted == pytest.approx(optimal_gap(n, n0, 1.0)[1], rel=1e-12)
             assert restricted < best
+
+
+def gap_equation_residual(x, n, n0):
+    """Relative residual of e^x = ((n - n0)/n0)(x + 2)/(x - 2)."""
+    return abs(math.exp(x) * (x - 2.0) * n0 / ((n - n0) * (x + 2.0)) - 1.0)
 
 
 class TestOptimalGap:
     def test_two_level_value(self):
-        res = optimal_gap(2, 1, 1.0)
-        assert res.x_star == pytest.approx(2.3993572805154675, abs=1e-10)
-        assert abs(res.residual) <= 1e-10
-        assert res.gap == pytest.approx(res.x_star, abs=1e-12)
+        x, _, excess = optimal_gap(2, 1, 1.0)
+        assert x == pytest.approx(2.3993572805154675, abs=1e-10)
+        assert gap_equation_residual(x, 2, 1) <= 1e-10
+        assert math.isnan(excess)  # there is no ground degeneracy 0 to compare with
 
     def test_ten_level_value(self):
-        res = optimal_gap(10, 1, 1.0)
-        assert res.x_star == pytest.approx(3.4976487162651547, abs=1e-9)
-        assert res.x_star == pytest.approx(3.50, abs=5e-3)
+        x, _, _ = optimal_gap(10, 1, 1.0)
+        assert x == pytest.approx(3.4976487162651547, abs=1e-9)
+        assert x == pytest.approx(3.50, abs=5e-3)
 
     def test_matches_bisection_oracle(self):
         for n, n0 in [(3, 1), (6, 2), (12, 5)]:
             r = (n - n0) / n0
-            f = lambda x: (x - 2.0) - r * (x + 2.0) * math.exp(-x)
-            a, b = 2.0 + 1e-12, 2.0 + math.log(4 * r) + 10.0
-            fa = f(a)
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                if fa * f(m) <= 0:
-                    b = m
-                else:
-                    a, fa = m, f(m)
-            assert optimal_gap(n, n0, 1.0).x_star == pytest.approx(0.5 * (a + b), abs=1e-10)
+            root = bisect_root(lambda x: (x - 2.0) - r * (x + 2.0) * math.exp(-x),
+                               2.0 + 1e-12, 2.0 + math.log(4 * r) + 10.0)
+            assert optimal_gap(n, n0, 1.0)[0] == pytest.approx(root, abs=1e-10)
+
+    def test_peak_is_the_two_level_variance(self):
+        for n, n0, t in [(2, 1, 1.0), (5, 2, 0.6), (12, 5, 2.5)]:
+            x, qfi, _ = optimal_gap(n, n0, t)
+            want = two_level_variance(n, n0, float(x), t)
+            assert qfi * t**4 == pytest.approx(want, rel=1e-13, abs=0.0)
+            # at the optimum the variance is T^2 (x^2 - 4) / 4
+            assert qfi * t**4 == pytest.approx(t * t * (x * x - 4.0) / 4.0, rel=1e-13, abs=0.0)
+
+    def test_excess_is_the_drop_of_the_peak_variance(self):
+        for n, n0, t in [(5, 2, 0.6), (12, 5, 2.5), (40, 39, 1.0)]:
+            _, qfi_low, _ = optimal_gap(n, n0 - 1, t)
+            _, qfi, excess = optimal_gap(n, n0, t)
+            assert excess == pytest.approx((qfi_low - qfi) * t**4, rel=1e-13, abs=0.0)
+
+    def test_one_array_call_equals_calls_per_pair(self):
+        pairs = [(n, n0) for n in (2, 7, 40, 10**6) for n0 in (1, 3) if n0 < n]
+        columns = optimal_gap([n for n, _ in pairs], [n0 for _, n0 in pairs], 1.3)
+        for i, (n, n0) in enumerate(pairs):
+            np.testing.assert_array_equal([c[i] for c in columns], optimal_gap(n, n0, 1.3))
 
     def test_x_star_exceeds_two_and_grows_with_n(self):
-        xs = [optimal_gap(n, 1, 1.0).x_star for n in range(2, 11)]
+        xs, _, _ = optimal_gap(range(2, 11), 1, 1.0)
         assert all(x > 2.0 for x in xs)
         assert all(a < b for a, b in zip(xs, xs[1:]))
 
     def test_temperature_scaling(self):
-        a = optimal_gap(4, 1, 1.0)
-        b = optimal_gap(4, 1, 2.5)
-        assert b.x_star == a.x_star
-        assert b.gap == pytest.approx(2.5 * a.gap, rel=1e-14)
+        xa, qa, ea = optimal_gap(4, 2, 1.0)
+        xb, qb, eb = optimal_gap(4, 2, 2.5)
+        assert xb == xa
+        assert qb == pytest.approx(qa / 2.5**2, rel=1e-15, abs=0.0)
+        assert eb == pytest.approx(2.5**2 * ea, rel=1e-15, abs=0.0)
 
     def test_degeneracy_ordering_identity(self):
         # variance drop between consecutive ground degeneracies is T^2 (x_a^2 - x_b^2)/4
         t = 0.7
         for n, n0 in [(4, 2), (7, 3), (10, 9)]:
-            xa = optimal_gap(n, n0 - 1, t).x_star
-            xb = optimal_gap(n, n0, t).x_star
+            xa, _, _ = optimal_gap(n, n0 - 1, t)
+            xb, _, _ = optimal_gap(n, n0, t)
             diff = two_level_variance(n, n0 - 1, xa, t) - two_level_variance(n, n0, xb, t)
             assert diff > 0.0
             assert diff == pytest.approx(t * t * (xa * xa - xb * xb) / 4.0, abs=1e-9)
+
+    def test_dimensions_beyond_64_bit_ints(self):
+        xs, _, _ = optimal_gap(2**1000, [1, 2], 1.0)
+        for x, n0 in zip(xs, (1, 2)):
+            assert gap_equation_residual(x, 2**1000, n0) <= 1e-10
+
+    def test_unresolvable_root_raises(self):
+        # x* - 2 is about 4 e^{-2} (n - n0) / n0 = 5e-13, which a double near 2
+        # resolves only to 1e-3 relative
+        with pytest.raises(NoConvergence, match=f"n={10**12}, n0={10**12 - 1}"):
+            optimal_gap(10**12, [1, 10**12 - 1], 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,42 +241,45 @@ class TestOptimalGap:
         with pytest.raises(ValueError):
             optimal_gap(1, 1, 1.0)
         with pytest.raises(ValueError):
+            optimal_gap([3, 4], [1, 4], 1.0)
+        with pytest.raises(ValueError):
             optimal_gap(3, 1, -1.0)
 
 
 class TestHessianCertificate:
     def test_analytic_matches_numeric(self):
-        for n in (2, 3, 7, 20):
-            cert = hessian_certificate(n)
-            assert cert.eigenvalue_error <= 1e-8
-            assert cert.certifies_maximum
+        rows = rows_of(hessian_certificate([2, 3, 7, 20]))
+        assert [r["N"] for r in rows] == [2, 3, 7, 20]
+        for row in rows:
+            assert row["eigenvalue_error"] <= 1e-8
+            assert row["certifies_maximum"] is True
+            assert row["shift_multiplicity"] == row["N"] - 2
 
     def test_three_level_eigenvalues(self):
-        cert = hessian_certificate(3)
-        x = cert.x_star
+        x, (a, b, c, d), (low, high) = hessian_blocks(3)
         assert hessian_shift_eigenvalue(3, x) == pytest.approx(-(x - 2.0) / 4.0, rel=1e-14)
         # the pair eigenvalue carries the dimension factor demanded by the
         # zero-row-sum block structure: lambda = -n (x^2 - 4) / (8 (n - 1))
         assert hessian_pair_eigenvalue(3, x) == pytest.approx(-3.0 * (x * x - 4.0) / 16.0, rel=1e-14)
-        evs = np.array(cert.eigenvalues)
-        assert evs[0] == pytest.approx(hessian_pair_eigenvalue(3, x), abs=1e-10)
-        assert evs[1] == pytest.approx(hessian_shift_eigenvalue(3, x), abs=1e-10)
-        assert evs[2] == pytest.approx(0.0, abs=1e-10)
+        assert low == pytest.approx(hessian_pair_eigenvalue(3, x), abs=1e-10)
+        assert b - d == pytest.approx(hessian_shift_eigenvalue(3, x), abs=1e-10)
+        assert high == pytest.approx(0.0, abs=1e-10)
 
     def test_two_level_by_hand(self):
         # 2x2 case: [[a, -a], [-a, a]] has eigenvalues {0, 2a}
-        cert = hessian_certificate(2)
-        a, b, c, _ = cert.block_entries
+        x, (a, b, c, _), (low, high) = hessian_blocks(2)
         assert b == pytest.approx(a, rel=1e-12)
         assert c == pytest.approx(-a, rel=1e-12)
-        assert sorted(cert.analytic_eigenvalues) == pytest.approx([2 * a, 0.0], abs=1e-12)
+        assert hessian_pair_eigenvalue(2, x) == pytest.approx(2 * a, rel=1e-12)
+        assert [low, high] == pytest.approx([2 * a, 0.0], abs=1e-12)
+        assert rows_of(hessian_certificate([2]))[0]["lambda_shift"] is None
 
     def test_entries_match_finite_differences(self):
         # ground truth: difference the variance itself around the optimum
         for n in (3, 5):
             t = 1.0
-            cert = hessian_certificate(n, t)
-            gap = t * cert.x_star
+            x, entries, _ = hessian_blocks(n, t)
+            gap = t * x
             base = [0.0] + [gap] * (n - 1)
             h = 1e-4
 
@@ -254,12 +288,7 @@ class TestHessianCertificate:
                 ens = thermalize(Spectrum(tuple(np.asarray(eps)[order])), t)
                 return energy_variance(ens)
 
-            for (i, j), want in [((0, 0), cert.block_entries[0]),
-                                 ((1, 1), cert.block_entries[1]),
-                                 ((0, 1), cert.block_entries[2]),
-                                 ((1, 2), cert.block_entries[3])]:
-                if n == 2 and (i, j) == (1, 2):
-                    continue
+            for (i, j), want in zip([(0, 0), (1, 1), (0, 1), (1, 2)], entries):
                 fd = 0.0
                 for si, sj, w in [(h, h, 1), (h, -h, -1), (-h, h, -1), (-h, -h, 1)]:
                     eps = list(base)
@@ -270,14 +299,30 @@ class TestHessianCertificate:
                 assert fd == pytest.approx(want, abs=5e-6)
 
     def test_zero_mode_is_uniform_shift(self):
-        cert = hessian_certificate(6)
-        assert cert.zero_mode_residual <= 1e-12
-        near_zero = [v for v in cert.eigenvalues if abs(v) <= 1e-8]
-        assert len(near_zero) == 1
+        row = rows_of(hessian_certificate([6]))[0]
+        assert row["zero_mode_residual"] <= 1e-12
+        eigenvalues, _ = dense_hessian(6, hessian_blocks(6)[1])
+        assert len([v for v in eigenvalues if abs(v) <= 1e-8]) == 1
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
+    def test_blocks_match_the_dense_hessian(self, t):
+        dims = np.arange(2, 65)
+        xs, entries, (low, high) = hessian_blocks(dims, t)
+        rows = rows_of(hessian_certificate(dims, t))
+        for k, n in enumerate(dims):
+            abcd = [e[k] for e in entries]
+            dense, row_sum = dense_hessian(n, abcd)
+            block = np.sort([low[k], high[k]] + [abcd[1] - abcd[3]] * (n - 2))
+            assert np.abs(block - dense).max() <= 1e-14
+            assert rows[k]["zero_mode_residual"] == pytest.approx(row_sum, abs=1e-14)
+            assert rows[k]["certifies_maximum"] is certifies_maximum(dense) is True
+            analytic = np.sort([hessian_pair_eigenvalue(n, xs[k]), 0.0]
+                               + [hessian_shift_eigenvalue(n, xs[k])] * (n - 2))
+            assert rows[k]["eigenvalue_error"] == pytest.approx(np.abs(dense - analytic).max(), abs=1e-14)
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
-            hessian_certificate(1)
+            hessian_certificate([1])
 
 
 class TestOptimality:
@@ -285,7 +330,7 @@ class TestOptimality:
         rng = np.random.default_rng(7)
         t = 1.0
         for n in (2, 3, 4):
-            x = optimal_gap(n, 1, t).x_star
+            x, _, _ = optimal_gap(n, 1, t)
             base = np.array([0.0] + [t * x] * (n - 1))
             v_opt = two_level_variance(n, 1, x, t)
             for _ in range(1000):
@@ -297,7 +342,7 @@ class TestOptimality:
         # 2-parameter grid over both levels of a qubit: the variance argmax is a
         # uniform-shift ridge, so every grid optimum sits at gap = T x*
         t = 1.0
-        x_star = optimal_gap(2, 1, t).x_star
+        x_star, _, _ = optimal_gap(2, 1, t)
         shifts = np.linspace(0.0, 1.0, 11)
         gaps = np.linspace(2.0, 3.0, 1001)
         best, best_gap = -1.0, None
@@ -336,12 +381,10 @@ class TestEquilibriumScan:
         # e^x = (n-1)(x+4)/(x-4), not at the fixed-temperature optimum x*
         xs = np.linspace(3.0, 8.0, 200001)
         for n in (2, 10):
-            root = find_root(
-                lambda x: (x - 4.0) - (n - 1) * (x + 4.0) * math.exp(-x), 4.0 + 1e-9, 12.0, tol=1e-12
-            ).root
+            root = bisect_root(lambda x: (x - 4.0) - (n - 1) * (x + 4.0) * math.exp(-x), 4.0 + 1e-9, 12.0)
             vals = np.array([qfi_effective_two_level(x, n, 1.0) for x in xs])
             assert xs[np.argmax(vals)] == pytest.approx(root, abs=2 * (xs[1] - xs[0]))
-            assert root != pytest.approx(optimal_gap(n, 1, 1.0).x_star, abs=0.5)
+            assert root != pytest.approx(optimal_gap(n, 1, 1.0)[0], abs=0.5)
 
     def test_normalized_width_shrinks_with_dimension(self):
         ts = np.linspace(0.02, 2.0, 20001)

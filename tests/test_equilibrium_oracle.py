@@ -1,20 +1,30 @@
-"""The two equilibrium closed forms against 50-digit mpmath.
+"""The equilibrium closed forms and the optimal-gap columns against
+50-digit mpmath.
 
-Both forms are evaluated over whole grids of x = gap/T up to 1400, which
+Both QFI forms are evaluated over whole grids of x = gap/T up to 1400, which
 spans the band h = x/2 in (355, 700] where the oscillator form overflowed
 when written with sinh. The oracle takes the package's own float inputs, so
 the only error left on the package side is its floating-point evaluation.
 Where the exact value lies below the normal range the result can carry no
 more than the subnormal spacing, hence the small absolute allowance.
+
+The optimal-gap columns x_star, qfi_peak and variance_excess_vs_lower_n0 are
+checked as the command writes them, for every (n, n0) with n <= 64 and for a
+few n0 at n = 10^6 and 10^15, at temperatures down to 1e-80 and up to 1e77.
+The oracle solves the gap equation itself.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from thermoprobe.cli import cmd_optimal_gap
 from thermoprobe.equilibrium import qfi_effective_two_level
 from thermoprobe.gaussian import qfi_harmonic_equilibrium
+
+from oracles import rows_of
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 50
@@ -55,3 +65,33 @@ def test_harmonic(gap):
     _assert_close(qfi_harmonic_equilibrium(gap, temperatures).value,
                   [oracle(t) for t in temperatures], f"ho gap={gap}")
 
+
+
+GAP_REL_TOL = 1e-14
+DEGENERACIES = {n: list(range(1, n)) for n in range(2, 65)}
+DEGENERACIES.update({10**6: [1, 2, 3, 7, 1000], 10**15: [1, 2, 3, 7, 1000]})
+
+
+@functools.cache
+def exact_peak(n, n0):
+    """x* and x^2 p (1 - p) at x*, the peak energy variance over T^2."""
+    r = mp.mpf(n - n0) / n0
+    x = mp.findroot(lambda x: (x - 2) - r * (x + 2) * mp.exp(-x), max(mp.mpf(2), mp.log(r)) + 1)
+    w = r * mp.exp(-x)
+    return x, x * x * w / (1 + w) ** 2
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 1.54, 1e-80, 1e77])
+def test_optimal_gap_columns(t):
+    t2 = mp.mpf(t) ** 2
+    for n, degeneracies in DEGENERACIES.items():
+        for row in rows_of(cmd_optimal_gap({"n": [n], "n0": degeneracies, "temperature": t})):
+            n0 = row["n0"]
+            x, peak = exact_peak(n, n0)
+            assert row["x_star"] == pytest.approx(float(x), rel=GAP_REL_TOL, abs=0.0), f"x_star n={n} n0={n0}"
+            assert row["qfi_peak"] == pytest.approx(float(peak / t2), rel=GAP_REL_TOL, abs=0.0), \
+                f"qfi_peak n={n} n0={n0}"
+            if n0 > 1:
+                excess = (exact_peak(n, n0 - 1)[1] - peak) * t2
+                assert row["variance_excess_vs_lower_n0"] == pytest.approx(float(excess), rel=GAP_REL_TOL,
+                                                                           abs=0.0), f"excess n={n} n0={n0}"

@@ -3,77 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from thermoprobe.numerics import (
-    BracketedRoot,
-    NoConvergence,
-    NonFiniteState,
-    NoSignChange,
-    StepTooSmall,
-    central_diff,
-    find_root,
-)
+from thermoprobe.numerics import NonFiniteState, StepTooSmall, central_diff
 
-from oracles import integrate_ode
+from oracles import Spectrum, bisect_root, integrate_ode, qfi_thermal, thermalize
 
 
-def bisect(f, a, b, tol=1e-14):
-    """Plain bisection, the independent oracle for Brent results."""
-    fa, fb = f(a), f(b)
-    assert fa * fb < 0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fa * fm <= 0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-        if b - a < tol:
-            break
-    return 0.5 * (a + b)
+class TestBisectRoot:
+    def test_square_root_to_adjacent_doubles(self):
+        root = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
-
-class TestFindRoot:
-    def test_linear(self):
-        res = find_root(lambda x: x - 1.0, 0.0, 2.0, tol=1e-12)
-        assert res.root == pytest.approx(1.0, abs=1e-12)
-        assert res.lo < res.root < res.hi
-        assert abs(res.residual) <= 1e-12
-
-    def test_gap_equation_vs_bisection(self):
-        f = lambda x: math.exp(x) - (x + 2.0) / (x - 2.0)
-        oracle = bisect(f, 2.01, 10.0)
-        res = find_root(f, 2.01, 10.0, tol=1e-10)
-        assert res.root == pytest.approx(oracle, abs=1e-10)
-        assert res.root == pytest.approx(2.3994, abs=5e-4)
-
-    def test_rate_optimum_equation_vs_bisection(self):
-        # x = 0 also solves this equation; the bracket excludes it
-        f = lambda x: math.exp(x) * (5.0 - x) - (5.0 + 2.0 * x)
-        oracle = bisect(f, 0.1, 4.999)
-        res = find_root(f, 0.1, 4.999, tol=1e-10)
-        assert res.root == pytest.approx(oracle, abs=1e-9)
-        assert res.root == pytest.approx(4.885, abs=5e-3)
+    def test_decreasing_function(self):
+        assert bisect_root(lambda x: 1.0 - x, 0.0, 3.0) == 1.0
 
     def test_no_sign_change(self):
-        with pytest.raises(NoSignChange):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0, tol=1e-8)
-
-    def test_no_convergence_on_impossible_tolerance(self):
-        # sqrt(2) is not representable, so |f| can never reach 1e-30
-        with pytest.raises(NoConvergence):
-            find_root(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-30)
-
-    def test_deterministic(self):
-        f = lambda x: math.exp(x) - (x + 2.0) / (x - 2.0)
-        a = find_root(f, 2.01, 10.0, tol=1e-12)
-        b = find_root(f, 2.01, 10.0, tol=1e-12)
-        assert a == b  # bit-identical dataclass contents
-
-    def test_bracket_contains_root_strictly(self):
-        res = find_root(math.sin, 2.0, 4.0, tol=1e-13)
-        assert isinstance(res, BracketedRoot)
-        assert res.lo < res.root < res.hi
-        assert res.hi - res.lo <= 1e-12
+        with pytest.raises(ValueError):
+            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestIntegrateOde:
@@ -129,9 +74,6 @@ class TestCentralDiff:
 
     def test_fidelity_curvature_is_minus_half_qfi(self):
         # curvature of the thermal-pair fidelity equals -QFI/2
-        from thermoprobe.spectra import Spectrum, thermalize
-        from thermoprobe.equilibrium import qfi_thermal
-
         s = Spectrum((0.0, 1.0, 2.0))
         t0 = 1.0
 

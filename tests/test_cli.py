@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 
@@ -168,6 +169,33 @@ class TestHessianCheck:
             if n > 2:
                 assert float(row["lambda_shift"]) == pytest.approx(-(x - 2.0) / (2.0 * (n - 1)), rel=1e-12)
             assert row["certifies_maximum"] == "true"
+
+    def test_range_beyond_the_address_space_limit_exits_two(self, tmp_path):
+        # 10^7 dimensions fit as 64-bit ints (80 MB) but their rows need about
+        # 10 GB; under a 1 GB address-space limit on the child alone the run must
+        # end at the reservation, not in a MemoryError traceback partway through
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = tmp_path / "out.csv"
+        proc = subprocess.run([sys.executable, "-m", "thermoprobe.cli", "hessian-check", "--n-max", str(10**7),
+                               "--out", str(out)], capture_output=True, text=True, timeout=30,
+                              preexec_fn=limit_address_space)
+        assert proc.returncode == 2, proc.stderr
+        assert not out.exists()
+        assert proc.stderr.startswith("thermoprobe: configuration error: n_max:")
+        assert "Traceback" not in proc.stderr
+
+    def test_memory_error_in_the_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
+        def exhausted(dims, temperature):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "hessian_certificate", exhausted)
+        code, text = run(tmp_path, ["hessian-check", "--n-max", "64"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("thermoprobe: configuration error: n_max:") and "Traceback" not in err
 
     def test_dimensions_beyond_64_bit_ints_exit_two(self, tmp_path, capsys):
         code, text = run(tmp_path, ["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20)])

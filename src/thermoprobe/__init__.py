@@ -14,15 +14,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .numerics import (
-    NegativeTime,
-    NoConvergence,
-    NonFiniteState,
-    QfiValue,
-    StepTooSmall,
-    Table,
-    central_diff,
-)
+from .numerics import NoConvergence, NonFiniteState, Table
 from .equilibrium import (
     DimensionTooSmall,
     hessian_certificate,
@@ -31,28 +23,14 @@ from .equilibrium import (
     qfi_equilibrium_scan,
 )
 from .dynamics import (
-    DiagonalState,
     DissipationModel,
-    QubitState,
-    SingularState,
-    evolve_nlevel,
-    evolve_qubit,
     log_interrogation_grid,
-    gibbs_diagonal,
-    ground_diagonal,
     optimal_interrogation_ratio,
-    plus_qubit,
     qfi_transient,
+    qfi_transient_plus,
     transient_scan,
     ultimate_rate,
 )
-from .gaussian import (
-    CovarianceMatrix,
-    UnphysicalCovariance,
-    evolve_covariance,
-    qfi_harmonic_equilibrium,
-    qfi_harmonic_transient,
-    vacuum_covariance,
-)
+from .gaussian import qfi_harmonic_equilibrium, qfi_harmonic_transient
 
 __version__ = "0.1.0"

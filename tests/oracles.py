@@ -3,16 +3,18 @@
 - Relaxation dynamics: a fixed-step RK4 integrator and the population
   generator of the n-level ladder. The package evolves populations in closed
   form; these integrate the master equation instead.
+- Derivatives: Richardson-refined central differences.
 - Fidelity curvature: the QFI as -2 d^2F/dT^2 of the Uhlmann fidelity, for
-  population vectors, qubits and single-mode Gaussian states, with the
-  Gaussian fidelity from determinant invariants. The package uses the
-  variance form at equilibrium and a deficit form for isotropic Gaussians.
+  population vectors, Bloch vectors and single-mode covariances (xx, xp, pp),
+  with the Gaussian fidelity from determinant invariants. The package uses
+  the variance form at equilibrium and exact temperature derivatives for
+  transient states.
 - Gibbs statistics of arbitrary finite spectra: populations, the energy
   variance and the equilibrium QFI as variance over T^4. The package computes
   effective two-level probes in closed form instead.
 - Closed forms: the transient QFI of a ground-prepared qubit, the mean
-  energy, the heat capacity, and the qubit and Gaussian states the tests
-  prepare.
+  energy, the heat capacity, the relaxed Bloch vector and covariance of any
+  preparation, and the thermal and squeezed covariances the tests prepare.
 - Spectrum optimality: the pairwise stationarity conditions of the energy
   variance, a global multi-start search for its maximum, against which the
   two-level gap equation of the package is checked, and the dense n x n
@@ -29,9 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from thermoprobe.dynamics import QubitState
-from thermoprobe.gaussian import CovarianceMatrix, evolve_covariance
-from thermoprobe.numerics import NonFiniteState, QfiValue, central_diff
+from thermoprobe.numerics import NonFiniteState
 
 
 def integrate_ode(rhs, y0, t_end, dt):
@@ -65,6 +65,26 @@ def integrate_ode(rhs, y0, t_end, dt):
     return float(y[0]) if scalar else y
 
 
+def central_diff(f, x, h, order=1):
+    """Richardson-refined central difference of ``f`` at ``x`` with step ``h``.
+
+    order=1 gives f'(x), order=2 gives f''(x); both are O(h^4) accurate after
+    one refinement and take f at x +/- h and x +/- h/2. Works for scalar- or
+    array-valued f.
+    """
+    if order == 1:
+        def estimate(s):
+            return (f(x + s) - f(x - s)) / (2.0 * s)
+    elif order == 2:
+        f0 = f(x)
+
+        def estimate(s):
+            return (f(x + s) - 2.0 * f0 + f(x - s)) / (s * s)
+    else:
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    return (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
+
+
 def rate_matrix(n, model):
     """Population generator L with dp/dt = L p for the n-level ladder.
 
@@ -72,7 +92,7 @@ def rate_matrix(n, model):
     the same transition frequency. The Gibbs vector is a null vector of L.
     """
     down = model.decay_rate
-    up = model.excitation_rate
+    up = down * math.exp(-model.ratio)
     gen = np.zeros((n, n))
     gen[0, 0] = -(n - 1) * up
     gen[0, 1:] = down
@@ -183,7 +203,7 @@ def energy_variance(ensemble):
 
 def qfi_thermal(ensemble):
     """Equilibrium QFI, variance over T^4 (equivalently heat capacity over T^2)."""
-    return QfiValue(value=energy_variance(ensemble) / ensemble.temperature**4)
+    return energy_variance(ensemble) / ensemble.temperature**4
 
 
 def shifted(spectrum, offset):
@@ -214,32 +234,38 @@ def heat_capacity(ensemble):
 # States
 
 
-def ground_qubit():
-    return QubitState((0.0, 0.0, -1.0))
-
-
-def gibbs_qubit(ratio):
-    return QubitState((0.0, 0.0, -math.tanh(ratio / 2.0)))
-
-
-def excited_population(state):
-    """Excited-level population of a qubit, with the excited state along +z."""
-    return 0.5 * (1.0 + state.bloch[2])
+def relaxed_bloch(bloch, model, dt):
+    """Lab-frame Bloch vector of a qubit prepared at ``bloch`` after thermal
+    contact of length ``dt``: r_z relaxes to -tanh(x/2) at 1/tau, the
+    transverse part decays at 1/(2 tau) and precesses at the gap frequency."""
+    rx, ry, rz = bloch
+    decay = math.exp(-dt / model.relaxation_time)
+    rz_eq = -math.tanh(model.ratio / 2.0)
+    c, s = math.cos(model.gap * dt), math.sin(model.gap * dt)
+    envelope = math.sqrt(decay)
+    return np.array([envelope * (rx * c - ry * s), envelope * (rx * s + ry * c), rz_eq + (rz - rz_eq) * decay])
 
 
 def thermal_covariance(gap, temperature):
-    """coth(gap / 2T) times the identity."""
+    """coth(gap / 2T) times the identity, as (xx, xp, pp)."""
     if gap <= 0 or temperature <= 0:
         raise ValueError("gap and temperature must be positive")
     c = 1.0 / math.tanh(gap / (2.0 * temperature))
-    return CovarianceMatrix(c, 0.0, c)
+    return np.array([c, 0.0, c])
 
 
 def squeezed_covariance(squeeze):
-    """diag(s, 1/s), a pure quadrature-squeezed state."""
+    """diag(s, 1/s), a pure quadrature-squeezed state, as (xx, xp, pp)."""
     if squeeze <= 0:
         raise ValueError(f"squeeze must be positive, got {squeeze}")
-    return CovarianceMatrix(squeeze, 0.0, 1.0 / squeeze)
+    return np.array([squeeze, 0.0, 1.0 / squeeze])
+
+
+def relaxed_covariance(sigma0, model, dt):
+    """Covariance (xx, xp, pp) after thermal contact of length ``dt``: every
+    entry moves toward the thermal one at the net damping coupling * gap^3."""
+    f = math.exp(-model.phase_space_damping * dt)
+    return f * np.asarray(sigma0) + (1.0 - f) * thermal_covariance(model.gap, model.temperature)
 
 
 def thermal_covariance_family(gap):
@@ -255,7 +281,8 @@ def thermal_covariance_family(gap):
 
 
 def fidelity_gaussian(sigma1, sigma2):
-    """Uhlmann fidelity of two undisplaced single-mode Gaussian states.
+    """Uhlmann fidelity of two undisplaced single-mode Gaussian states, each
+    given as its covariance entries (xx, xp, pp).
 
     With Delta = det(sigma1 + sigma2) and Lambda = (det sigma1 - 1)(det sigma2 - 1):
 
@@ -265,9 +292,11 @@ def fidelity_gaussian(sigma1, sigma2):
     / Delta, which avoids the subtraction. Lambda is clamped at zero to absorb
     roundoff from near-pure inputs, and the result is capped at 1.
     """
-    xx, xp, pp = sigma1.xx + sigma2.xx, sigma1.xp + sigma2.xp, sigma1.pp + sigma2.pp
-    delta = xx * pp - xp * xp
-    lam = max((sigma1.determinant - 1.0) * (sigma2.determinant - 1.0), 0.0)
+    def det(s):
+        return s[0] * s[2] - s[1] * s[1]
+
+    delta = det(np.add(sigma1, sigma2))
+    lam = max((det(sigma1) - 1.0) * (det(sigma2) - 1.0), 0.0)
     return min(2.0 * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta, 1.0)
 
 
@@ -280,24 +309,26 @@ def thermal_population_family(spectrum):
     return family
 
 
-def _qubit_fidelity(r1, r2):
-    # Uhlmann fidelity of two qubits from their Bloch vectors.
+def fidelity_qubit(r1, r2):
+    """Uhlmann fidelity of two qubits from their Bloch vectors."""
     p1 = max(0.0, 1.0 - float(np.dot(r1, r1)))
     p2 = max(0.0, 1.0 - float(np.dot(r2, r2)))
     return 0.5 * (1.0 + float(np.dot(r1, r2)) + math.sqrt(p1 * p2))
 
 
-def qfi_bures_oracle(probe, temperature, step=None):
+def qfi_bures_oracle(probe, temperature, fidelity=None, step=None):
     """QFI from the curvature of the Uhlmann fidelity across the family.
 
     ``probe`` is either a Spectrum (its thermal family is used) or a callable
-    mapping temperature to a state: a population vector, a QubitState, or a
-    CovarianceMatrix. The curvature -2 d^2F/d delta^2 at delta = 0 is taken by
-    Richardson central differences with step ``step`` (default 1e-4 * T).
+    mapping temperature to a state. The states are population vectors, unless
+    ``fidelity`` gives the fidelity of two of them, such as ``fidelity_qubit``
+    for Bloch vectors or ``fidelity_gaussian`` for covariances. The curvature
+    -2 d^2F/d delta^2 at delta = 0 is taken by Richardson central differences
+    with step ``step`` (default 1e-4 * T).
 
-    For commuting families the fidelity is the squared Bhattacharyya overlap;
-    its deficit from 1 is accumulated at the sqrt-population level, which
-    avoids the roundoff floor of differencing fidelities that all equal
+    For populations the fidelity is the squared Bhattacharyya overlap; its
+    deficit from 1 is accumulated at the sqrt-population level, which avoids
+    the roundoff floor of differencing fidelities that all equal
     1 - O(delta^2).
     """
     if isinstance(probe, Spectrum):
@@ -308,17 +339,9 @@ def qfi_bures_oracle(probe, temperature, step=None):
         raise TypeError(f"probe must be a Spectrum or a temperature -> state callable, got {type(probe)}")
     h = step if step is not None else 1e-4 * temperature
     state0 = family(temperature)
-
-    if isinstance(state0, QubitState):
-        r0 = np.array(state0.bloch)
-
+    if fidelity is not None:
         def fid(delta):
-            return _qubit_fidelity(r0, np.array(family(temperature + delta).bloch))
-
-        value = -2.0 * central_diff(fid, 0.0, h, order=2)
-    elif isinstance(state0, CovarianceMatrix):
-        def fid(delta):
-            return fidelity_gaussian(state0, family(temperature + delta))
+            return fidelity(state0, family(temperature + delta))
 
         value = -2.0 * central_diff(fid, 0.0, h, order=2)
     else:
@@ -331,16 +354,6 @@ def qfi_bures_oracle(probe, temperature, step=None):
         # F = (1 - D)^2 with D(0) = D'(0) = 0, hence -2 F''(0) = 4 D''(0)
         value = 4.0 * central_diff(hellinger, 0.0, h, order=2)
     return max(float(value), 0.0)
-
-
-def qfi_harmonic_transient_oracle(sigma0, model, dt):
-    """Transient QFI of any Gaussian preparation, isotropic or not, from the
-    fidelity curvature of the evolved covariance across the temperature family."""
-
-    def family(temperature):
-        return evolve_covariance(sigma0, model.at_temperature(temperature), dt)
-
-    return qfi_bures_oracle(family, model.temperature)
 
 
 # Closed forms

@@ -7,6 +7,7 @@ RK4 integration plus finite differences for transient sensitivities, and a
 truncated number-basis computation for Gaussian fidelities.
 """
 
+import dataclasses
 import math
 import time
 
@@ -16,11 +17,9 @@ import pytest
 from thermoprobe.dynamics import (
     DissipationModel,
     log_interrogation_grid,
-    gibbs_diagonal,
-    ground_diagonal,
     optimal_interrogation_ratio,
-    plus_qubit,
     qfi_transient,
+    qfi_transient_plus,
     ultimate_rate,
 )
 from thermoprobe.equilibrium import (
@@ -29,12 +28,12 @@ from thermoprobe.equilibrium import (
     optimal_gap,
     qfi_effective_two_level,
 )
-from thermoprobe.gaussian import qfi_harmonic_transient, vacuum_covariance
-from thermoprobe.numerics import central_diff
+from thermoprobe.gaussian import qfi_harmonic_transient
 
 from oracles import (
     Spectrum,
     bisect_root,
+    central_diff,
     fidelity_gaussian,
     full_width_half_max,
     integrate_ode,
@@ -66,7 +65,7 @@ def test_criterion_01_oracle_equivalence():
         spectrum = Spectrum(tuple(sorted(rng.uniform(0.0, 5.0, n))))
         temp = float(rng.uniform(0.2, 5.0))
         fidelity_path = qfi_bures_oracle(spectrum, temp)
-        variance_path = qfi_thermal(thermalize(spectrum, temp)).value
+        variance_path = qfi_thermal(thermalize(spectrum, temp))
         worst = max(worst, abs(fidelity_path / variance_path - 1.0))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-5 and elapsed < 5.0
@@ -178,7 +177,7 @@ def test_criterion_06_transient_closed_form_vs_integrated_dynamics():
         dt = u * tau
 
         def excited_population(sample_temp):
-            gen = rate_matrix(2, model.at_temperature(sample_temp))
+            gen = rate_matrix(2, dataclasses.replace(model, temperature=sample_temp))
             final = integrate_ode(lambda p: gen @ p, np.array([1.0, 0.0]), dt, tau / 200.0)
             return float(final[1])
 
@@ -202,7 +201,7 @@ def test_criterion_07_short_time_limit():
     dt = 1e-4 * model.relaxation_time
     worst = 0.0
     for n in (2, 4, 10):
-        rate = qfi_transient(ground_diagonal(n), model, dt).value / dt
+        rate = qfi_transient(n, 0.0, model, dt) / dt
         want = ultimate_rate(n, x, gamma, temp)
         worst = max(worst, abs(rate / want - 1.0))
     ok = worst <= 1e-3
@@ -251,12 +250,12 @@ def test_criterion_09_preparation_dominance():
     x = optimal_interrogation_ratio()
     model = DissipationModel(gap=x * temp, temperature=temp, coupling=gamma)
     grid = log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0)
-    ground = np.array([qfi_transient(ground_diagonal(2), model, dt).value / dt for dt in grid])
+    ground = qfi_transient(2, 0.0, model, grid) / grid
     curves = {}
     for t_prep in (0.8, 0.9):
-        prep = gibbs_diagonal(2, model.gap / t_prep)
-        curves[t_prep] = np.array([qfi_transient(prep, model, dt).value / dt for dt in grid])
-    plus = np.array([qfi_transient(plus_qubit(), model, dt).value / dt for dt in grid])
+        w = math.exp(-model.gap / t_prep)
+        curves[t_prep] = qfi_transient(2, w / (1.0 + w), model, grid) / grid
+    plus = qfi_transient_plus(model, grid) / grid
 
     dominates = all((ground > curves[t]).all() for t in (0.8, 0.9)) and (ground > plus).all()
     interior = all(0 < int(np.argmax(curves[t])) < len(grid) - 1 for t in (0.8, 0.9))
@@ -273,14 +272,14 @@ def test_criterion_10_harmonic_qubit_equivalence():
     model = DissipationModel(gap=x * temp, temperature=temp, coupling=gamma)
 
     dt_limit = 1e-4 / model.decay_rate
-    limit_rate = qfi_harmonic_transient(vacuum_covariance(), model, dt_limit).value / dt_limit
+    limit_rate = qfi_harmonic_transient(model, dt_limit) / dt_limit
     limit_dev = abs(limit_rate / ultimate_rate(2, x, gamma, temp) - 1.0)
 
     grid = np.geomspace(0.01 / model.decay_rate, 5.0 / model.decay_rate, 200)
     tau = model.relaxation_time
     worst_curve = 0.0
     for dt in grid:
-        harmonic = qfi_harmonic_transient(vacuum_covariance(), model, dt).value / dt
+        harmonic = qfi_harmonic_transient(model, dt) / dt
         qubit = qfi_transient_closed_form_qubit(x, dt, tau, temp) / dt
         worst_curve = max(worst_curve, abs(harmonic / qubit - 1.0))
     ok = limit_dev <= 1e-3 and worst_curve <= 0.02

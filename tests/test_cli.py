@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -212,6 +213,16 @@ class TestHessianCheck:
         assert all(r["certifies_maximum"] == "true" for r in rows)
         assert all(float(r["eigenvalue_error"]) <= 1e-8 for r in rows)
 
+    @pytest.mark.parametrize("n", [10**8, 10**12, 10**15])
+    def test_certifies_very_large_dimensions(self, tmp_path, n):
+        # the shift eigenvalue -(x-2)/(2(n-1)) shrinks as 1/n but stays negative
+        code, text = run(tmp_path, ["hessian-check", "--n-min", str(n), "--n-max", str(n)])
+        assert code == 0
+        _, (row,) = parse_csv(text)
+        x = float(row["x_star"])
+        assert float(row["lambda_shift"]) == pytest.approx(-(x - 2.0) / (2.0 * (n - 1)), rel=1e-12)
+        assert row["certifies_maximum"] == "true"
+
 
 class TestTransientScan:
     def test_default_five_series(self, tmp_path):
@@ -245,6 +256,29 @@ class TestTransientScan:
         _, rows = parse_csv(text)
         assert len(rows) == 5 * 200
         assert all(math.isfinite(float(r[k])) for r in rows for k in ("dt", "fisher_rate"))
+
+    def test_underflowing_series_are_zero_and_unchanged(self, tmp_path):
+        # at gap/T = 800 every exact value underflows, so each rate is 0.0; the
+        # digest pins the whole output, dt column included
+        code, text = run(tmp_path, ["transient-scan", "--gap", "800", "--include-plus", "--include-harmonic"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert len(rows) == 7 * 200 and {r["fisher_rate"] for r in rows} == {"0.0"}
+        digest = "5a83320c060628086394b9d77446164715a54ed6ccdf785fc18bdd3f57634c0f"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags", [
+        ["--span-min", "1e-104", "--include-plus"],  # plus a hair from its pure preparation
+        ["--include-plus", "--gap", "10", "--span-max", "1e308"],
+        ["--temperature", "1e-300", "--gap", "0.5", "--include-harmonic"],  # every value underflows
+    ])
+    def test_extreme_contact_times_and_ratios_write_finite_rows(self, tmp_path, flags):
+        # exact derivatives take no temperature step, which would underflow or
+        # lose its digits to roundoff at these contact times and ratios
+        code, text = run(tmp_path, ["transient-scan", "--points", "20"] + flags)
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert all(math.isfinite(float(r["fisher_rate"])) and float(r["fisher_rate"]) >= 0.0 for r in rows)
 
     @pytest.mark.parametrize("flags", [
         ["--temperature", "1e-300"],  # gap^3 underflows: the relaxation time is infinite
@@ -419,11 +453,10 @@ class TestExitCodes:
         (["optimal-gap", "--temperature", "1e100"], "temperature**4"),
         (["hessian-check", "--temperature", "1e100"], "temperature**4"),
         (["transient-scan", "--gap", "1e300"], "gap**3"),
-        (["transient-scan", "--span-min", "1e-104", "--include-plus"], None),
-        (["transient-scan", "--temperature", "1e-300", "--gap", "0.5", "--include-harmonic"], "harmonic"),
+        (["transient-scan", "--gamma", "1e308", "--gap", "1"], "prep=ground"),  # the rate overflows
         (["transient-scan", "--temperature", "1e308"], "gap"),
         (["equilibrium-scan", "--gap", "1e-200", "--x-min", "1e150", "--x-max", "1e200"], "temperature"),
-        (["transient-scan", "--temperature", "1e-320", "--gap", "1"], "temperature step"),
+        (["transient-scan", "--temperature", "1e-320", "--gap", "1"], "gap/temperature"),
     ])
     def test_numerical_edge_exits_three(self, tmp_path, capsys, argv, quantity):
         code, text = run(tmp_path, argv)
@@ -451,8 +484,8 @@ class TestExitCodes:
         assert f"configuration error: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
-        ["--include-plus", "--gap", "10", "--span-max", "1e308"],
-        ["--temperature", "1e-300", "--gap", "0.5", "--include-harmonic"],
+        ["--gamma", "1e308", "--gap", "1", "--include-plus", "--include-harmonic"],
+        ["--temperature", "1e-320", "--gap", "1"],
     ])
     def test_numerical_failure_prints_one_line(self, flags):
         # a fresh interpreter shows numpy warnings on stderr as a user sees them

@@ -1,38 +1,32 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from thermoprobe.dynamics import (
-    DiagonalState,
     DissipationModel,
-    NegativeTime,
-    QubitState,
-    SingularState,
-    evolve_nlevel,
-    evolve_qubit,
     log_interrogation_grid,
-    gibbs_diagonal,
-    ground_diagonal,
     optimal_interrogation_ratio,
-    plus_qubit,
     qfi_transient,
+    qfi_transient_plus,
     transient_scan,
     ultimate_rate,
 )
-from thermoprobe.numerics import central_diff
+from thermoprobe.gaussian import qfi_harmonic_transient
+from thermoprobe.numerics import NonFiniteState
 
 from oracles import (
     Spectrum,
     bisect_root,
-    excited_population,
-    gibbs_qubit,
-    ground_qubit,
+    central_diff,
+    fidelity_qubit,
     integrate_ode,
     qfi_bures_oracle,
     qfi_thermal,
     qfi_transient_closed_form_qubit,
     rate_matrix,
+    relaxed_bloch,
     rows_of,
     thermalize,
 )
@@ -44,15 +38,25 @@ def default_operating_model(gamma=1e-3, temperature=1.0):
     return DissipationModel(gap=X_TILDE * temperature, temperature=temperature, coupling=gamma)
 
 
+def equilibrium_qfi(model):
+    return qfi_thermal(thermalize(Spectrum((0.0, model.gap)), model.temperature))
+
+
+def gibbs_excited(n, ratio):
+    """Total excited population of the n-level Gibbs state."""
+    w = (n - 1) * math.exp(-ratio)
+    return w / (1.0 + w)
+
+
 class TestDissipationModel:
     def test_rates(self):
         m = DissipationModel(gap=2.0, temperature=1.0, coupling=0.5)
         x = 2.0
         assert m.decay_rate == pytest.approx(0.5 * 8.0 / (1.0 - math.exp(-x)), rel=1e-14)
-        assert m.excitation_rate == pytest.approx(m.decay_rate * math.exp(-x), rel=1e-14)
         assert 1.0 / m.relaxation_time == pytest.approx(0.5 * 8.0 / math.tanh(x / 2.0), rel=1e-14)
         # detailed-balance factors cancel in the net phase-space damping
-        assert m.phase_space_damping == pytest.approx(m.decay_rate - m.excitation_rate, rel=1e-14)
+        up = m.decay_rate * math.exp(-x)
+        assert m.phase_space_damping == pytest.approx(m.decay_rate - up, rel=1e-14)
         assert m.phase_space_damping == 0.5 * 8.0
 
     def test_validation(self):
@@ -62,134 +66,16 @@ class TestDissipationModel:
             with pytest.raises(ValueError):
                 DissipationModel(**kw)
 
-    def test_at_temperature(self):
-        m = default_operating_model()
-        m2 = m.at_temperature(1.1)
-        assert m2.gap == m.gap and m2.coupling == m.coupling and m2.temperature == 1.1
-
-
-class TestStates:
-    def test_qubit_validation(self):
-        with pytest.raises(ValueError):
-            QubitState((1.0, 1.0, 1.0))
-        assert excited_population(ground_qubit()) == 0.0
-        assert excited_population(plus_qubit()) == 0.5
-
-    def test_diagonal_validation(self):
-        with pytest.raises(ValueError):
-            DiagonalState((0.5, 0.6))
-        with pytest.raises(ValueError):
-            DiagonalState((1.2, -0.2))
-        with pytest.raises(ValueError):
-            DiagonalState((1.0,))
-
-    def test_gibbs_states(self):
-        x = 1.3
-        assert gibbs_qubit(x).bloch[2] == pytest.approx(-math.tanh(x / 2.0), rel=1e-14)
-        g = gibbs_diagonal(4, x)
-        w = math.exp(-x)
-        assert g.populations[1] / g.populations[0] == pytest.approx(w, rel=1e-12)
-        assert sum(g.populations) == pytest.approx(1.0, abs=1e-15)
-
-
-class TestEvolveQubit:
-    def test_time_zero_identity(self):
-        m = default_operating_model()
-        st = QubitState((0.3, -0.2, 0.4))
-        assert evolve_qubit(st, m, 0.0) == st
-
-    def test_long_time_reaches_gibbs(self):
-        m = default_operating_model()
-        st = evolve_qubit(plus_qubit(), m, 50.0 * m.relaxation_time)
-        want = gibbs_qubit(m.ratio)
-        assert excited_population(st) == pytest.approx(excited_population(want), abs=1e-10)
-        assert abs(st.bloch[0]) < 1e-10 and abs(st.bloch[1]) < 1e-10
-
-    def test_ground_preparation_population_law(self):
-        m = DissipationModel(gap=2.0, temperature=1.0, coupling=1e-2)
-        x, tau = m.ratio, m.relaxation_time
-        for t in (0.1 * tau, tau, 3.7 * tau):
-            st = evolve_qubit(ground_qubit(), m, t)
-            want = (1.0 - math.exp(-t / tau)) * math.exp(-x) / (1.0 + math.exp(-x))
-            assert excited_population(st) == pytest.approx(want, abs=1e-13)
-
-    def test_rk4_cross_check(self):
-        # the population sector integrated with RK4 agrees with the analytic law
-        m = DissipationModel(gap=2.0, temperature=1.0, coupling=1e-2)
-        tau = m.relaxation_time
-        gen = rate_matrix(2, m)
-        p = integrate_ode(lambda y: gen @ y, np.array([1.0, 0.0]), 2.0 * tau, tau / 200.0)
-        st = evolve_qubit(ground_qubit(), m, 2.0 * tau)
-        assert p[1] == pytest.approx(excited_population(st), abs=1e-8)
-
-    def test_coherence_half_rate_decay(self):
-        m = default_operating_model()
-        tau = m.relaxation_time
-        st = evolve_qubit(plus_qubit(), m, tau)
-        amp = math.hypot(st.bloch[0], st.bloch[1])
-        assert amp == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-    def test_negative_time(self):
-        with pytest.raises(NegativeTime):
-            evolve_qubit(ground_qubit(), default_operating_model(), -0.1)
-
-    def test_semigroup(self):
-        m = default_operating_model()
-        tau = m.relaxation_time
-        st = QubitState((0.5, 0.1, -0.3))
-        once = evolve_qubit(st, m, 1.7 * tau)
-        twice = evolve_qubit(evolve_qubit(st, m, 0.4 * tau), m, 1.3 * tau)
-        assert np.allclose(once.bloch, twice.bloch, atol=1e-10)
-
-
-class TestEvolveNlevel:
-    def test_two_level_reduces_to_qubit(self):
-        m = default_operating_model()
-        for t in (0.0, 0.3 * m.relaxation_time, 5.0 * m.relaxation_time):
-            diag = evolve_nlevel(ground_diagonal(2), m, t)
-            qb = evolve_qubit(ground_qubit(), m, t)
-            assert diag.populations[1] == pytest.approx(excited_population(qb), abs=1e-14)
-
-    def test_symmetric_preparation_stays_symmetric(self):
-        m = default_operating_model()
-        prep = DiagonalState((0.6, 0.1, 0.1, 0.1, 0.1))
-        st = evolve_nlevel(prep, m, 0.8 * m.relaxation_time)
-        assert len(set(st.populations[1:])) == 1
-
-    def test_asymmetric_preparation_thermalizes(self):
-        m = default_operating_model()
-        n = 4
-        prep = DiagonalState((0.1, 0.8, 0.05, 0.05))
-        st = evolve_nlevel(prep, m, 60.0 * m.relaxation_time)
-        w = math.exp(-m.ratio)
-        total_excited = (n - 1) * w / (1.0 + (n - 1) * w)
-        assert 1.0 - st.populations[0] == pytest.approx(total_excited, abs=1e-12)
-        assert np.allclose(st.populations[1:], total_excited / (n - 1), atol=1e-12)
-
-    def test_trace_and_positivity(self):
-        m = default_operating_model()
-        prep = DiagonalState((0.3, 0.7, 0.0, 0.0, 0.0, 0.0))
-        for t in np.linspace(0.0, 10.0 * m.relaxation_time, 17):
-            st = evolve_nlevel(prep, m, t)
-            assert abs(sum(st.populations) - 1.0) <= 1e-10
-            assert min(st.populations) >= -1e-12
+    def test_ratio_overflow_is_a_numerical_failure(self):
+        with pytest.raises(NonFiniteState, match="gap/temperature"):
+            DissipationModel(gap=1.0, temperature=1e-320, coupling=1e-3)
 
     def test_detailed_balance_fixed_point(self):
         m = default_operating_model()
         for n in (2, 5):
-            gen = rate_matrix(n, m)
-            gibbs = gibbs_diagonal(n, m.ratio).as_array()
-            assert np.abs(gen @ gibbs).max() <= 1e-12
-
-    def test_rk4_cross_check_multilevel(self):
-        m = DissipationModel(gap=3.0, temperature=1.0, coupling=5e-3)
-        n = 4
-        prep = DiagonalState((0.2, 0.5, 0.2, 0.1))
-        tau = m.relaxation_time
-        gen = rate_matrix(n, m)
-        got = integrate_ode(lambda y: gen @ y, prep.as_array(), 1.3 * tau, tau / 200.0)
-        want = evolve_nlevel(prep, m, 1.3 * tau).as_array()
-        assert np.abs(got - want).max() <= 1e-8
+            excited = gibbs_excited(n, m.ratio)
+            gibbs = np.array([1.0 - excited] + [excited / (n - 1)] * (n - 1))
+            assert np.abs(rate_matrix(n, m) @ gibbs).max() <= 1e-12
 
 
 class TestTransientQfi:
@@ -197,9 +83,9 @@ class TestTransientQfi:
         m = default_operating_model()
         tau = m.relaxation_time
         for u in np.geomspace(0.01, 10.0, 12):
-            got = qfi_transient(ground_diagonal(2), m, u * tau).value
+            got = qfi_transient(2, 0.0, m, u * tau)
             want = qfi_transient_closed_form_qubit(m.ratio, u * tau, tau, m.temperature)
-            assert got == pytest.approx(want, rel=1e-5)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_closed_form_random_pairs(self):
         rng = np.random.default_rng(17)
@@ -208,28 +94,29 @@ class TestTransientQfi:
             u = float(10.0 ** rng.uniform(-2.0, 1.0))
             m = DissipationModel(gap=x, temperature=1.0, coupling=1e-3)
             tau = m.relaxation_time
-            got = qfi_transient(ground_diagonal(2), m, u * tau).value
+            got = qfi_transient(2, 0.0, m, u * tau)
             want = qfi_transient_closed_form_qubit(x, u * tau, tau, 1.0)
-            assert got == pytest.approx(want, rel=1e-5)
+            assert got == pytest.approx(want, rel=1e-12)
 
-    def test_coherent_path_matches_bures_oracle(self):
-        # the Bloch-vector QFI formula against the fidelity-curvature oracle
-        m = default_operating_model()
-        dt = 0.5 * m.relaxation_time
-        prep = plus_qubit()
+    @pytest.mark.parametrize("n, excited0", [(4, 0.0), (4, 0.3), (10, 0.0)])
+    def test_ladder_matches_integrated_populations(self, n, excited0):
+        # RK4-integrated master equation, fidelity curvature across temperature
+        m = DissipationModel(gap=3.0, temperature=1.0, coupling=5e-3)
+        tau = m.relaxation_time
+        dt = 1.3 * tau
+        p0 = np.array([1.0 - excited0] + [excited0 / (n - 1)] * (n - 1))
 
-        def family(temp):
-            return evolve_qubit(prep, m.at_temperature(temp), dt)
+        def populations(temp):
+            gen = rate_matrix(n, dataclasses.replace(m, temperature=temp))
+            return integrate_ode(lambda y: gen @ y, p0, dt, tau / 400.0)
 
-        direct = qfi_transient(prep, m, dt).value
-        oracle = qfi_bures_oracle(family, m.temperature)
-        assert direct == pytest.approx(oracle, rel=1e-3)
+        oracle = qfi_bures_oracle(populations, m.temperature, step=1e-3)
+        assert qfi_transient(n, excited0, m, dt) == pytest.approx(oracle, rel=1e-6)
 
     def test_long_time_reaches_equilibrium_qfi(self):
         m = default_operating_model()
-        eq = qfi_thermal(thermalize(Spectrum((0.0, m.gap)), m.temperature)).value
-        got = qfi_transient(ground_diagonal(2), m, 60.0 * m.relaxation_time).value
-        assert got == pytest.approx(eq, rel=1e-8)
+        got = qfi_transient(2, 0.0, m, 60.0 * m.relaxation_time)
+        assert got == pytest.approx(equilibrium_qfi(m), rel=1e-12)
 
     def test_gibbs_preparation_is_stationary(self):
         # preparing at exactly T pins the state to the fixed point for all dt;
@@ -237,66 +124,85 @@ class TestTransientQfi:
         # equilibrium value as (1 - e^{-dt/tau})^2
         m = default_operating_model()
         tau = m.relaxation_time
-        prep = gibbs_diagonal(2, m.ratio)
-        eq = qfi_thermal(thermalize(Spectrum((0.0, m.gap)), m.temperature)).value
+        eq = equilibrium_qfi(m)
         for u in (0.2, 1.0, 7.0):
-            st = evolve_nlevel(prep, m, u * tau)
-            assert np.abs(st.as_array() - prep.as_array()).max() <= 1e-14
-            got = qfi_transient(prep, m, u * tau).value
-            assert got == pytest.approx((1.0 - math.exp(-u)) ** 2 * eq, rel=1e-5)
+            got = qfi_transient(2, gibbs_excited(2, m.ratio), m, u * tau)
+            assert got == pytest.approx((1.0 - math.exp(-u)) ** 2 * eq, rel=1e-12)
 
-    def test_qubit_and_diagonal_paths_agree(self):
+    def test_ground_qubit_matches_bloch_fidelity_oracle(self):
         m = default_operating_model()
         dt = 0.7 * m.relaxation_time
-        via_qubit = qfi_transient(ground_qubit(), m, dt).value
-        via_diag = qfi_transient(ground_diagonal(2), m, dt).value
-        assert via_qubit == pytest.approx(via_diag, rel=1e-9)
 
-    def test_rotation_frame_does_not_change_qfi(self):
-        # the lab-frame phase is temperature independent, so removing it
-        # leaves the QFI of a coherent preparation unchanged
+        def family(temp):
+            return relaxed_bloch((0.0, 0.0, -1.0), dataclasses.replace(m, temperature=temp), dt)
+
+        oracle = qfi_bures_oracle(family, m.temperature, fidelity=fidelity_qubit, step=1e-2)
+        assert qfi_transient(2, 0.0, m, dt) == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("u", [0.05, 0.5, 4.0])
+    def test_plus_matches_lab_frame_bloch_fidelity_oracle(self, u):
+        # the oracle keeps the precession, whose phase gap * dt does not depend on T;
+        # a step of 1e-2 T keeps the fidelity differences above their roundoff floor
         m = default_operating_model()
-        dt = 0.4 * m.relaxation_time
-        prep = plus_qubit()
-        lab = qfi_transient(prep, m, dt).value
+        dt = u * m.relaxation_time
 
-        def derotated(temp):
-            st = evolve_qubit(prep, m.at_temperature(temp), dt)
-            phi = -m.gap * dt
-            c, s = math.cos(phi), math.sin(phi)
-            rx, ry, rz = st.bloch
-            return np.array([rx * c - ry * s, rx * s + ry * c, rz])
+        def family(temp):
+            return relaxed_bloch((1.0, 0.0, 0.0), dataclasses.replace(m, temperature=temp), dt)
 
-        r = derotated(m.temperature)
-        dr = central_diff(derotated, m.temperature, 1e-4 * m.temperature)
-        frame = float(dr @ dr) + float(r @ dr) ** 2 / (1.0 - float(r @ r))
-        assert lab == pytest.approx(frame, rel=1e-9)
+        oracle = qfi_bures_oracle(family, m.temperature, fidelity=fidelity_qubit, step=1e-2)
+        assert qfi_transient_plus(m, dt) == pytest.approx(oracle, rel=1e-6)
 
-    def test_singular_state_guard(self):
-        # a preparation marginally outside the Bloch ball (within the type's
-        # roundoff tolerance) is still outside it right after a tiny dt
+    def test_plus_reaches_equilibrium_qfi(self):
         m = default_operating_model()
-        prep = QubitState((1.0 + 5e-13, 0.0, 0.0))
-        with pytest.raises(SingularState):
-            qfi_transient(prep, m, 1e-15 * m.relaxation_time)
+        got = qfi_transient_plus(m, 60.0 * m.relaxation_time)
+        assert got == pytest.approx(equilibrium_qfi(m), rel=1e-12)
 
-    def test_validation(self):
+    def test_plus_rate_near_the_pure_preparation(self):
+        # as u = dt/tau -> 0 the radial term dominates: QFI/dt -> (x/T)^2 csch^2(x) / (4 tau)
         m = default_operating_model()
-        with pytest.raises(ValueError):
-            qfi_transient(ground_diagonal(2), m, 0.0)
-        with pytest.raises(TypeError):
-            qfi_transient("ground", m, 0.1)
+        tau = m.relaxation_time
+        limit = (m.ratio / m.temperature / math.sinh(m.ratio)) ** 2 / (4.0 * tau)
+        for u in (1e-300, 1e-100, 1e-14):
+            assert qfi_transient_plus(m, u * tau) / (u * tau) == pytest.approx(limit, rel=1e-12)
+
+    def test_scalar_dt_gives_a_float_and_an_array_an_array(self):
+        m = default_operating_model()
+        grid = log_interrogation_grid(m, points=7)
+        for kernel in (lambda dt: qfi_transient(4, 0.0, m, dt), lambda dt: qfi_transient_plus(m, dt),
+                       lambda dt: qfi_harmonic_transient(m, dt)):
+            values = kernel(grid)
+            assert isinstance(values, np.ndarray) and values.shape == grid.shape
+            scalars = [kernel(dt) for dt in grid]
+            assert all(type(v) is float for v in scalars)
+            assert scalars == values.tolist()
+
+    def test_underflowing_boltzmann_factor_gives_zero_without_warnings(self):
+        # at gap/T = 800, e^{-x} underflows and every exact value with it
+        m = DissipationModel(gap=800.0, temperature=1.0, coupling=1e-3)
+        grid = log_interrogation_grid(m, points=50)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for values in (qfi_transient(2, 0.0, m, grid), qfi_transient(2, 0.3, m, grid),
+                           qfi_transient_plus(m, grid), qfi_harmonic_transient(m, grid)):
+                assert values.tolist() == [0.0] * 50
+
+    @pytest.mark.parametrize("x", [40.0, 100.0, 300.0])
+    def test_low_temperature_tail_stays_positive(self, x):
+        m = DissipationModel(gap=x, temperature=1.0, coupling=1e-3)
+        grid = log_interrogation_grid(m, points=20)
+        for values in (qfi_transient(4, 0.0, m, grid), qfi_transient_plus(m, grid),
+                       qfi_harmonic_transient(m, grid)):
+            assert np.all(values > 0.0) and np.all(np.isfinite(values))
 
     def test_ground_rate_monotone_on_grid(self):
         m = default_operating_model()
         grid = log_interrogation_grid(m, points=50)
-        rates = [qfi_transient(ground_diagonal(2), m, dt).value / dt for dt in grid]
+        rates = qfi_transient(2, 0.0, m, grid) / grid
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_thermal_rate_has_interior_grid_maximum(self):
         m = default_operating_model()
         grid = log_interrogation_grid(m, points=60)
-        rates = qfi_transient(gibbs_diagonal(2, m.gap / 0.8), m, grid).value / grid
+        rates = qfi_transient(2, gibbs_excited(2, m.gap / 0.8), m, grid) / grid
         assert max(rates[1:-1]) > max(rates[0], rates[-1])
 
 
@@ -316,8 +222,8 @@ class TestClosedForm:
         m2 = DissipationModel(gap=3.0, temperature=t, coupling=2e-3)
         assert m2.relaxation_time == pytest.approx(m1.relaxation_time / 2.0, rel=1e-14)
         u = 0.8
-        f1 = qfi_transient(ground_diagonal(2), m1, u * m1.relaxation_time).value
-        f2 = qfi_transient(ground_diagonal(2), m2, u * m2.relaxation_time).value
+        f1 = qfi_transient(2, 0.0, m1, u * m1.relaxation_time)
+        f2 = qfi_transient(2, 0.0, m2, u * m2.relaxation_time)
         assert f1 == pytest.approx(f2, rel=1e-10)
 
     def test_positive_finite_at_unit_ratio(self):

@@ -69,7 +69,7 @@ def test_harmonic(gap):
         t, g = mp.mpf(t), mp.mpf(gap)
         return float(g**2 / (4 * t**4) / mp.sinh(g / (2 * t)) ** 2)
 
-    _assert_close(qfi_harmonic_equilibrium(gap, temperatures).value,
+    _assert_close(qfi_harmonic_equilibrium(gap, temperatures),
                   [oracle(t) for t in temperatures], f"ho gap={gap}")
 
 

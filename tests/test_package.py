@@ -1,6 +1,7 @@
 """Structure of the package: every import sits at module top, the module
 graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
-test-only oracles stay out of it, importing it keeps BLAS to one thread
+test-only oracles stay out of it, the only dataclasses are the column table
+and the dissipation model, the README's quick start runs, importing it keeps BLAS to one thread
 unless the caller chose otherwise, only the CLI run as the program freezes
 the collector's start-up heap, and the benchmark's copy of the CLI defaults
 stays equal to them."""
@@ -9,6 +10,7 @@ import ast
 import gc
 import importlib
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -52,6 +54,21 @@ def test_oracles_are_not_in_the_package():
     defined = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     modules = [thermoprobe] + [importlib.import_module(f"thermoprobe.{m}") for m in LAYERS]
     assert sorted(name for name in defined if any(hasattr(mod, name) for mod in modules)) == []
+
+
+def test_only_table_and_dissipation_model_are_dataclasses():
+    # states and QFI values are plain floats and arrays
+    defined = sorted(node.name for module in LAYERS + ["__init__"] for node in ast.walk(parse(module))
+                     if isinstance(node, ast.ClassDef)
+                     and any("dataclass" in ast.unparse(d) for d in node.decorator_list))
+    assert defined == ["DissipationModel", "Table"]
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "[True, True, True" in capsys.readouterr().out  # the certificate's column
 
 
 def fresh_interpreter(code, **env):

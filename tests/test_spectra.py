@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from thermoprobe.numerics import central_diff
-
 from oracles import (
     EffectiveTwoLevelSpectrum,
     NonPositiveTemperature,
     Spectrum,
+    central_diff,
     energy_variance,
     gap_ratio,
     heat_capacity,

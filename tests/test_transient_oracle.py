@@ -2,8 +2,11 @@
 
 The oracle propagates each preparation with mpmath: matrix exponentials of
 the population and Bloch-equation generators, and the thermal occupation of
-the harmonic mode. Derivatives in T come from ``mpmath.diff`` at 30 digits,
-so the only error left on the package side is its Richardson difference.
+the harmonic mode. Derivatives in T come from ``mpmath.diff`` at 30 + x/2
+digits, x = gap/T: at large x the oracle forms small quantities, such as
+1 - |r|^2, as differences of terms of order one, and at 30 digits its own
+error would reach 2.6e-12 at x = 40. The operating points span x from 1e-3
+to 100, and every series must match to 1e-12 at every point.
 """
 
 import pytest
@@ -15,7 +18,7 @@ from oracles import rows_of
 mp = pytest.importorskip("mpmath")
 
 X_TILDE = 4.888709235047135
-REL_TOL = 1e-5  # acceptance criterion 06's tolerance
+REL_TOL = 1e-12
 
 
 def _value_and_derivatives(f, t0):
@@ -105,19 +108,24 @@ def oracle_rate(row, gap, gamma, temp):
     return float(qfi / dt)
 
 
-@pytest.mark.parametrize("gap, temperature, gamma", [
-    (X_TILDE, 1.0, 1e-3),  # the CLI's default operating point
-    (15.0, 1.6, 2e-4),     # deep in the low-temperature tail, where plus is hardest
+@pytest.mark.parametrize("gap, temperature, gamma, points", [
+    (2e-3, 2.0, 1e-1, 4),      # the low end of the stated envelope, x = 1e-3
+    (0.05, 5.0, 1e-2, 6),      # x = 0.01
+    (X_TILDE, 1.0, 1e-3, 20),  # the CLI's default operating point
+    (15.0, 1.6, 2e-4, 20),     # x = 9.4, in the low-temperature tail
+    (20.0, 1.0, 1e-3, 6),      # a difference with step 1e-4 T misses the harmonic series by 7 %
+    (40.0, 1.0, 1e-3, 6),      # plus and harmonic QFIs of order 1e-35 and 1e-17
+    (50.0, 0.5, 1e-3, 4),      # the high end of the stated envelope, x = 100
 ])
-def test_every_series_matches_exact_derivatives(gap, temperature, gamma):
+def test_every_series_matches_exact_derivatives(gap, temperature, gamma, points):
     model = DissipationModel(gap=gap, temperature=temperature, coupling=gamma)
-    grid = log_interrogation_grid(model, points=20, lo=1e-3, hi=20.0)
+    grid = log_interrogation_grid(model, points=points, lo=1e-3, hi=20.0)
     rows = rows_of(transient_scan(model, grid, [2, 4, 10], [0.8], include_plus=True, include_harmonic=True))
     assert {(r["prep"], r["N"]) for r in rows} == {
         ("ground", 2), ("ground", 4), ("ground", 10), ("thermal-0.8", 2), ("plus", 2), ("harmonic", "ho"),
     }
     errors = {}
-    with mp.workdps(30):
+    with mp.workdps(30 + int(gap / temperature) // 2):
         args = (mp.mpf(gap), mp.mpf(gamma), mp.mpf(temperature))
         for row in rows:
             error = abs(row["fisher_rate"] / oracle_rate(row, *args) - 1.0)

@@ -6,14 +6,6 @@ and certified, and partly thermalized probes relaxing under a thermal
 generator, where the QFI per unit time is traced over the contact time.
 """
 
-import os
-import sys
-
-# The package's BLAS calls are too small to split, so OpenBLAS workers only
-# spin; the setting counts only before numpy loads, and an exported value wins.
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .numerics import NoConvergence, NonFiniteState, Table
 from .equilibrium import (
     DimensionTooSmall,

@@ -4,8 +4,6 @@ JSON files with deterministic, full-precision formatting.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
 import json
@@ -13,8 +11,6 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-
-import numpy as np
 
 from .dynamics import (
     DissipationModel,
@@ -25,7 +21,7 @@ from .dynamics import (
     ultimate_rate,
 )
 from .equilibrium import hessian_certificate, optimal_gap, qfi_equilibrium_scan
-from .numerics import NoConvergence, NonFiniteState, Table
+from .numerics import NoConvergence, NonFiniteState, Table, geometric_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,7 +75,7 @@ def _format_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip decimal, numpy scalars included
+        return repr(float(value))  # shortest round-trip decimal, float subclasses included
     return str(value)
 
 
@@ -155,6 +151,15 @@ def render_rows(table, fmt):
     return "".join(out)
 
 
+def _reserve(field, rows):
+    """Fail at once on ``field`` unless ``rows`` output rows, about 1 kB each at
+    the peak, fit in memory; ``bytes`` takes zeroed pages and leaves them untouched."""
+    try:
+        bytes(rows * 1024)
+    except (MemoryError, OverflowError):
+        raise ConfigError(field, f"{rows} rows do not fit in memory") from None
+
+
 def _require_positive(params, *names):
     """Each named parameter, or each entry of a named list, is finite and positive."""
     for name in names:
@@ -175,10 +180,8 @@ def cmd_equilibrium_scan(params):
         raise ConfigError("x_max", "must exceed x_min")
     if params["points"] < 2:
         raise ConfigError("points", f"need at least 2 grid points, got {params['points']}")
-    try:
-        grid = np.geomspace(params["x_min"], params["x_max"], params["points"])
-    except (MemoryError, ValueError):
-        raise ConfigError("points", f"{params['points']} grid points do not fit in memory") from None
+    _reserve("points", params["points"] * (len(n_list) + 1))
+    grid = geometric_grid(params["x_min"], params["x_max"], params["points"])
     return qfi_equilibrium_scan(n_list, grid, gap=params["gap"], include_harmonic=params["harmonic"])
 
 
@@ -198,7 +201,7 @@ def cmd_optimal_gap(params):
                 raise ConfigError("n0", f"n0={n0} outside [1, {n - 1}] for n={n}")
     ns = [n for n in n_list for _ in n0_list]
     n0s = [n0 for _ in n_list for n0 in n0_list]
-    x, qfi, excess = (column.tolist() for column in optimal_gap(ns, n0s, t))
+    x, qfi, excess = optimal_gap(ns, n0s, t)
     excess = [None if n0 == 1 else e for n0, e in zip(n0s, excess)]
     return Table(("N", "n0", "x_star", "gap", "qfi_peak", "variance_excess_vs_lower_n0"),
                  [(ns, n0s, x, [t * v for v in x], qfi, excess)])
@@ -210,14 +213,13 @@ def cmd_hessian_check(params):
     if params["n_max"] < params["n_min"]:
         raise ConfigError("n_max", "must be >= n_min")
     _require_positive(params, "temperature")
-    count = params["n_max"] - params["n_min"] + 1
+    if params["n_max"] >= 2**63:
+        raise ConfigError("n_max", f"dimensions must lie below 2**63, got {params['n_max']}")
+    _reserve("n_max", params["n_max"] - params["n_min"] + 1)
     try:
-        # a row peaks near 1 kB (arrays, lists, text); reserved untouched, a range too large fails at once
-        np.empty((count, 1024), dtype=np.uint8)
-        dims = np.arange(params["n_min"], params["n_max"] + 1, dtype=np.int64)
-        return hessian_certificate(dims, params["temperature"])
-    except (MemoryError, ValueError, OverflowError):
-        raise ConfigError("n_max", f"{count} dimensions from {params['n_min']} do not fit in memory") from None
+        return hessian_certificate(range(params["n_min"], params["n_max"] + 1), params["temperature"])
+    except MemoryError:
+        raise ConfigError("n_max", f"dimensions up to {params['n_max']} do not fit in memory") from None
 
 
 def cmd_transient_scan(params):
@@ -239,10 +241,13 @@ def cmd_transient_scan(params):
     if len(set(labels)) < len(labels):
         raise ConfigError("t_prep", f"temperatures {params['t_prep']} share a series label: {labels}")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
-    try:
-        grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
-    except (MemoryError, ValueError):
-        raise ConfigError("points", f"{params['points']} grid points do not fit in memory") from None
+    tau = model.relaxation_time
+    if tau >= sys.float_info.min and params["span_min"] * tau < sys.float_info.min:
+        # a subnormal contact time carries too few digits for its rate
+        raise ConfigError("span_min", f"first contact time span_min * tau = {params['span_min'] * tau:g} is "
+                          f"below the smallest normal float; need span_min >= {sys.float_info.min / tau:g}")
+    _reserve("points", params["points"] * (len(n_list) + len(params["t_prep"]) + 2))
+    grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
     return transient_scan(model, grid, n_list, params["t_prep"],
                           include_plus=params["include_plus"], include_harmonic=params["include_harmonic"])
 
@@ -375,7 +380,7 @@ def build_run_config(args):
 def main(argv=None):
     if argv is None:
         # Running as the program: shutdown would otherwise walk every start-up
-        # object in full collections (~30 ms); reference counting still frees them.
+        # object in full collections (~5 ms); reference counting still frees them.
         gc.freeze()
     args = _build_parser().parse_args(argv)
     try:

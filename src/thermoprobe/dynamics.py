@@ -7,18 +7,12 @@ Level convention for qubits: the Hamiltonian is (gap/2) sigma_z with the
 excited state along +z, so the ground preparation is bloch = (0, 0, -1).
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .gaussian import qfi_harmonic_transient
-from .numerics import NonFiniteState, Table
+from .numerics import NonFiniteState, Table, geometric_grid, mapped
 
 
-@dataclass(frozen=True)
 class DissipationModel:
     """Probe-sample contact: gap, sample temperature and flat-coupling strength.
 
@@ -31,21 +25,14 @@ class DissipationModel:
         NonFiniteState: when the ratio gap/T overflows.
     """
 
-    gap: float
-    temperature: float
-    coupling: float
-
-    def __post_init__(self):
-        for name in ("gap", "temperature", "coupling"):
-            v = getattr(self, name)
+    def __init__(self, gap, temperature, coupling):
+        for name, v in (("gap", gap), ("temperature", temperature), ("coupling", coupling)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        self.gap, self.temperature, self.coupling = gap, temperature, coupling
+        self.ratio = gap / temperature
         if not math.isfinite(self.ratio):
-            raise NonFiniteState(f"ratio gap/temperature overflows at T={self.temperature:g}")
-
-    @property
-    def ratio(self):
-        return self.gap / self.temperature
+            raise NonFiniteState(f"ratio gap/temperature overflows at T={temperature:g}")
 
     @property
     def decay_rate(self):
@@ -60,14 +47,9 @@ class DissipationModel:
 
     @property
     def phase_space_damping(self):
-        """Net damping of second moments, the downward less the upward rate.
-
-        The detailed-balance factors cancel, leaving coupling * gap^3 with no
-        temperature dependence.
-
-        Raises:
-            NonFiniteState: when gap^3 overflows.
-        """
+        """Net damping of second moments, the downward less the upward rate:
+        the detailed-balance factors cancel, leaving coupling * gap^3 with no
+        temperature dependence. NonFiniteState when gap^3 overflows."""
         try:
             return self.coupling * self.gap**3
         except OverflowError:
@@ -89,21 +71,25 @@ def qfi_transient(n, excited0, model, dt):
     dt d_T k = k dt (x w / T) n / ((1 - w) z). The preparation and the
     coupling are held fixed. 1 - E is formed as a sum, not as a difference,
     and where E underflows to 0 the value is 0. A scalar ``dt`` gives a
-    float, an array of contact times an array.
+    float, a sequence of contact times a list.
     """
     x, t = model.ratio, model.temperature
     w = math.exp(-x)
     z = 1.0 + (n - 1) * w
     excited_eq = (n - 1) * w / z
-    q = model.decay_rate * z * np.asarray(dt, dtype=float)
-    stay, moved = np.exp(-q), -np.expm1(-q)
-    excited = excited_eq * moved + excited0 * stay
-    ground = moved / z + (1.0 - excited0) * stay
-    # x * w before / T, so that a w that underflows gives 0, not 0 * inf
-    slope = x * w / t * ((n - 1) * moved / (z * z)
-                         + (excited_eq - excited0) * stay * q * n / (-math.expm1(-x) * z))
-    value = slope * np.divide(slope, excited, out=np.zeros_like(excited), where=excited > 0.0) / ground
-    return value if np.ndim(dt) else float(value)
+    rate = model.decay_rate * z
+    scale = x * w / t  # x * w before / T: a w that underflows gives 0, not 0 * inf
+    drift = excited_eq - excited0
+    z2, zw = z * z, -math.expm1(-x) * z
+
+    def at(d):
+        q = rate * d
+        stay, moved = math.exp(-q), -math.expm1(-q)
+        excited = excited_eq * moved + excited0 * stay
+        ground = moved / z + (1.0 - excited0) * stay
+        slope = scale * ((n - 1) * moved / z2 + drift * stay * q * n / zw)
+        return slope * (slope / excited if excited > 0.0 else 0.0) / ground
+    return mapped(at, dt)
 
 
 def qfi_transient_plus(model, dt):
@@ -117,20 +103,26 @@ def qfi_transient_plus(model, dt):
     The QFI is the Bloch-vector form |dr|^2 + (r . dr)^2 / (1 - |r|^2),
     where 1 - |r|^2 = s (e^{-u} + s sech^2(x/2)) is positive by construction.
     csch and sech^2 are written with w = e^{-x}, so nothing overflows at large
-    x. A scalar ``dt`` gives a float, an array of contact times an array.
+    x. A scalar ``dt`` gives a float, a sequence of contact times a list.
     """
     x, t = model.ratio, model.temperature
+    tau = model.relaxation_time
     w = math.exp(-x)
     scale = x * w / t  # x * w before / T: a w that underflows gives 0, not 0 * inf
-    u = np.asarray(dt, dtype=float) / model.relaxation_time
-    envelope, stay, s = np.exp(-0.5 * u), np.exp(-u), -np.expm1(-u)
-    d_envelope = -envelope * u * scale / -math.expm1(-2.0 * x)
-    d_rz = scale * 2.0 * (s - u * stay) / (1.0 + w) ** 2
-    radial = envelope * d_envelope - (-math.expm1(-x) / (1.0 + w)) * s * d_rz
-    sech2 = 4.0 * w / (1.0 + w) ** 2
-    # radial / s first: radial^2 alone underflows where u is tiny and the ratio is not
-    value = d_envelope**2 + d_rz**2 + radial * (radial / (s * (stay + s * sech2)))
-    return value if np.ndim(dt) else float(value)
+    em2 = -math.expm1(-2.0 * x)
+    wp2 = (1.0 + w) ** 2
+    tanh_half = -math.expm1(-x) / (1.0 + w)
+    sech2 = 4.0 * w / wp2
+
+    def at(d):
+        u = d / tau
+        envelope, stay, s = math.exp(-0.5 * u), math.exp(-u), -math.expm1(-u)
+        d_envelope = -envelope * u * scale / em2
+        d_rz = scale * 2.0 * (s - u * stay) / wp2
+        radial = envelope * d_envelope - tanh_half * s * d_rz
+        # radial / s first: radial^2 alone underflows where u is tiny and the ratio is not
+        return d_envelope * d_envelope + d_rz * d_rz + radial * (radial / (s * (stay + s * sech2)))
+    return mapped(at, dt)
 
 
 def ultimate_rate(n, ratio, coupling, temperature):
@@ -160,18 +152,15 @@ def optimal_interrogation_ratio():
 
 def log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0):
     """Logarithmic interrogation-time grid spanning [lo, hi] relaxation times.
-
-    Raises:
-        NonFiniteState: when an end of the grid is zero or infinite, as it is
-            for an infinite relaxation time.
-    """
+    NonFiniteState when an end of the grid is zero or infinite, as it is for
+    an infinite relaxation time."""
     tau = model.relaxation_time
     start, stop = lo * tau, hi * tau
     if not (start > 0.0 and stop < math.inf):
         raise NonFiniteState(
             f"interrogation grid [{start:g}, {stop:g}] for relaxation time {tau:g} is not finite and positive"
         )
-    return np.geomspace(start, stop, points)
+    return geometric_grid(start, stop, points)
 
 
 def thermal_label(t_prep):
@@ -187,32 +176,30 @@ def transient_scan(model, dt_grid, n_list, t_preps, include_plus=False, include_
     ``t_preps``, then the plus qubit and the harmonic vacuum when included.
     Returns a Table with columns prep, N, dt, fisher_rate and one block per
     curve, in which prep and N are the curve's labels and every block shares
-    one dt list. Each curve is one transient QFI call over the whole grid.
-
-    Raises:
-        NonFiniteState: if a curve has a non-finite value.
+    one dt list. Each curve is one transient QFI call over the whole grid; a
+    curve with a value that is not finite raises NonFiniteState.
     """
     if not all(t > 0 for t in t_preps):
         raise ValueError(f"preparation temperatures must be positive, got {t_preps}")
     dts = [float(v) for v in dt_grid]
-    grid = np.array(dts)
     blocks = []
 
-    def add_curve(label, n, qfi):
-        rates = qfi / grid
-        if not np.all(np.isfinite(rates)):
+    def add_curve(label, n, kernel, *args):
+        try:
+            rates = [v / d for v, d in zip(kernel(*args, model, dts), dts)]
+        except ArithmeticError:  # a float operation overflowed or divided by zero
+            rates = [math.nan]
+        if not all(map(math.isfinite, rates)):
             raise NonFiniteState(f"QFI-per-time curve prep={label}, N={n} has non-finite values")
-        blocks.append((label, n, dts, rates.tolist()))
+        blocks.append((label, n, dts, rates))
 
-    # overflow and underflow are caught by the finiteness check, not numpy warnings
-    with np.errstate(all="ignore"):
-        for n in n_list:
-            add_curve("ground", n, qfi_transient(n, 0.0, model, grid))
-        for t_prep in t_preps:
-            w0 = math.exp(-model.gap / t_prep)
-            add_curve(thermal_label(t_prep), 2, qfi_transient(2, w0 / (1.0 + w0), model, grid))
-        if include_plus:
-            add_curve("plus", 2, qfi_transient_plus(model, grid))
-        if include_harmonic:
-            add_curve("harmonic", "ho", qfi_harmonic_transient(model, grid))
+    for n in n_list:
+        add_curve("ground", n, qfi_transient, n, 0.0)
+    for t_prep in t_preps:
+        w0 = math.exp(-model.gap / t_prep)
+        add_curve(thermal_label(t_prep), 2, qfi_transient, 2, w0 / (1.0 + w0))
+    if include_plus:
+        add_curve("plus", 2, qfi_transient_plus)
+    if include_harmonic:
+        add_curve("harmonic", "ho", qfi_harmonic_transient)
     return Table(("prep", "N", "dt", "fisher_rate"), blocks)

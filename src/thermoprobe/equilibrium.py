@@ -4,12 +4,13 @@ in closed form, the certificate that the optimum is a true maximum of the
 energy variance, and the equilibrium scan over temperature.
 """
 
-from __future__ import annotations
-
-import numpy as np
+import math
+from decimal import Context, Decimal, localcontext
 
 from .gaussian import qfi_harmonic_equilibrium
-from .numerics import NoConvergence, NonFiniteState, Table
+from .numerics import NoConvergence, NonFiniteState, Table, listed, mapped
+
+_PEAKS = Context(prec=28)  # eleven digits more than a double carries
 
 
 class DimensionTooSmall(ValueError):
@@ -19,7 +20,7 @@ class DimensionTooSmall(ValueError):
 def qfi_effective_two_level(x, n, gap):
     """Closed-form QFI of an n-level probe with a single ground level and an
     (n-1)-fold degenerate excited level at ``gap``, evaluated at x = gap/T.
-    ``x`` may be an array; the value is then an array over it.
+    ``x`` may be a sequence; the value is then a list over it.
 
     Written with decaying exponentials so large x cannot overflow, and as
     (n-1) (x^2 e^{-x/2} / (gap (1 + (n-1) e^{-x})))^2 so that no factor goes
@@ -27,26 +28,32 @@ def qfi_effective_two_level(x, n, gap):
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    x = np.asarray(x, dtype=float)
-    emh = np.exp(-0.5 * x)
-    return (n - 1) * (x * x * emh / (gap * ((n - 1) * emh * emh + 1.0))) ** 2
+
+    def at(v):
+        emh = math.exp(-0.5 * v)
+        root = v * v * emh / (gap * ((n - 1) * emh * emh + 1.0))
+        return (n - 1) * (root * root)
+    return mapped(at, x)
 
 
-def _gap_ratio(r):
-    """Root x > 2 of (x - 2) - r (x + 2) e^{-x} for an array of r > 0.
+def _gap_ratio(n, n0):
+    """Root x > 2 of (x - 2) - r (x + 2) e^{-x}, r = (n - n0)/n0, checked.
 
     The function is increasing and concave for x > 0 and its root exceeds
-    max(2, ln r), so Newton's iterates from there rise monotonically to the
-    root; the loop ends once no iterate rises.
-    """
-    x = np.maximum(2.0, np.log(r))
+    max(2, ln r), so Newton's iterates from there rise to the root; the loop
+    ends once an iterate no longer rises."""
+    r = float(n - n0) / float(n0)
+    x = max(2.0, math.log(r))
     while True:
-        w = r * np.exp(-x)
+        w = r * math.exp(-x)
         step = ((x - 2.0) - (x + 2.0) * w) / (1.0 + (x + 1.0) * w)
-        rising = x - step > x
-        if not rising.any():
-            return x
-        x = np.where(rising, x - step, x)
+        if not x - step > x:
+            break
+        x -= step
+    residual = abs((x - 2.0) / ((x + 2.0) * w) - 1.0)
+    if not residual <= 1e-10:
+        raise NoConvergence(f"gap equation residual {residual:g} exceeds 1e-10 for n={n}, n0={n0}")
+    return x
 
 
 def _check_temperature(temperature):
@@ -61,64 +68,64 @@ def _check_temperature(temperature):
         raise NonFiniteState(f"temperature**4 underflows at T={temperature:g}")
 
 
-def _optimal_peak(n, n0):
-    """x* of the (n, n0) gap equation and the peak variance over T^2,
-    x^2 p (1-p), in extended precision, for int arrays n and n0."""
-    excited = np.asarray(n - n0, dtype=float)
-    ground = np.asarray(n0, dtype=float)
-    x = _gap_ratio(excited / ground)
-    xl = x.astype(np.longdouble)
-    weight = excited * np.exp(-xl)
-    total = ground + weight
-    residual = np.abs((xl - 2.0) * ground / ((xl + 2.0) * weight) - 1.0)
-    worst = residual.argmax()
-    if residual.flat[worst] > 1e-10:
-        raise NoConvergence(f"gap equation residual {float(residual.flat[worst]):g} exceeds 1e-10 "
-                            f"for n={n.flat[worst]}, n0={n0.flat[worst]}")
-    return x, xl * xl * weight * ground / (total * total)
-
-
 def optimal_gap(n, n0, temperature):
     """Variance-maximizing gaps of (n, n0) probes, n0 levels at 0 and n - n0
-    at the gap, for ints or int sequences n and n0 that broadcast together.
+    at the gap, for ints or int sequences n and n0; an int stands for each
+    entry of the other argument.
 
     The gap is T x*, with x* the root of e^x = ((n-n0)/n0)(x+2)/(x-2).
-    Returns arrays (x_star, qfi_peak, excess): x*, the peak QFI
-    x^2 p (1-p) / T^2, where p = (n-n0) e^{-x} / (n0 + (n-n0) e^{-x}) is the
-    excited population, and the peak variance T^2 x^2 p (1-p) of ground
-    degeneracy n0 - 1 less that of n0 (NaN at n0 = 1), from one array solve.
-    Peaks and excess are formed in extended precision, where the platform has
-    it, and rounded once, since the two peaks of an excess share one digit at
-    n <= 64 and three at n0 = 1000.
+    Returns (x_star, qfi_peak, excess): x*, the peak QFI x^2 p (1-p) / T^2,
+    where p = (n-n0) e^{-x} / (n0 + (n-n0) e^{-x}) is the excited population,
+    and the peak variance T^2 x^2 p (1-p) of ground degeneracy n0 - 1 less
+    that of n0 (NaN at n0 = 1); floats for two ints, lists otherwise. The
+    peaks of an excess share one digit at n <= 64 and three at n0 = 1000, so
+    peaks and excess are formed in 28-digit decimal arithmetic and rounded once.
 
-    Raises:
-        ValueError: for n < 2, n0 outside [1, n-1] or a nonpositive temperature.
-        OverflowError: when n - n0 or n0 exceeds the float range.
-        NoConvergence: when |e^x (x-2) n0 / ((n-n0)(x+2)) - 1| exceeds 1e-10,
-            as it does once x* lies too close to 2 to be resolved.
-        NonFiniteState: when temperature**4 overflows or underflows.
+    Raises ValueError for n < 2, n0 outside [1, n-1] or a nonpositive
+    temperature; OverflowError when n - n0 or n0 exceeds the float range;
+    NoConvergence when |e^x (x-2) n0 / ((n-n0)(x+2)) - 1| exceeds 1e-10, as
+    it does once x* lies too close to 2 to be resolved; NonFiniteState when
+    temperature**4 overflows or underflows.
     """
-    # object arrays keep Python ints exact until n - n0 is formed
-    n, n0 = np.broadcast_arrays(np.asarray(n, dtype=object), np.asarray(n0, dtype=object))
-    if np.any(n < 2):
-        raise ValueError(f"need n >= 2, got {n}")
-    if np.any((n0 < 1) | (n0 > n - 1)):
-        raise ValueError(f"ground degeneracies {n0} must lie in [1, n - 1] for n={n}")
+    (ns, many_n), (n0s, many_n0) = listed(n), listed(n0)
+    ns = ns if many_n else ns * len(n0s)
+    n0s = n0s if many_n0 else n0s * len(ns)
+    if len(ns) != len(n0s):
+        raise ValueError(f"dimensions {n} and ground degeneracies {n0} differ in length")
+    if any(not 1 <= k0 <= k - 1 for k, k0 in zip(ns, n0s)):
+        raise ValueError(f"need n >= 2 and ground degeneracies in [1, n - 1], got n={n}, n0={n0}")
     _check_temperature(temperature)
-    lower = (n0 > 1).astype(bool)
-    x, peak = _optimal_peak(np.stack([n, n]), np.stack([n0, n0 - lower]))
-    t2 = np.longdouble(temperature) ** 2
-    excess = np.where(lower, (peak[1] - peak[0]) * t2, np.nan)
-    return x[0], (peak[0] / t2).astype(float), excess.astype(float)
+    solved = {}
+
+    def solve(k, k0):
+        """x* and the peak variance over T^2, x^2 w k0 / (k0 + w)^2 with w = (k - k0) e^{-x}."""
+        if (k, k0) not in solved:
+            x = _gap_ratio(k, k0)
+            xd = Decimal(x)
+            weight = (k - k0) * (-xd).exp()
+            solved[k, k0] = x, xd * xd * weight * k0 / (k0 + weight) ** 2
+        return solved[k, k0]
+
+    x_star, qfi, excess = [], [], []
+    with localcontext(_PEAKS):
+        t2 = Decimal(temperature) ** 2
+        for k, k0 in zip(ns, n0s):
+            x, peak = solve(k, k0)
+            x_star.append(x)
+            qfi.append(float(peak / t2))
+            excess.append(float((solve(k, k0 - 1)[1] - peak) * t2) if k0 > 1 else math.nan)
+    if many_n or many_n0:
+        return x_star, qfi, excess
+    return x_star[0], qfi[0], excess[0]
 
 
 def _variance_hessian_diag(eps_i, t, z, h1, h2):
-    pref = (np.exp(-eps_i / t) / (z * t)) ** 2
+    pref = (math.exp(-eps_i / t) / (z * t)) ** 2
     return pref * (
         2.0 * (h2 - 3.0 * h1 * h1 - 4.0 * t * h1 - t * t)
         + 8.0 * (t + h1) * eps_i
         - 4.0 * eps_i * eps_i
-        + z * np.exp(eps_i / t) * (
+        + z * math.exp(eps_i / t) * (
             2.0 * t * t + 2.0 * h1 * (2.0 * t + h1) - h2
             - 2.0 * (2.0 * t + h1) * eps_i + eps_i * eps_i
         )
@@ -126,7 +133,7 @@ def _variance_hessian_diag(eps_i, t, z, h1, h2):
 
 
 def _variance_hessian_offdiag(eps_i, eps_j, t, z, h1, h2):
-    pref = np.exp(-(eps_i + eps_j) / t) / (t * t * z * z)
+    pref = math.exp(-(eps_i + eps_j) / t) / (t * t * z * z)
     s = eps_i + eps_j
     return pref * (4.0 * h1 * (s - 2.0 * t) + s * (4.0 * t - s) + 2.0 * h2 - 6.0 * h1 * h1 - 2.0 * t * t)
 
@@ -137,35 +144,29 @@ def hessian_shift_eigenvalue(n, x):
 
 
 def hessian_pair_eigenvalue(n, x):
-    """Nonzero eigenvalue of the ground/excited 2x2 sector.
-
-    The factor n is forced by the zero row sums of the block matrix: the
-    sector trace is a - c and c = -a/(n-1), so the eigenvalue picks up
-    n/(n-1) relative to the bare diagonal entry.
-    """
+    """Nonzero eigenvalue of the ground/excited 2x2 sector. The factor n is
+    forced by the zero row sums of the block matrix: the sector trace is a - c
+    and c = -a/(n-1), so the eigenvalue picks up n/(n-1) relative to the bare
+    diagonal entry."""
     return -n * (x * x - 4.0) / (8.0 * (n - 1))
 
 
 def hessian_blocks(n, temperature=1.0):
-    """The variance Hessian at the (n, 1) optimum for an int or int array n.
+    """x_star, the entries (a, b, c, d) and the block eigenvalues (low, high)
+    of the variance Hessian at the (n, 1) optimum, for an int n.
 
     The n x n matrix has a at (0, 0), c in the rest of row and column 0, b on
     the rest of the diagonal and d elsewhere, from the closed-form second
     derivatives with the stationary-state substitutions Z = 2x/(2+x),
     <H> = T(x-2)/2 and <H^2> = T^2 x(x-2)/2. Differences of excited levels
     have eigenvalue b - d; the ground level and the uniform excited vector
-    span the block [[a, c sqrt(n-1)], [c sqrt(n-1), b + (n-2) d]], whose two
-    eigenvalues are found numerically, batched over n.
-
-    Returns x_star, the entries (a, b, c, d) and the block eigenvalues
-    (low, high), each an array over n.
+    span the block [[p, q], [q, s]] = [[a, c sqrt(n-1)], [c sqrt(n-1), b + (n-2) d]],
+    whose eigenvalues are m -+ hypot((p - s)/2, q), m = (p + s)/2.
     """
-    n = np.asarray(n)
-    if np.any(n < 2):
+    if n < 2:
         raise DimensionTooSmall(f"certificate needs n >= 2, got {n}")
     _check_temperature(temperature)
-    x, _ = _optimal_peak(n, np.ones_like(n))
-    t = float(temperature)
+    x, t = _gap_ratio(n, 1), float(temperature)
     z = 2.0 * x / (2.0 + x)
     h1 = t * (x - 2.0) / 2.0
     h2 = t * t * x * (x - 2.0) / 2.0
@@ -174,47 +175,36 @@ def hessian_blocks(n, temperature=1.0):
     b = _variance_hessian_diag(gap, t, z, h1, h2)
     c = _variance_hessian_offdiag(0.0, gap, t, z, h1, h2)
     d = _variance_hessian_offdiag(gap, gap, t, z, h1, h2)
-    block = np.empty(n.shape + (2, 2))
-    block[..., 0, 0] = a
-    block[..., 0, 1] = block[..., 1, 0] = c * np.sqrt(n - 1)
-    block[..., 1, 1] = b + (n - 2) * d
-    eigenvalues = np.linalg.eigvalsh(block)
-    return x, (a, b, c, d), (eigenvalues[..., 0], eigenvalues[..., 1])
+    p, q, s = a, c * math.sqrt(n - 1), b + (n - 2) * d
+    mean, radius = (p + s) / 2.0, math.hypot((p - s) / 2.0, q)
+    return x, (a, b, c, d), (mean - radius, mean + radius)
 
 
 def hessian_certificate(n, temperature=1.0):
     """Certify the (n, 1) optimum as a maximum of the energy variance for
-    each dimension in the int sequence n.
-
-    The numeric eigenvalues are the block pair of ``hessian_blocks`` and
+    each dimension in the int sequence n. The numeric eigenvalues are the block pair of ``hessian_blocks`` and
     b - d, (n-2)-fold; the analytic ones are the pair eigenvalue, 0 and the
     shift eigenvalue, in the same order. The optimum is certified when b - d
     is negative (for n > 2) and the block has one negative eigenvalue and one
     within 1e-8 of zero, relative to the negative one (or 1): its mode is
     the uniform energy shift, which the two distinct row sums of the Hessian
     check. No tolerance is applied to b - d, whose magnitude falls as 1/n.
-
     Returns a Table with columns N, x_star, lambda_pair, lambda_shift (empty
     at N = 2), shift_multiplicity, eigenvalue_error, zero_mode_residual and
     certifies_maximum.
     """
-    n = np.asarray(n)
-    x, (a, b, c, d), (low, high) = hessian_blocks(n, temperature)
-    pair = hessian_pair_eigenvalue(n, x)
-    shift = hessian_shift_eigenvalue(n, x)
-    numeric = np.stack([low, high, b - d])
-    analytic = np.stack([pair, np.zeros_like(x), shift])
-    present = np.stack(np.broadcast_arrays(True, True, n > 2))
-    error = np.abs(numeric - analytic).max(axis=0, where=present, initial=0.0)
-    tol = 1e-8 * np.maximum(1.0, np.abs(low))
-    certifies = (low < -tol) & (np.abs(high) <= tol) & ((b - d < 0.0) | (n == 2))
-    residual = np.maximum(np.abs(a + (n - 1) * c), np.abs(c + b + (n - 2) * d))
-    dims = n.tolist()
-    lambda_shift = [s if k > 2 else None for k, s in zip(dims, shift.tolist())]
+    rows = []
+    for k in n:
+        x, (a, b, c, d), (low, high) = hessian_blocks(k, temperature)
+        pair = hessian_pair_eigenvalue(k, x)
+        shift = hessian_shift_eigenvalue(k, x)
+        errors = [abs(low - pair), abs(high)] + ([abs(b - d - shift)] if k > 2 else [])
+        tol = 1e-8 * max(1.0, abs(low))
+        certifies = low < -tol and abs(high) <= tol and (b - d < 0.0 or k == 2)
+        residual = max(abs(a + (k - 1) * c), abs(c + b + (k - 2) * d))
+        rows.append((k, x, pair, shift if k > 2 else None, k - 2, max(errors), residual, certifies))
     return Table(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity",
-                  "eigenvalue_error", "zero_mode_residual", "certifies_maximum"),
-                 [(dims, x.tolist(), pair.tolist(), lambda_shift, (n - 2).tolist(),
-                   error.tolist(), residual.tolist(), certifies.tolist())])
+                  "eigenvalue_error", "zero_mode_residual", "certifies_maximum"), [tuple(map(list, zip(*rows)))])
 
 
 def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
@@ -224,33 +214,30 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     probe, in which N is the probe's label and every block shares one T list.
     The normalized column divides each curve by its peak over the grid. The
     harmonic-oscillator curve is appended with N = "ho" when requested. Each
-    curve is one kernel call over the grid.
-
-    Raises:
-        NonFiniteState: if a temperature is not finite and positive, a QFI is
-            not finite, or a curve's peak is zero, so that it cannot be
-            normalized.
+    curve is one kernel call over the grid. NonFiniteState when a temperature
+    is not finite and positive, a QFI is not finite, or a curve's peak is
+    zero, so that it cannot be normalized.
     """
     n_list = list(n_list)
     if not n_list and not include_harmonic:
         raise ValueError("need at least one probe series")
-    x_grid = np.asarray(list(x_grid), dtype=float)
-    if x_grid.size == 0 or np.any(x_grid <= 0.0):
+    xs = [float(v) for v in x_grid]
+    if not xs or not all(v > 0.0 for v in xs):
         raise ValueError("x_grid must be nonempty and strictly positive")
-    # overflow and underflow are caught by the finiteness checks, not numpy warnings
-    with np.errstate(all="ignore"):
-        temperatures = gap / x_grid
-        if not np.all(np.isfinite(temperatures) & (temperatures > 0.0)):
-            raise NonFiniteState(f"temperature gap/x is not finite and positive on the grid (gap={gap:g})")
-        series = [(n, qfi_effective_two_level(x_grid, n, gap)) for n in n_list]
-        if include_harmonic:
-            series.append(("ho", qfi_harmonic_equilibrium(gap, temperatures)))
-    t_column = temperatures.tolist()
+    temperatures = [gap / v for v in xs]
+    if not all(math.isfinite(t) and t > 0.0 for t in temperatures):
+        raise NonFiniteState(f"temperature gap/x is not finite and positive on the grid (gap={gap:g})")
+    curves = [(n, qfi_effective_two_level, xs, n, gap) for n in n_list]
+    if include_harmonic:
+        curves.append(("ho", qfi_harmonic_equilibrium, gap, temperatures))
     blocks = []
-    for label, values in series:
-        peak = float(values.max())
-        if not (peak > 0.0 and np.all(np.isfinite(values))):
+    for label, kernel, *args in curves:
+        try:
+            values = kernel(*args)
+        except ArithmeticError:  # a float operation overflowed or divided by zero
+            values = [math.nan]
+        peak = max(values)
+        if not (peak > 0.0 and all(map(math.isfinite, values))):
             raise NonFiniteState(f"QFI curve N={label} has peak {peak} or non-finite values")
-        blocks.append((label, t_column, values.tolist(), (values / peak).tolist()))
+        blocks.append((label, temperatures, values, [v / peak for v in values]))
     return Table(("N", "T", "qfi", "qfi_normalized"), blocks)
-

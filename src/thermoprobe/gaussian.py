@@ -3,28 +3,29 @@ closed-form equilibrium QFI of a harmonic probe and the transient QFI of a
 vacuum preparation relaxing toward the thermal state.
 """
 
-from __future__ import annotations
-
 import math
 
-import numpy as np
+from .numerics import listed, mapped
 
 
 def qfi_harmonic_equilibrium(gap, temperature):
     """Equilibrium QFI of a thermalized harmonic probe, gap^2 / (4 T^4) *
-    csch^2(h) with h = gap / 2T. ``temperature`` may be an array; the value is
-    then an array over it.
+    csch^2(h) with h = gap / 2T. ``temperature`` may be a sequence; the value
+    is then a list over it.
 
     csch^2(h) is written 4 e^{-2h} / expm1(-2h)^2 and the whole form as the
-    square (gap e^{-h} / (T^2 expm1(-2h)))^2: nothing overflows at large h,
+    square ((gap/T) e^{-h} / (T expm1(-2h)))^2: nothing overflows at large h,
     and no factor goes subnormal before the result does (e^{-h} stays normal
-    up to h = 700).
+    up to h = 700, and T expm1(-2h) for any normal T).
     """
-    t = np.asarray(temperature, dtype=float)
-    if gap <= 0 or np.any(t <= 0):
+    if gap <= 0 or not all(t > 0 for t in listed(temperature)[0]):
         raise ValueError("gap and temperature must be positive")
-    half = gap / (2.0 * t)
-    return (gap * np.exp(-half) / (t * t * np.expm1(-2.0 * half))) ** 2
+
+    def at(t):
+        half = gap / (2.0 * t)
+        root = gap / t * math.exp(-half) / (t * math.expm1(-2.0 * half))
+        return root * root
+    return mapped(at, temperature)
 
 
 def qfi_harmonic_transient(model, dt):
@@ -37,12 +38,17 @@ def qfi_harmonic_transient(model, dt):
     c - 1 = (1 - f) 2w / (1 - w) and d_T c = (c - 1) x / (T (1 - w)), so the
     QFI is (1 - f) 2w x^2 / (T^2 (1 - w)^3 (c + 1)): no difference of nearly
     equal numbers, nothing that overflows at large x, and 0 where w underflows.
-    A scalar ``dt`` gives a float, an array of contact times an array.
+    A scalar ``dt`` gives a float, a sequence of contact times a list.
     """
     x, t = model.ratio, model.temperature
     w = math.exp(-x)
     em = -math.expm1(-x)
-    mixed = -np.expm1(-model.phase_space_damping * np.asarray(dt, dtype=float))
+    damping = -model.phase_space_damping
     # w before x * x, so that a w that underflows gives 0, not 0 * inf
-    value = mixed * (2.0 * w * x * x / t / t / em**3) / (mixed * (2.0 * w / em) + 2.0)
-    return value if np.ndim(dt) else float(value)
+    scale = 2.0 * w * x * x / t / t / em**3
+    excess = 2.0 * w / em
+
+    def at(d):
+        mixed = -math.expm1(damping * d)
+        return mixed * scale / (mixed * excess + 2.0)
+    return mapped(at, dt)

@@ -7,7 +7,6 @@ RK4 integration plus finite differences for transient sensitivities, and a
 truncated number-basis computation for Gaussian fidelities.
 """
 
-import dataclasses
 import math
 import time
 
@@ -115,10 +114,9 @@ def test_criterion_03_degeneracy_ordering():
 def test_criterion_04_hessian_certification():
     worst_eig = 0.0
     dims = list(range(2, 21))
-    _, (_, b, _, d), (low, high) = hessian_blocks(dims)
-    for k, row in enumerate(rows_of(hessian_certificate(dims))):
-        n = dims[k]
-        eigenvalues = [low[k], high[k]] + [b[k] - d[k]] * (n - 2)
+    for n, row in zip(dims, rows_of(hessian_certificate(dims))):
+        _, (_, b, _, d), (low, high) = hessian_blocks(n)
+        eigenvalues = [low, high] + [b - d] * (n - 2)
         worst_eig = max(worst_eig, row["eigenvalue_error"])
         zero_modes = [v for v in eigenvalues if abs(v) <= 1e-8]
         assert len(zero_modes) == 1, f"n={n}: expected a single zero mode"
@@ -177,7 +175,8 @@ def test_criterion_06_transient_closed_form_vs_integrated_dynamics():
         dt = u * tau
 
         def excited_population(sample_temp):
-            gen = rate_matrix(2, dataclasses.replace(model, temperature=sample_temp))
+            sample = DissipationModel(gap=model.gap, temperature=sample_temp, coupling=model.coupling)
+            gen = rate_matrix(2, sample)
             final = integrate_ode(lambda p: gen @ p, np.array([1.0, 0.0]), dt, tau / 200.0)
             return float(final[1])
 
@@ -249,7 +248,7 @@ def test_criterion_09_preparation_dominance():
     temp, gamma = 1.0, 1e-3
     x = optimal_interrogation_ratio()
     model = DissipationModel(gap=x * temp, temperature=temp, coupling=gamma)
-    grid = log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0)
+    grid = np.array(log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0))
     ground = qfi_transient(2, 0.0, model, grid) / grid
     curves = {}
     for t_prep in (0.8, 0.9):

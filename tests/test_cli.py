@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from thermoprobe import cli
+from thermoprobe.dynamics import DissipationModel, optimal_interrogation_ratio, ultimate_rate
 from thermoprobe.numerics import Table
 
 from oracles import flag
@@ -259,12 +260,13 @@ class TestTransientScan:
 
     def test_underflowing_series_are_zero_and_unchanged(self, tmp_path):
         # at gap/T = 800 every exact value underflows, so each rate is 0.0; the
-        # digest pins the whole output, dt column included
+        # digest pins the whole output, dt column included, whose points are
+        # 10 ** exponent from the platform's libm pow
         code, text = run(tmp_path, ["transient-scan", "--gap", "800", "--include-plus", "--include-harmonic"])
         assert code == 0
         _, rows = parse_csv(text)
         assert len(rows) == 7 * 200 and {r["fisher_rate"] for r in rows} == {"0.0"}
-        digest = "5a83320c060628086394b9d77446164715a54ed6ccdf785fc18bdd3f57634c0f"
+        digest = "0c779ae4f285663f6fb2d8d775fda9d239b4c742d1873dfa51792e4b6d4851a8"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("flags", [
@@ -291,6 +293,30 @@ class TestTransientScan:
         assert code == 3
         assert text == ""
         assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("span_min", ["1e-320", "5e-324"])
+    def test_subnormal_first_contact_time_exits_two(self, tmp_path, capsys, span_min):
+        # a subnormal dt carries too few digits for its rate, which came out 2 % off at 1e-320
+        code, text = run(tmp_path, ["transient-scan", "--span-min", span_min, "--include-plus",
+                                    "--include-harmonic"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith("thermoprobe: configuration error: span_min:") and "Traceback" not in err
+
+    def test_smallest_accepted_span_min_meets_the_short_time_limit(self, tmp_path):
+        x, gamma, t = optimal_interrogation_ratio(), 1e-3, 1.0
+        tau = DissipationModel(gap=x * t, temperature=t, coupling=gamma).relaxation_time
+        span_min = sys.float_info.min / tau
+        while span_min * tau < sys.float_info.min:
+            span_min = math.nextafter(span_min, math.inf)
+        assert run(tmp_path, ["transient-scan", "--span-min", repr(math.nextafter(span_min, 0.0))])[0] == 2
+        code, text = run(tmp_path, ["transient-scan", "--span-min", repr(span_min), "--include-plus",
+                                    "--include-harmonic"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert float(rows[0]["dt"]) >= sys.float_info.min
+        assert float(rows[0]["fisher_rate"]) == pytest.approx(ultimate_rate(2, x, gamma, t), rel=1e-9)
 
     def test_zero_coupling_exits_two(self, tmp_path):
         code, _ = run(tmp_path, ["transient-scan", "--gamma", "0"])

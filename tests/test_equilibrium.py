@@ -297,19 +297,16 @@ class TestHessianCertificate:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
     def test_blocks_match_the_dense_hessian(self, t):
-        dims = np.arange(2, 65)
-        xs, entries, (low, high) = hessian_blocks(dims, t)
-        rows = rows_of(hessian_certificate(dims, t))
-        for k, n in enumerate(dims):
-            abcd = [e[k] for e in entries]
+        dims = range(2, 65)
+        for n, row in zip(dims, rows_of(hessian_certificate(dims, t))):
+            x, abcd, (low, high) = hessian_blocks(n, t)
             dense, row_sum = dense_hessian(n, abcd)
-            block = np.sort([low[k], high[k]] + [abcd[1] - abcd[3]] * (n - 2))
+            block = np.sort([low, high] + [abcd[1] - abcd[3]] * (n - 2))
             assert np.abs(block - dense).max() <= 1e-14
-            assert rows[k]["zero_mode_residual"] == pytest.approx(row_sum, abs=1e-14)
-            assert rows[k]["certifies_maximum"] is certifies_maximum(dense) is True
-            analytic = np.sort([hessian_pair_eigenvalue(n, xs[k]), 0.0]
-                               + [hessian_shift_eigenvalue(n, xs[k])] * (n - 2))
-            assert rows[k]["eigenvalue_error"] == pytest.approx(np.abs(dense - analytic).max(), abs=1e-14)
+            assert row["zero_mode_residual"] == pytest.approx(row_sum, abs=1e-14)
+            assert row["certifies_maximum"] is certifies_maximum(dense) is True
+            analytic = np.sort([hessian_pair_eigenvalue(n, x), 0.0] + [hessian_shift_eigenvalue(n, x)] * (n - 2))
+            assert row["eigenvalue_error"] == pytest.approx(np.abs(dense - analytic).max(), abs=1e-14)
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):

@@ -12,13 +12,6 @@ The optimal-gap columns x_star, qfi_peak and variance_excess_vs_lower_n0 are
 checked as the command writes them, for every (n, n0) with n <= 64 and for a
 few n0 at n = 10^6 and 10^15, at temperatures down to 1e-80 and up to 1e77.
 The oracle solves the gap equation itself.
-
-The excess column meets its bound only where ``np.longdouble`` is wider than
-a double, as the 80-bit format of x86-64 Linux is. Where long double is a
-plain double (Windows, macOS on arm64) the two peaks of an excess, which share
-three leading digits at n0 = 1000, cancel to an error of 1e-13 to 1e-12, and
-``test_optimal_gap_columns`` fails at n = 10^6 and 10^15. The bound stays: the
-limit lifts once the excess has a formula that does not cancel.
 """
 
 import functools
@@ -60,10 +53,10 @@ def test_effective_two_level(n, gap):
                   f"N={n} gap={gap}")
 
 
-@pytest.mark.parametrize("gap", [1.0, 0.02, 37.0])
+@pytest.mark.parametrize("gap", [1.0, 0.02, 37.0, 1e-159])  # T^2 goes subnormal at the last
 def test_harmonic(gap):
     # gap^2 / (4 T^4) csch^2(gap / 2T)
-    temperatures = gap / X_GRID
+    temperatures = (gap / X_GRID).tolist()
 
     def oracle(t):
         t, g = mp.mpf(t), mp.mpf(gap)

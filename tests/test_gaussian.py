@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -146,7 +145,8 @@ class TestHarmonicTransient:
         dt = damping_times / m.phase_space_damping
 
         def family(temp):
-            return relaxed_covariance(VACUUM, dataclasses.replace(m, temperature=temp), dt)
+            model = DissipationModel(gap=m.gap, temperature=temp, coupling=m.coupling)
+            return relaxed_covariance(VACUUM, model, dt)
 
         oracle = qfi_bures_oracle(family, m.temperature, fidelity=fidelity_gaussian, step=1e-2)
         assert qfi_harmonic_transient(m, dt) == pytest.approx(oracle, rel=1e-6)
@@ -160,7 +160,8 @@ class TestHarmonicTransient:
         levels = np.arange(400)
 
         def populations(temp):
-            c = relaxed_covariance(VACUUM, dataclasses.replace(m, temperature=temp), dt)[0]
+            model = DissipationModel(gap=m.gap, temperature=temp, coupling=m.coupling)
+            c = relaxed_covariance(VACUUM, model, dt)[0]
             weight = (c - 1.0) / (c + 1.0)
             return (1.0 - weight) * weight**levels
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoprobe.numerics import NonFiniteState
+from thermoprobe.numerics import NonFiniteState, geometric_grid
 
 from oracles import Spectrum, bisect_root, central_diff, integrate_ode, qfi_thermal, thermalize
 
@@ -83,3 +83,22 @@ class TestCentralDiff:
         curvature = central_diff(fid, 0.0, 1e-4 * t0, order=2)
         qfi = qfi_thermal(thermalize(s, t0))
         assert curvature == pytest.approx(-qfi / 2.0, rel=1e-5)
+
+
+class TestGeometricGrid:
+    @pytest.mark.parametrize("start, stop", [(1e-300, 1e300), (1e-300, 1e-290), (1e290, 1e300),
+                                             (1e-3, 20.0), (8.43e-3, 168.6)])
+    @pytest.mark.parametrize("points", [2, 200, 2000, 20000])
+    def test_matches_the_exact_progression(self, start, stop, points):
+        mp = pytest.importorskip("mpmath")
+        grid = geometric_grid(start, stop, points)
+        assert len(grid) == points and grid[0] == start and grid[-1] == stop
+        with mp.workdps(40):
+            ratio = (mp.mpf(stop) / start) ** (mp.mpf(1) / (points - 1))
+            exact = mp.mpf(start)
+            for k, value in enumerate(grid):
+                assert abs(value / exact - 1) <= 1e-12, f"point {k}"
+                exact *= ratio
+
+    def test_single_point_is_the_start(self):
+        assert geometric_grid(0.5, 2.0, 1) == [0.5]

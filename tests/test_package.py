@@ -1,9 +1,10 @@
 """Structure of the package: every import sits at module top, the module
 graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
-test-only oracles stay out of it, the only dataclasses are the column table
-and the dissipation model, the README's quick start runs, importing it keeps BLAS to one thread
-unless the caller chose otherwise, only the CLI run as the program freezes
-the collector's start-up heap, and the benchmark's copy of the CLI defaults
+test-only oracles stay out of it, it defines no dataclass, the README's
+quick start runs, running every command loads neither numpy nor
+dataclasses nor inspect, importing it starts no thread and leaves
+OPENBLAS_NUM_THREADS alone, only the CLI run as the program freezes the
+collector's start-up heap, and the benchmark's copy of the CLI defaults
 stays equal to them."""
 
 import ast
@@ -56,12 +57,12 @@ def test_oracles_are_not_in_the_package():
     assert sorted(name for name in defined if any(hasattr(mod, name) for mod in modules)) == []
 
 
-def test_only_table_and_dissipation_model_are_dataclasses():
-    # states and QFI values are plain floats and arrays
+def test_src_defines_no_dataclass():
+    # Table and DissipationModel are plain classes; values are floats and lists
     defined = sorted(node.name for module in LAYERS + ["__init__"] for node in ast.walk(parse(module))
                      if isinstance(node, ast.ClassDef)
                      and any("dataclass" in ast.unparse(d) for d in node.decorator_list))
-    assert defined == ["DissipationModel", "Table"]
+    assert defined == []
 
 
 def test_readme_quick_start_runs(capsys):
@@ -84,6 +85,14 @@ def fresh_interpreter(code, **env):
 
 
 needs_proc_tasks = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+
+
+def test_commands_load_no_numpy_dataclasses_or_inspect(tmp_path):
+    # the start-up cost of a call is the modules it loads; these three are the costly ones
+    code = ("import sys; from thermoprobe.cli import main; "
+            f"codes = [main([c, '--out', {str(tmp_path)!r} + '/' + c]) for c in {sorted(cli._DEFAULTS)!r}]; "
+            "print(codes, sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))")
+    assert fresh_interpreter(code) == "[0, 0, 0, 0, 0] []"
 
 
 @needs_proc_tasks

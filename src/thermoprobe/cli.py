@@ -213,8 +213,6 @@ def cmd_hessian_check(params):
     if params["n_max"] < params["n_min"]:
         raise ConfigError("n_max", "must be >= n_min")
     _require_positive(params, "temperature")
-    if params["n_max"] >= 2**63:
-        raise ConfigError("n_max", f"dimensions must lie below 2**63, got {params['n_max']}")
     _reserve("n_max", params["n_max"] - params["n_min"] + 1)
     try:
         return hessian_certificate(range(params["n_min"], params["n_max"] + 1), params["temperature"])

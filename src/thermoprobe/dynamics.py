@@ -10,7 +10,7 @@ excited state along +z, so the ground preparation is bloch = (0, 0, -1).
 import math
 
 from .gaussian import qfi_harmonic_transient
-from .numerics import NonFiniteState, Table, geometric_grid, mapped
+from .numerics import NonFiniteState, Table, geometric_grid
 
 
 class DissipationModel:
@@ -56,12 +56,12 @@ class DissipationModel:
             raise NonFiniteState(f"rate scale coupling * gap**3 overflows at gap={self.gap:g}") from None
 
 
-def qfi_transient(n, excited0, model, dt):
+def qfi_transient(n, excited0, model, dts):
     """QFI of an n-level ladder, one ground level below n - 1 levels at the
-    gap, after thermal contact of length ``dt``, for a preparation with total
-    excited population ``excited0`` shared equally by the excited levels:
-    0 for the ground preparation, w0 / (1 + w0) for a two-level Gibbs state
-    with Boltzmann factor w0.
+    gap, after thermal contact of each length in the sequence ``dts``, as a
+    list, for a preparation with total excited population ``excited0`` shared
+    equally by the excited levels: 0 for the ground preparation, w0 / (1 + w0)
+    for a two-level Gibbs state with Boltzmann factor w0.
 
     The excited levels stay equally populated, so the QFI is the binary
     Fisher information (d_T E)^2 / (E (1 - E)) of the excited population
@@ -70,8 +70,7 @@ def qfi_transient(n, excited0, model, dt):
     temperature enters through both: d_T E_eq = (x w / T) (n-1) / z^2 and
     dt d_T k = k dt (x w / T) n / ((1 - w) z). The preparation and the
     coupling are held fixed. 1 - E is formed as a sum, not as a difference,
-    and where E underflows to 0 the value is 0. A scalar ``dt`` gives a
-    float, a sequence of contact times a list.
+    and where E underflows to 0 the value is 0.
     """
     x, t = model.ratio, model.temperature
     w = math.exp(-x)
@@ -89,12 +88,12 @@ def qfi_transient(n, excited0, model, dt):
         ground = moved / z + (1.0 - excited0) * stay
         slope = scale * ((n - 1) * moved / z2 + drift * stay * q * n / zw)
         return slope * (slope / excited if excited > 0.0 else 0.0) / ground
-    return mapped(at, dt)
+    return list(map(at, dts))
 
 
-def qfi_transient_plus(model, dt):
+def qfi_transient_plus(model, dts):
     """QFI of the plus qubit, equal populations with full coherence, after
-    thermal contact of length ``dt``.
+    thermal contact of each length in the sequence ``dts``, as a list.
 
     The Bloch vector has transverse length a = e^{-u/2}, u = dt / tau, and
     r_z = -tanh(x/2) s with s = 1 - e^{-u}. Its phase gap * dt does not
@@ -103,7 +102,7 @@ def qfi_transient_plus(model, dt):
     The QFI is the Bloch-vector form |dr|^2 + (r . dr)^2 / (1 - |r|^2),
     where 1 - |r|^2 = s (e^{-u} + s sech^2(x/2)) is positive by construction.
     csch and sech^2 are written with w = e^{-x}, so nothing overflows at large
-    x. A scalar ``dt`` gives a float, a sequence of contact times a list.
+    x.
     """
     x, t = model.ratio, model.temperature
     tau = model.relaxation_time
@@ -122,7 +121,7 @@ def qfi_transient_plus(model, dt):
         radial = envelope * d_envelope - tanh_half * s * d_rz
         # radial / s first: radial^2 alone underflows where u is tiny and the ratio is not
         return d_envelope * d_envelope + d_rz * d_rz + radial * (radial / (s * (stay + s * sech2)))
-    return mapped(at, dt)
+    return list(map(at, dts))
 
 
 def ultimate_rate(n, ratio, coupling, temperature):

@@ -8,7 +8,7 @@ import math
 from decimal import Context, Decimal, localcontext
 
 from .gaussian import qfi_harmonic_equilibrium
-from .numerics import NoConvergence, NonFiniteState, Table, listed, mapped
+from .numerics import NoConvergence, NonFiniteState, Table
 
 _PEAKS = Context(prec=28)  # eleven digits more than a double carries
 
@@ -17,10 +17,10 @@ class DimensionTooSmall(ValueError):
     """Certificate machinery needs at least a two-level probe."""
 
 
-def qfi_effective_two_level(x, n, gap):
+def qfi_effective_two_level(xs, n, gap):
     """Closed-form QFI of an n-level probe with a single ground level and an
-    (n-1)-fold degenerate excited level at ``gap``, evaluated at x = gap/T.
-    ``x`` may be a sequence; the value is then a list over it.
+    (n-1)-fold degenerate excited level at ``gap``, as a list over the
+    sequence ``xs`` of ratios x = gap/T.
 
     Written with decaying exponentials so large x cannot overflow, and as
     (n-1) (x^2 e^{-x/2} / (gap (1 + (n-1) e^{-x})))^2 so that no factor goes
@@ -33,7 +33,7 @@ def qfi_effective_two_level(x, n, gap):
         emh = math.exp(-0.5 * v)
         root = v * v * emh / (gap * ((n - 1) * emh * emh + 1.0))
         return (n - 1) * (root * root)
-    return mapped(at, x)
+    return list(map(at, xs))
 
 
 def _gap_ratio(n, n0):
@@ -42,7 +42,10 @@ def _gap_ratio(n, n0):
     The function is increasing and concave for x > 0 and its root exceeds
     max(2, ln r), so Newton's iterates from there rise to the root; the loop
     ends once an iterate no longer rises."""
-    r = float(n - n0) / float(n0)
+    try:
+        r = float(n - n0) / float(n0)
+    except OverflowError:
+        raise NonFiniteState(f"dimension N={n} with n0={n0} exceeds the float range") from None
     x = max(2.0, math.log(r))
     while True:
         w = r * math.exp(-x)
@@ -57,43 +60,40 @@ def _gap_ratio(n, n0):
 
 
 def _check_temperature(temperature):
-    """Raise unless temperature is positive and temperature**4 is finite and nonzero."""
+    """Raise unless temperature is positive and T^2 and 1/T^2 are normal
+    floats, which holds from T = 1.5e-154 to 6.7e153: the peak QFIs divide by
+    T^2, and the variance excesses and the Hessian entries multiply by it."""
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    try:
-        t4 = temperature**4
-    except OverflowError:
-        raise NonFiniteState(f"temperature**4 overflows at T={temperature:g}") from None
-    if t4 == 0.0:
-        raise NonFiniteState(f"temperature**4 underflows at T={temperature:g}")
+    if not 1.5e-154 <= temperature <= 6.7e153:
+        raise NonFiniteState(f"temperature T={temperature:g} lies outside [1.5e-154, 6.7e153], "
+                             "where T**2 and 1/T**2 are normal floats")
 
 
-def optimal_gap(n, n0, temperature):
+def optimal_gap(ns, n0s, temperature):
     """Variance-maximizing gaps of (n, n0) probes, n0 levels at 0 and n - n0
-    at the gap, for ints or int sequences n and n0; an int stands for each
-    entry of the other argument.
+    at the gap, for the pairs of the equal-length int sequences ns and n0s.
 
     The gap is T x*, with x* the root of e^x = ((n-n0)/n0)(x+2)/(x-2).
-    Returns (x_star, qfi_peak, excess): x*, the peak QFI x^2 p (1-p) / T^2,
-    where p = (n-n0) e^{-x} / (n0 + (n-n0) e^{-x}) is the excited population,
-    and the peak variance T^2 x^2 p (1-p) of ground degeneracy n0 - 1 less
-    that of n0 (NaN at n0 = 1); floats for two ints, lists otherwise. The
-    peaks of an excess share one digit at n <= 64 and three at n0 = 1000, so
-    peaks and excess are formed in 28-digit decimal arithmetic and rounded once.
+    Returns three lists (x_star, qfi_peak, excess): x*, the peak QFI
+    x^2 p (1-p) / T^2, where p = (n-n0) e^{-x} / (n0 + (n-n0) e^{-x}) is the
+    excited population, and the peak variance T^2 x^2 p (1-p) of ground
+    degeneracy n0 - 1 less that of n0 (NaN at n0 = 1). The peaks of an excess
+    share one digit at n <= 64 and three at n0 = 1000, so peaks and excess are
+    formed in 28-digit decimal arithmetic and rounded once.
 
-    Raises ValueError for n < 2, n0 outside [1, n-1] or a nonpositive
-    temperature; OverflowError when n - n0 or n0 exceeds the float range;
+    Raises TypeError for a bare number; ValueError for sequences of different
+    lengths, n < 2, n0 outside [1, n-1] or a nonpositive temperature;
     NoConvergence when |e^x (x-2) n0 / ((n-n0)(x+2)) - 1| exceeds 1e-10, as
     it does once x* lies too close to 2 to be resolved; NonFiniteState when
-    temperature**4 overflows or underflows.
+    n - n0 or n0 exceeds the float range, T^2 or 1/T^2 is not a normal float,
+    or a peak or an excess overflows.
     """
-    (ns, many_n), (n0s, many_n0) = listed(n), listed(n0)
-    ns = ns if many_n else ns * len(n0s)
-    n0s = n0s if many_n0 else n0s * len(ns)
+    ns, n0s = list(ns), list(n0s)
     if len(ns) != len(n0s):
-        raise ValueError(f"dimensions {n} and ground degeneracies {n0} differ in length")
+        raise ValueError(f"{len(ns)} dimensions and {len(n0s)} ground degeneracies differ in length")
     if any(not 1 <= k0 <= k - 1 for k, k0 in zip(ns, n0s)):
-        raise ValueError(f"need n >= 2 and ground degeneracies in [1, n - 1], got n={n}, n0={n0}")
+        raise ValueError(f"need n >= 2 and ground degeneracies in [1, n - 1], got n={ns}, n0={n0s}")
     _check_temperature(temperature)
     solved = {}
 
@@ -114,9 +114,9 @@ def optimal_gap(n, n0, temperature):
             x_star.append(x)
             qfi.append(float(peak / t2))
             excess.append(float((solve(k, k0 - 1)[1] - peak) * t2) if k0 > 1 else math.nan)
-    if many_n or many_n0:
-        return x_star, qfi, excess
-    return x_star[0], qfi[0], excess[0]
+    if any(map(math.isinf, qfi + excess)):
+        raise NonFiniteState(f"a peak QFI or variance excess overflows at T={temperature:g}")
+    return x_star, qfi, excess
 
 
 def _variance_hessian_diag(eps_i, t, z, h1, h2):
@@ -191,7 +191,8 @@ def hessian_certificate(n, temperature=1.0):
     check. No tolerance is applied to b - d, whose magnitude falls as 1/n.
     Returns a Table with columns N, x_star, lambda_pair, lambda_shift (empty
     at N = 2), shift_multiplicity, eigenvalue_error, zero_mode_residual and
-    certifies_maximum.
+    certifies_maximum. NonFiniteState when a value of a row is not finite, as
+    from N of about 1e307, or at N = 20 from T of about 8e152.
     """
     rows = []
     for k in n:
@@ -202,6 +203,8 @@ def hessian_certificate(n, temperature=1.0):
         tol = 1e-8 * max(1.0, abs(low))
         certifies = low < -tol and abs(high) <= tol and (b - d < 0.0 or k == 2)
         residual = max(abs(a + (k - 1) * c), abs(c + b + (k - 2) * d))
+        if not all(map(math.isfinite, [x, pair, shift, residual] + errors)):
+            raise NonFiniteState(f"the certificate at N={k}, T={temperature:g} is not finite")
         rows.append((k, x, pair, shift if k > 2 else None, k - 2, max(errors), residual, certifies))
     return Table(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity",
                   "eigenvalue_error", "zero_mode_residual", "certifies_maximum"), [tuple(map(list, zip(*rows)))])

@@ -1,7 +1,6 @@
 """Shared pieces: the column table that scans and commands return, the
-geometric grid, the scalar-or-sequence convention of the kernels, and the
-exception types the other modules raise. Everything in the package is
-deterministic: identical inputs produce bit-identical outputs.
+geometric grid and the exception types the other modules raise. Everything in
+the package is deterministic: identical inputs produce bit-identical outputs.
 """
 
 import math
@@ -43,22 +42,6 @@ class Table:
     def block_rows(block):
         """Number of rows of one block: the length of its lists."""
         return next(len(cell) for cell in block if isinstance(cell, list))
-
-
-def listed(value):
-    """(entries, True) for a sequence, ([value], False) for a scalar."""
-    try:
-        return list(value), True
-    except TypeError:
-        return [value], False
-
-
-def mapped(f, value):
-    """``f`` over a sequence as a list, or ``f(value)`` for a scalar: each
-    kernel works out its grid-independent factors, then maps ``f`` this way."""
-    entries, many = listed(value)
-    values = list(map(f, entries))
-    return values if many else values[0]
 
 
 def geometric_grid(start, stop, points):

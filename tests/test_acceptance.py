@@ -76,7 +76,7 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_optimal_gap_and_brute_force():
     start = time.monotonic()
-    x_star = float(optimal_gap(2, 1, 1.0)[0])
+    x_star = float(optimal_gap([2], [1], 1.0)[0][0])
     residual = abs(math.exp(x_star) - (x_star + 2.0) / (x_star - 2.0))
     xs = np.linspace(0.05, 12.0, 100000)
     ex = np.exp(xs)
@@ -98,8 +98,8 @@ def test_criterion_03_degeneracy_ordering():
     worst_identity = 0.0
     for n in range(3, 11):
         for n0 in range(2, n):
-            x_low, qfi_low, _ = optimal_gap(n, n0 - 1, temp)
-            x_high, qfi_high, _ = optimal_gap(n, n0, temp)
+            [x_low], [qfi_low], _ = optimal_gap([n], [n0 - 1], temp)
+            [x_high], [qfi_high], _ = optimal_gap([n], [n0], temp)
             diff = (qfi_low - qfi_high) * temp**4
             want = temp * temp * (x_low**2 - x_high**2) / 4.0
             worst_gap = min(worst_gap, diff)
@@ -131,7 +131,7 @@ def test_criterion_05_equilibrium_curve_properties():
     gap = 1.0
     temps = np.linspace(0.02, 2.0, 20001)
     xs = gap / temps
-    curves = {n: np.array([qfi_effective_two_level(x, n, gap) for x in xs]) for n in (2, 4, 6, 8, 10)}
+    curves = {n: np.array(qfi_effective_two_level(xs, n, gap)) for n in (2, 4, 6, 8, 10)}
     harmonic = np.array([gap**2 / (4.0 * t**4) / math.sinh(gap / (2 * t)) ** 2 for t in temps])
 
     peaks = [curves[n].max() for n in (2, 4, 6, 8, 10)]
@@ -200,7 +200,7 @@ def test_criterion_07_short_time_limit():
     dt = 1e-4 * model.relaxation_time
     worst = 0.0
     for n in (2, 4, 10):
-        rate = qfi_transient(n, 0.0, model, dt) / dt
+        rate = qfi_transient(n, 0.0, model, [dt])[0] / dt
         want = ultimate_rate(n, x, gamma, temp)
         worst = max(worst, abs(rate / want - 1.0))
     ok = worst <= 1e-3
@@ -271,14 +271,14 @@ def test_criterion_10_harmonic_qubit_equivalence():
     model = DissipationModel(gap=x * temp, temperature=temp, coupling=gamma)
 
     dt_limit = 1e-4 / model.decay_rate
-    limit_rate = qfi_harmonic_transient(model, dt_limit) / dt_limit
+    limit_rate = qfi_harmonic_transient(model, [dt_limit])[0] / dt_limit
     limit_dev = abs(limit_rate / ultimate_rate(2, x, gamma, temp) - 1.0)
 
     grid = np.geomspace(0.01 / model.decay_rate, 5.0 / model.decay_rate, 200)
     tau = model.relaxation_time
     worst_curve = 0.0
     for dt in grid:
-        harmonic = qfi_harmonic_transient(model, dt) / dt
+        harmonic = qfi_harmonic_transient(model, [dt])[0] / dt
         qubit = qfi_transient_closed_form_qubit(x, dt, tau, temp) / dt
         worst_curve = max(worst_curve, abs(harmonic / qubit - 1.0))
     ok = limit_dev <= 1e-3 and worst_curve <= 0.02

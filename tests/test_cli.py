@@ -118,7 +118,7 @@ class TestOptimalGap:
         assert [r["N"] for r in rows] == ["2", "3", "4"]
 
     @pytest.mark.parametrize("flags", [
-        ["--temperature", "1e-300"],  # T^4 underflows to 0
+        ["--temperature", "1e-300"],  # T^2 underflows to 0
         ["--n", "1" + "0" * 400],     # n - n0 exceeds the float range
     ])
     def test_numerical_failure_exits_three(self, tmp_path, capsys, flags):
@@ -127,6 +127,17 @@ class TestOptimalGap:
         assert code == 3
         assert text == ""
         assert "numerical failure" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("t", ["1e-100", "1e100"])
+    def test_temperatures_far_from_one_exit_zero(self, tmp_path, t):
+        # T^2 and 1/T^2 are normal floats; the values themselves are checked
+        # against mpmath in test_equilibrium_oracle
+        code, text = run(tmp_path, ["optimal-gap", "--n", "3..10", "--n0", "1,2", "--temperature", t])
+        assert code == 0
+        _, rows = parse_csv(text)
+        _, at_one = parse_csv(run(tmp_path, ["optimal-gap", "--n", "3..10", "--n0", "1,2"], "one.csv")[1])
+        assert [r["x_star"] for r in rows] == [r["x_star"] for r in at_one]
+        assert all(math.isfinite(float(r["qfi_peak"])) for r in rows)
 
     @pytest.mark.parametrize("flags, pairs", [
         (["--n", "1000000"], [(10**6, 1)]),
@@ -199,12 +210,28 @@ class TestHessianCheck:
         assert text == ""
         assert err.startswith("thermoprobe: configuration error: n_max:") and "Traceback" not in err
 
-    def test_dimensions_beyond_64_bit_ints_exit_two(self, tmp_path, capsys):
-        code, text = run(tmp_path, ["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert text == ""
-        assert err.startswith("thermoprobe: configuration error: n_max:") and "Traceback" not in err
+    def test_dimensions_beyond_64_bit_ints(self, tmp_path):
+        n = 10**20
+        code, text = run(tmp_path, ["hessian-check", "--n-min", str(n), "--n-max", str(n)])
+        assert code == 0
+        _, [row] = parse_csv(text)
+        x = float(row["x_star"])
+        assert int(row["N"]) == n and row["certifies_maximum"] == "true"
+        assert float(row["lambda_shift"]) == -(x - 2.0) / (2.0 * (n - 1))
+
+    @pytest.mark.parametrize("t", ["1e-100", "1e100"])
+    def test_temperature_moves_only_the_rounding_residues(self, tmp_path, t):
+        # the variance Hessian is scale-free at the optimum: T changes only the
+        # rounding in eigenvalue_error and zero_mode_residual
+        code, text = run(tmp_path, ["hessian-check", "--n-max", "64", "--temperature", t])
+        assert code == 0
+        _, rows = parse_csv(text)
+        _, at_one = parse_csv(run(tmp_path, ["hessian-check", "--n-max", "64"], "one.csv")[1])
+        residues = ("eigenvalue_error", "zero_mode_residual")
+        assert [{k: v for k, v in r.items() if k not in residues} for r in rows] == \
+            [{k: v for k, v in r.items() if k not in residues} for r in at_one]
+        assert all(r["certifies_maximum"] == "true" for r in rows)
+        assert all(float(r[k]) <= 1e-8 for r in rows for k in residues)
 
     def test_dimensions_beyond_64(self, tmp_path):
         code, text = run(tmp_path, ["hessian-check", "--n-min", "60", "--n-max", "100"])
@@ -476,13 +503,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, quantity", [
         (["limits", "--gamma", "1e308", "--temperature", "1e308"], "rate"),
         (["limits", "--gamma", "1e308", "--temperature", "1e100"], "rate"),
-        (["optimal-gap", "--temperature", "1e100"], "temperature**4"),
-        (["hessian-check", "--temperature", "1e100"], "temperature**4"),
+        (["optimal-gap", "--temperature", "1e200"], "temperature T=1e+200"),
+        (["hessian-check", "--temperature", "1e-200"], "temperature T=1e-200"),
         (["transient-scan", "--gap", "1e300"], "gap**3"),
         (["transient-scan", "--gamma", "1e308", "--gap", "1"], "prep=ground"),  # the rate overflows
         (["transient-scan", "--temperature", "1e308"], "gap"),
         (["equilibrium-scan", "--gap", "1e-200", "--x-min", "1e150", "--x-max", "1e200"], "temperature"),
         (["transient-scan", "--temperature", "1e-320", "--gap", "1"], "gap/temperature"),
+        (["optimal-gap", "--temperature", "1e-200"], "temperature T=1e-200"),
+        (["hessian-check", "--temperature", "1e200"], "temperature T=1e+200"),
+        (["optimal-gap", "--n", str(10**15), "--temperature", "2e-154"], "overflows at T=2e-154"),
+        pytest.param(["hessian-check", "--n-min", str(10**400), "--n-max", str(10**400)], f"N={10**400}",
+                     id="hessian-check-N-beyond-floats"),
+        pytest.param(["hessian-check", "--n-min", str(10**307), "--n-max", str(10**307)], f"N={10**307}, T=1",
+                     id="hessian-check-row-overflows-at-N-1e307"),
+        (["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20), "--temperature", "1e150"],
+         f"N={10**20}, T=1e+150"),
     ])
     def test_numerical_edge_exits_three(self, tmp_path, capsys, argv, quantity):
         code, text = run(tmp_path, argv)

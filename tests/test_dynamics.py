@@ -12,7 +12,8 @@ from thermoprobe.dynamics import (
     transient_scan,
     ultimate_rate,
 )
-from thermoprobe.gaussian import qfi_harmonic_transient
+from thermoprobe.equilibrium import optimal_gap, qfi_effective_two_level
+from thermoprobe.gaussian import qfi_harmonic_equilibrium, qfi_harmonic_transient
 from thermoprobe.numerics import NonFiniteState
 
 from oracles import (
@@ -82,7 +83,7 @@ class TestTransientQfi:
         m = default_operating_model()
         tau = m.relaxation_time
         for u in np.geomspace(0.01, 10.0, 12):
-            got = qfi_transient(2, 0.0, m, u * tau)
+            got = qfi_transient(2, 0.0, m, [u * tau])[0]
             want = qfi_transient_closed_form_qubit(m.ratio, u * tau, tau, m.temperature)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -93,7 +94,7 @@ class TestTransientQfi:
             u = float(10.0 ** rng.uniform(-2.0, 1.0))
             m = DissipationModel(gap=x, temperature=1.0, coupling=1e-3)
             tau = m.relaxation_time
-            got = qfi_transient(2, 0.0, m, u * tau)
+            got = qfi_transient(2, 0.0, m, [u * tau])[0]
             want = qfi_transient_closed_form_qubit(x, u * tau, tau, 1.0)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -110,11 +111,11 @@ class TestTransientQfi:
             return integrate_ode(lambda y: gen @ y, p0, dt, tau / 400.0)
 
         oracle = qfi_bures_oracle(populations, m.temperature, step=1e-3)
-        assert qfi_transient(n, excited0, m, dt) == pytest.approx(oracle, rel=1e-6)
+        assert qfi_transient(n, excited0, m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
     def test_long_time_reaches_equilibrium_qfi(self):
         m = default_operating_model()
-        got = qfi_transient(2, 0.0, m, 60.0 * m.relaxation_time)
+        got = qfi_transient(2, 0.0, m, [60.0 * m.relaxation_time])[0]
         assert got == pytest.approx(equilibrium_qfi(m), rel=1e-12)
 
     def test_gibbs_preparation_is_stationary(self):
@@ -125,7 +126,7 @@ class TestTransientQfi:
         tau = m.relaxation_time
         eq = equilibrium_qfi(m)
         for u in (0.2, 1.0, 7.0):
-            got = qfi_transient(2, gibbs_excited(2, m.ratio), m, u * tau)
+            got = qfi_transient(2, gibbs_excited(2, m.ratio), m, [u * tau])[0]
             assert got == pytest.approx((1.0 - math.exp(-u)) ** 2 * eq, rel=1e-12)
 
     def test_ground_qubit_matches_bloch_fidelity_oracle(self):
@@ -137,7 +138,7 @@ class TestTransientQfi:
             return relaxed_bloch((0.0, 0.0, -1.0), model, dt)
 
         oracle = qfi_bures_oracle(family, m.temperature, fidelity=fidelity_qubit, step=1e-2)
-        assert qfi_transient(2, 0.0, m, dt) == pytest.approx(oracle, rel=1e-6)
+        assert qfi_transient(2, 0.0, m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("u", [0.05, 0.5, 4.0])
     def test_plus_matches_lab_frame_bloch_fidelity_oracle(self, u):
@@ -151,11 +152,11 @@ class TestTransientQfi:
             return relaxed_bloch((1.0, 0.0, 0.0), model, dt)
 
         oracle = qfi_bures_oracle(family, m.temperature, fidelity=fidelity_qubit, step=1e-2)
-        assert qfi_transient_plus(m, dt) == pytest.approx(oracle, rel=1e-6)
+        assert qfi_transient_plus(m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
     def test_plus_reaches_equilibrium_qfi(self):
         m = default_operating_model()
-        got = qfi_transient_plus(m, 60.0 * m.relaxation_time)
+        got = qfi_transient_plus(m, [60.0 * m.relaxation_time])[0]
         assert got == pytest.approx(equilibrium_qfi(m), rel=1e-12)
 
     def test_plus_rate_near_the_pure_preparation(self):
@@ -164,18 +165,24 @@ class TestTransientQfi:
         tau = m.relaxation_time
         limit = (m.ratio / m.temperature / math.sinh(m.ratio)) ** 2 / (4.0 * tau)
         for u in (1e-300, 1e-100, 1e-14):
-            assert qfi_transient_plus(m, u * tau) / (u * tau) == pytest.approx(limit, rel=1e-12)
+            assert qfi_transient_plus(m, [u * tau])[0] / (u * tau) == pytest.approx(limit, rel=1e-12)
 
-    def test_scalar_dt_gives_a_float_and_a_sequence_a_list(self):
+    def test_every_kernel_takes_a_sequence_and_returns_a_list(self):
         m = default_operating_model()
-        grid = log_interrogation_grid(m, points=7)
-        for kernel in (lambda dt: qfi_transient(4, 0.0, m, dt), lambda dt: qfi_transient_plus(m, dt),
-                       lambda dt: qfi_harmonic_transient(m, dt)):
-            values = kernel(grid)
-            assert type(values) is list and len(values) == len(grid)
-            scalars = [kernel(dt) for dt in grid]
-            assert all(type(v) is float for v in scalars)
-            assert scalars == values == kernel(tuple(grid))
+        for kernel in (lambda s: qfi_transient(4, 0.0, m, s), lambda s: qfi_transient_plus(m, s),
+                       lambda s: qfi_harmonic_transient(m, s), lambda s: qfi_effective_two_level(s, 4, 1.0),
+                       lambda s: qfi_harmonic_equilibrium(1.0, s)):
+            values = kernel([1, 2, 3])
+            assert type(values) is list and [type(v) for v in values] == [float] * 3
+            assert kernel((1, 2, 3)) == kernel(range(1, 4)) == values
+            with pytest.raises(TypeError):
+                kernel(2.0)
+        columns = optimal_gap([4, 5, 6], [2, 3, 4], 1.0)
+        assert [type(c) for c in columns] == [list] * 3 and [len(c) for c in columns] == [3] * 3
+        assert optimal_gap((4, 5, 6), (2, 3, 4), 1.0) == optimal_gap(range(4, 7), range(2, 5), 1.0) == columns
+        for ns, n0s in ((4, [2]), ([4], 2), (4, 2)):
+            with pytest.raises(TypeError):
+                optimal_gap(ns, n0s, 1.0)
 
     def test_underflowing_boltzmann_factor_gives_zero_without_warnings(self):
         # at gap/T = 800, e^{-x} underflows and every exact value with it
@@ -222,8 +229,8 @@ class TestClosedForm:
         m2 = DissipationModel(gap=3.0, temperature=t, coupling=2e-3)
         assert m2.relaxation_time == pytest.approx(m1.relaxation_time / 2.0, rel=1e-14)
         u = 0.8
-        f1 = qfi_transient(2, 0.0, m1, u * m1.relaxation_time)
-        f2 = qfi_transient(2, 0.0, m2, u * m2.relaxation_time)
+        f1 = qfi_transient(2, 0.0, m1, [u * m1.relaxation_time])[0]
+        f2 = qfi_transient(2, 0.0, m2, [u * m2.relaxation_time])[0]
         assert f1 == pytest.approx(f2, rel=1e-10)
 
     def test_positive_finite_at_unit_ratio(self):

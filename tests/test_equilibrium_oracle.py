@@ -10,7 +10,7 @@ more than the subnormal spacing, hence the small absolute allowance.
 
 The optimal-gap columns x_star, qfi_peak and variance_excess_vs_lower_n0 are
 checked as the command writes them, for every (n, n0) with n <= 64 and for a
-few n0 at n = 10^6 and 10^15, at temperatures down to 1e-80 and up to 1e77.
+few n0 at n = 10^6 and 10^15, at temperatures down to 1e-100 and up to 1e100.
 The oracle solves the gap equation itself.
 """
 
@@ -81,7 +81,7 @@ def exact_peak(n, n0):
     return x, x * x * w / (1 + w) ** 2
 
 
-@pytest.mark.parametrize("t", [0.3, 1.0, 1.54, 1e-80, 1e77])
+@pytest.mark.parametrize("t", [0.3, 1.0, 1.54, 1e-80, 1e77, 1e-100, 1e100])
 def test_optimal_gap_columns(t):
     t2 = mp.mpf(t) ** 2
     for n, degeneracies in DEGENERACIES.items():

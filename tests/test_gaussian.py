@@ -106,36 +106,36 @@ class TestHarmonicEquilibrium:
         # T^2 * qfi -> 1 as gap/T -> 0
         x = 1e-3
         t = 1.0 / x
-        assert qfi_harmonic_equilibrium(1.0, t) * t * t == pytest.approx(1.0, abs=1e-6)
+        assert qfi_harmonic_equilibrium(1.0, [t])[0] * t * t == pytest.approx(1.0, abs=1e-6)
 
     def test_against_two_level_at_same_ratio(self):
         # the oscillator curve sits exactly coth^2(x/2) above the qubit one
         x = 2.4
         t = 1.0 / x
-        ho = qfi_harmonic_equilibrium(1.0, t)
-        qb = qfi_effective_two_level(x, 2, 1.0)
+        ho = qfi_harmonic_equilibrium(1.0, [t])[0]
+        qb = qfi_effective_two_level([x], 2, 1.0)[0]
         assert ho > qb
         assert ho / qb == pytest.approx(1.0 / math.tanh(x / 2.0) ** 2, rel=1e-12)
 
     def test_large_ratio_vanishes(self):
-        assert qfi_harmonic_equilibrium(1.0, 1.0 / 60.0) < 1e-18
-        assert qfi_harmonic_equilibrium(1.0, 1.0 / 2000.0) == 0.0
+        assert qfi_harmonic_equilibrium(1.0, [1.0 / 60.0])[0] < 1e-18
+        assert qfi_harmonic_equilibrium(1.0, [1.0 / 2000.0])[0] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            qfi_harmonic_equilibrium(-1.0, 1.0)
+            qfi_harmonic_equilibrium(-1.0, [1.0])
 
 
 class TestHarmonicTransient:
     def test_long_time_reaches_equilibrium(self):
         m = model_at(X_TILDE)
-        got = qfi_harmonic_transient(m, 50.0 / m.phase_space_damping)
-        assert got == pytest.approx(qfi_harmonic_equilibrium(m.gap, m.temperature), rel=1e-12)
+        got = qfi_harmonic_transient(m, [50.0 / m.phase_space_damping])[0]
+        assert got == pytest.approx(qfi_harmonic_equilibrium(m.gap, [m.temperature])[0], rel=1e-12)
 
     def test_short_time_rate_matches_qubit_limit(self):
         m = model_at(X_TILDE)
         dt = 1e-4 / m.decay_rate
-        rate = qfi_harmonic_transient(m, dt) / dt
+        rate = qfi_harmonic_transient(m, [dt])[0] / dt
         assert rate == pytest.approx(ultimate_rate(2, m.ratio, m.coupling, m.temperature), rel=1e-3)
 
     @pytest.mark.parametrize("damping_times", [0.05, 0.5, 3.0])
@@ -149,7 +149,7 @@ class TestHarmonicTransient:
             return relaxed_covariance(VACUUM, model, dt)
 
         oracle = qfi_bures_oracle(family, m.temperature, fidelity=fidelity_gaussian, step=1e-2)
-        assert qfi_harmonic_transient(m, dt) == pytest.approx(oracle, rel=1e-6)
+        assert qfi_harmonic_transient(m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("x", [0.5, X_TILDE, 12.0])
     def test_matches_number_basis_populations(self, x):
@@ -166,11 +166,11 @@ class TestHarmonicTransient:
             return (1.0 - weight) * weight**levels
 
         oracle = qfi_bures_oracle(populations, m.temperature)
-        assert qfi_harmonic_transient(m, dt) == pytest.approx(oracle, rel=1e-6)
+        assert qfi_harmonic_transient(m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
     def test_close_to_qubit_at_moderate_dt(self):
         m = model_at(X_TILDE)
         dt = 0.1 / m.decay_rate
-        ho = qfi_harmonic_transient(m, dt)
+        ho = qfi_harmonic_transient(m, [dt])[0]
         qb = qfi_transient_closed_form_qubit(m.ratio, dt, m.relaxation_time, m.temperature)
         assert ho == pytest.approx(qb, rel=5e-3)

@@ -7,11 +7,17 @@ digits, x = gap/T: at large x the oracle forms small quantities, such as
 1 - |r|^2, as differences of terms of order one, and at 30 digits its own
 error would reach 2.6e-12 at x = 40. The operating points span x from 1e-3
 to 100, and every series must match to 1e-12 at every point.
+
+The short-interrogation limit, ``ultimate_rate`` and the ``limits`` rows,
+is checked against c T (n-1) x^5 e^{2x} / (e^x - 1)^3 at 50 digits for x
+from 1e-3 to 700.
 """
 
 import pytest
 
-from thermoprobe.dynamics import DissipationModel, log_interrogation_grid, transient_scan
+from thermoprobe.cli import _DEFAULTS, cmd_limits
+from thermoprobe.dynamics import DissipationModel, log_interrogation_grid, transient_scan, ultimate_rate
+from thermoprobe.numerics import geometric_grid
 
 from oracles import rows_of
 
@@ -133,3 +139,32 @@ def test_every_series_matches_exact_derivatives(gap, temperature, gamma, points)
     # "not e <= tol" so that a NaN error fails too
     failing = {key: bad for key, errs in errors.items() if (bad := [e for e in errs if not e <= REL_TOL])}
     assert not failing, failing
+
+
+RATE_REL_TOL = 1e-15  # the worst error measured is 6.8e-16
+
+
+def _rate_error(got, n, x, coupling, temperature):
+    """Relative error of ``got`` against c T (n-1) x^5 e^{2x} / (e^x - 1)^3 at 50 digits."""
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        exact = mp.mpf(coupling) * mp.mpf(temperature) * (n - 1) * x**5 * mp.exp(2 * x) / (mp.exp(x) - 1) ** 3
+        return float(abs(mp.mpf(got) / exact - 1))
+
+
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("coupling, temperature", [(1e-3, 1.0), (0.37, 2.5)])
+def test_ultimate_rate(n, coupling, temperature):
+    errors = {x: _rate_error(ultimate_rate(n, x, coupling, temperature), n, x, coupling, temperature)
+              for x in geometric_grid(1e-3, 700.0, 400)}
+    failing = {x: e for x, e in errors.items() if not e <= RATE_REL_TOL}
+    assert not failing, failing
+
+
+def test_limits_rows_at_defaults():
+    params = dict(_DEFAULTS["limits"])
+    rows = rows_of(cmd_limits(params))
+    assert [r["N"] for r in rows] == params["n"]
+    for r in rows:
+        error = _rate_error(r["rate"], r["N"], r["x_tilde"], params["gamma"], params["temperature"])
+        assert error <= RATE_REL_TOL, (r, error)

@@ -38,9 +38,6 @@ class ConfigError(ValueError):
 
 def _parse_int_list(field, text):
     """Accept '2,4,6' or a range '2..10' (inclusive)."""
-    text = text.strip()
-    if not text:
-        raise ConfigError(field, "list must not be empty")
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         try:
@@ -60,50 +57,39 @@ def _parse_int_list(field, text):
 
 
 def _parse_float_list(field, text):
-    text = text.strip()
-    if not text:
-        raise ConfigError(field, "list must not be empty")
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(field, f"cannot parse float list {text!r}") from None
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip decimal, float subclasses included
-    return str(value)
-
-
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _json_cell(value):
-    """One value as ``json.dumps`` writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
+def _cell(value, fmt):
+    """One value as a CSV cell, or as ``json.dumps`` writes it: the formats
+    differ only for None, strings and non-finite floats. Floats, subclasses
+    included, take the shortest round-trip decimal."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         text = float.__repr__(value)
-        return _JSON_NON_FINITE.get(text, text)
-    return int.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text) if fmt == "json" else text
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null" if fmt == "json" else ""
+    return encode_basestring_ascii(value) if fmt == "json" else value
 
 
-def _encode_column(values, cell):
+def _encode_column(values, fmt):
     """The cells of one column: ``repr`` for a column of finite floats or of
     ints, which for these exact types is float.__repr__ or int.__repr__ as
-    both formats need, and ``cell`` per value otherwise."""
+    both formats need, and ``_cell`` per value otherwise."""
     kinds = set(map(type, values))
     if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
         return list(map(repr, values))
-    return list(map(cell, values))
+    return [_cell(v, fmt) for v in values]
 
 
 def render_rows(table, fmt):
@@ -119,12 +105,10 @@ def render_rows(table, fmt):
         return "[]\n" if fmt == "json" else "\n"
     names = table.columns
     if fmt == "json":
-        cell = _json_cell
         keys = ["    " + encode_basestring_ascii(k) + ": " for k in names]
         mids = [",\n" + k for k in keys[1:]]
         head, sep, tail = "[\n  {\n" + keys[0], "\n  },\n  {\n" + keys[0], "\n  }\n]\n"
     else:
-        cell = _format_cell
         mids = [","] * (len(names) - 1)
         head, sep, tail = ",".join(names) + "\n", "\n", "\n"
     # a row is cell, mid, ..., mid, cell, sep; head joins the first cell, tail replaces the last sep
@@ -139,11 +123,11 @@ def render_rows(table, fmt):
         stop = start + width * count
         for j, values in enumerate(block):
             if not isinstance(values, list):
-                cells = [cell(values)] * count
+                cells = [_cell(values, fmt)] * count
             elif id(values) in encoded:
                 cells = encoded[id(values)]
             else:
-                cells = encoded[id(values)] = _encode_column(values, cell)
+                cells = encoded[id(values)] = _encode_column(values, fmt)
             out[start + 2 * j:stop:width] = cells
         start = stop
     out[0] = head + out[0]
@@ -160,24 +144,8 @@ def _reserve(field, rows):
         raise ConfigError(field, f"{rows} rows do not fit in memory") from None
 
 
-def _require_positive(params, *names):
-    """Each named parameter, or each entry of a named list, is finite and positive."""
-    for name in names:
-        value = params[name]
-        for v in value if isinstance(value, list) else [value]:
-            if not (math.isfinite(v) and v > 0):
-                raise ConfigError(name, f"must be finite and positive, got {value}")
-
-
 def cmd_equilibrium_scan(params):
     n_list = params["n"]
-    if not n_list:
-        raise ConfigError("n", "probe dimension list must not be empty")
-    if any(n < 2 for n in n_list):
-        raise ConfigError("n", f"every dimension must be >= 2, got {n_list}")
-    _require_positive(params, "gap", "x_min", "x_max")
-    if params["x_max"] <= params["x_min"]:
-        raise ConfigError("x_max", "must exceed x_min")
     if params["points"] < 2:
         raise ConfigError("points", f"need at least 2 grid points, got {params['points']}")
     _reserve("points", params["points"] * (len(n_list) + 1))
@@ -186,16 +154,8 @@ def cmd_equilibrium_scan(params):
 
 
 def cmd_optimal_gap(params):
-    n_list, n0_list = params["n"], params["n0"]
-    if not n_list:
-        raise ConfigError("n", "probe dimension list must not be empty")
-    if not n0_list:
-        raise ConfigError("n0", "ground degeneracy list must not be empty")
-    _require_positive(params, "temperature")
-    t = params["temperature"]
+    n_list, n0_list, t = params["n"], params["n0"], params["temperature"]
     for n in n_list:
-        if n < 2:
-            raise ConfigError("n", f"every dimension must be >= 2, got {n}")
         for n0 in n0_list:
             if not 1 <= n0 <= n - 1:
                 raise ConfigError("n0", f"n0={n0} outside [1, {n - 1}] for n={n}")
@@ -208,11 +168,6 @@ def cmd_optimal_gap(params):
 
 
 def cmd_hessian_check(params):
-    if params["n_min"] < 2:
-        raise ConfigError("n_min", f"must be >= 2, got {params['n_min']}")
-    if params["n_max"] < params["n_min"]:
-        raise ConfigError("n_max", "must be >= n_min")
-    _require_positive(params, "temperature")
     _reserve("n_max", params["n_max"] - params["n_min"] + 1)
     try:
         return hessian_certificate(range(params["n_min"], params["n_max"] + 1), params["temperature"])
@@ -221,23 +176,15 @@ def cmd_hessian_check(params):
 
 
 def cmd_transient_scan(params):
-    _require_positive(params, "gamma", "temperature", "points", "span_min", "span_max")
-    if params["span_max"] <= params["span_min"]:
-        raise ConfigError("span_max", "must exceed span_min")
     n_list = params["n"]
-    if not n_list or any(n < 2 for n in n_list):
-        raise ConfigError("n", f"dimensions must be a nonempty list of ints >= 2, got {n_list}")
+    labels = [thermal_label(t_prep) for t_prep in params["t_prep"]]
+    if len(set(labels)) < len(labels):
+        raise ConfigError("t_prep", f"temperatures {params['t_prep']} share a series label: {labels}")
     gap = params["gap"]
     if gap is None:
         gap = optimal_interrogation_ratio() * params["temperature"]
         if not math.isfinite(gap):
             raise NonFiniteState(f"default gap x_tilde * T overflows at T={params['temperature']:g}")
-    else:
-        _require_positive(params, "gap")
-    _require_positive(params, "t_prep")
-    labels = [thermal_label(t_prep) for t_prep in params["t_prep"]]
-    if len(set(labels)) < len(labels):
-        raise ConfigError("t_prep", f"temperatures {params['t_prep']} share a series label: {labels}")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
     tau = model.relaxation_time
     if tau >= sys.float_info.min and params["span_min"] * tau < sys.float_info.min:
@@ -252,9 +199,6 @@ def cmd_transient_scan(params):
 
 def cmd_limits(params):
     n_list = params["n"]
-    if not n_list or any(n < 2 for n in n_list):
-        raise ConfigError("n", f"dimensions must be a nonempty list of ints >= 2, got {n_list}")
-    _require_positive(params, "gamma", "temperature")
     x_tilde = optimal_interrogation_ratio()
     rates = []
     for n in n_list:
@@ -281,6 +225,16 @@ _DEFAULTS = {
     },
     "limits": {"n": [2, 4, 10], "gamma": 1e-3, "temperature": 1.0},
 }
+
+# Rules that parameters share across commands, each applied to every command
+# that has the key: finite and positive, per entry of a list and skipping a
+# None gap; probe dimensions of at least 2; lists that must not be empty (an
+# empty t_prep asks for no thermal series); and ordered pairs (low, high,
+# strict), with high above low, or at least low where not strict.
+_POSITIVE = {"gap", "x_min", "x_max", "temperature", "gamma", "t_prep", "points", "span_min", "span_max"}
+_DIMENSIONS = {"n", "n_min"}
+_NON_EMPTY = {"n", "n0"}
+_ORDERED = [("x_min", "x_max", True), ("span_min", "span_max", True), ("n_min", "n_max", False)]
 
 _RUNNERS = {
     "equilibrium-scan": cmd_equilibrium_scan,
@@ -346,7 +300,7 @@ def _matches_default(value, default):
 
 def build_run_config(args):
     """Parameters of the command: CLI flags over a JSON config file over
-    built-in defaults."""
+    built-in defaults, checked against the shared rules."""
     command = args.command
     params = dict(_DEFAULTS[command])
     if args.config:
@@ -372,6 +326,17 @@ def build_run_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = _LIST_PARSERS[key](key, flag) if key in _LIST_PARSERS else flag
+    for key, value in params.items():
+        entries = value if isinstance(value, list) else [value]
+        if key in _NON_EMPTY and not entries:
+            raise ConfigError(key, "list must not be empty")
+        if key in _POSITIVE and not all(v is None or 0 < v < math.inf for v in entries):
+            raise ConfigError(key, f"must be finite and positive, got {value}")
+        if key in _DIMENSIONS and not all(v >= 2 for v in entries):
+            raise ConfigError(key, f"every dimension must be >= 2, got {value}")
+    for low, high, strict in _ORDERED:
+        if low in params and not (params[high] > params[low] if strict else params[high] >= params[low]):
+            raise ConfigError(high, f"must {'exceed' if strict else 'be at least'} {low}, got {params[high]}")
     return params
 
 

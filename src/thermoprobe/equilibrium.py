@@ -119,36 +119,35 @@ def optimal_gap(ns, n0s, temperature):
     return x_star, qfi, excess
 
 
-def _variance_hessian_diag(eps_i, t, z, h1, h2):
-    pref = (math.exp(-eps_i / t) / (z * t)) ** 2
-    return pref * (
-        2.0 * (h2 - 3.0 * h1 * h1 - 4.0 * t * h1 - t * t)
-        + 8.0 * (t + h1) * eps_i
-        - 4.0 * eps_i * eps_i
-        + z * math.exp(eps_i / t) * (
-            2.0 * t * t + 2.0 * h1 * (2.0 * t + h1) - h2
-            - 2.0 * (2.0 * t + h1) * eps_i + eps_i * eps_i
-        )
+def _variance_hessian_diag(f, eps_i, t, h1, h2):
+    """Second derivative of the energy variance in level eps_i, with
+    f = e^{-eps_i/T} / (Z T) applied one power at a time: f is about 1/N at the
+    excited level, so f^2, or e^{eps_i/T} against it, would leave the range of
+    floats long before the entry does."""
+    return f * (
+        f * (2.0 * (h2 - 3.0 * h1 * h1 - 4.0 * t * h1 - t * t) + 8.0 * (t + h1) * eps_i - 4.0 * eps_i * eps_i)
+        + (2.0 * t * t + 2.0 * h1 * (2.0 * t + h1) - h2 - 2.0 * (2.0 * t + h1) * eps_i + eps_i * eps_i) / t
     )
 
 
-def _variance_hessian_offdiag(eps_i, eps_j, t, z, h1, h2):
-    pref = math.exp(-(eps_i + eps_j) / t) / (t * t * z * z)
-    s = eps_i + eps_j
-    return pref * (4.0 * h1 * (s - 2.0 * t) + s * (4.0 * t - s) + 2.0 * h2 - 6.0 * h1 * h1 - 2.0 * t * t)
+def _variance_hessian_offdiag(f_i, f_j, s, t, h1, h2):
+    """Mixed second derivative in two levels of energy sum s, each with its
+    factor e^{-eps/T} / (Z T), applied one at a time."""
+    return f_i * (f_j * (4.0 * h1 * (s - 2.0 * t) + s * (4.0 * t - s) + 2.0 * h2 - 6.0 * h1 * h1 - 2.0 * t * t))
 
 
 def hessian_shift_eigenvalue(n, x):
-    """Eigenvalue on excited-sector differences, (n-2)-fold degenerate."""
-    return -(x - 2.0) / (2.0 * (n - 1))
+    """Eigenvalue on excited-sector differences, (n-2)-fold degenerate,
+    halved before the division so that 2 (n-1) cannot overflow."""
+    return -(x - 2.0) / 2.0 / (n - 1)
 
 
 def hessian_pair_eigenvalue(n, x):
     """Nonzero eigenvalue of the ground/excited 2x2 sector. The factor n is
     forced by the zero row sums of the block matrix: the sector trace is a - c
     and c = -a/(n-1), so the eigenvalue picks up n/(n-1) relative to the bare
-    diagonal entry."""
-    return -n * (x * x - 4.0) / (8.0 * (n - 1))
+    diagonal entry. Written so that no factor overflows at any N a float holds."""
+    return -(x * x - 4.0) / 8.0 * (n / (n - 1))
 
 
 def hessian_blocks(n, temperature=1.0):
@@ -171,10 +170,11 @@ def hessian_blocks(n, temperature=1.0):
     h1 = t * (x - 2.0) / 2.0
     h2 = t * t * x * (x - 2.0) / 2.0
     gap = t * x
-    a = _variance_hessian_diag(0.0, t, z, h1, h2)
-    b = _variance_hessian_diag(gap, t, z, h1, h2)
-    c = _variance_hessian_offdiag(0.0, gap, t, z, h1, h2)
-    d = _variance_hessian_offdiag(gap, gap, t, z, h1, h2)
+    ground, excited = 1.0 / (z * t), math.exp(-x) / (z * t)
+    a = _variance_hessian_diag(ground, 0.0, t, h1, h2)
+    b = _variance_hessian_diag(excited, gap, t, h1, h2)
+    c = _variance_hessian_offdiag(ground, excited, gap, t, h1, h2)
+    d = _variance_hessian_offdiag(excited, excited, 2.0 * gap, t, h1, h2)
     p, q, s = a, c * math.sqrt(n - 1), b + (n - 2) * d
     mean, radius = (p + s) / 2.0, math.hypot((p - s) / 2.0, q)
     return x, (a, b, c, d), (mean - radius, mean + radius)
@@ -192,7 +192,9 @@ def hessian_certificate(n, temperature=1.0):
     Returns a Table with columns N, x_star, lambda_pair, lambda_shift (empty
     at N = 2), shift_multiplicity, eigenvalue_error, zero_mode_residual and
     certifies_maximum. NonFiniteState when a value of a row is not finite, as
-    from N of about 1e307, or at N = 20 from T of about 8e152.
+    at N = 20 from T of about 1.7e153. The factor e^{-x}/(ZT) of the excited
+    entries, about 1/(N T), goes subnormal from N T of about 1e308 and
+    underflows from about 1e323, where b - d reads 0 and certifies nothing.
     """
     rows = []
     for k in n:

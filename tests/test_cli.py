@@ -241,9 +241,11 @@ class TestHessianCheck:
         assert all(r["certifies_maximum"] == "true" for r in rows)
         assert all(float(r["eigenvalue_error"]) <= 1e-8 for r in rows)
 
-    @pytest.mark.parametrize("n", [10**8, 10**12, 10**15])
+    @pytest.mark.parametrize("n", [10**8, 10**12, 10**15]
+                             + [pytest.param(10**k, id=f"1e{k}") for k in (162, 200, 300, 307)])
     def test_certifies_very_large_dimensions(self, tmp_path, n):
-        # the shift eigenvalue -(x-2)/(2(n-1)) shrinks as 1/n but stays negative
+        # the shift eigenvalue -(x-2)/(2(n-1)) shrinks as 1/n but stays negative,
+        # and the entries b and d, about 1/n and 1/n^2, must not underflow before it
         code, text = run(tmp_path, ["hessian-check", "--n-min", str(n), "--n-max", str(n)])
         assert code == 0
         _, (row,) = parse_csv(text)
@@ -416,6 +418,81 @@ class TestLimits:
         assert len(rows) == 1
 
 
+# One bad value for each command and key that a shared rule governs: finite
+# and positive, dimensions >= 2, non-empty lists, and ordered pairs, where the
+# value lies below its partner's default.
+RULE_CASES = [
+    ("equilibrium-scan", "n", []),
+    ("equilibrium-scan", "n", [2, 1]),
+    ("equilibrium-scan", "gap", 0.0),
+    ("equilibrium-scan", "x_min", -1.0),
+    ("equilibrium-scan", "x_max", math.inf),
+    ("equilibrium-scan", "x_max", 0.25),
+    ("equilibrium-scan", "points", 0),
+    ("optimal-gap", "n", []),
+    ("optimal-gap", "n", [1, 4]),
+    ("optimal-gap", "n0", []),
+    ("optimal-gap", "temperature", math.nan),
+    ("hessian-check", "n_min", 1),
+    ("hessian-check", "n_max", 1),
+    ("hessian-check", "temperature", -1.0),
+    ("transient-scan", "n", []),
+    ("transient-scan", "n", [0]),
+    ("transient-scan", "gamma", 0.0),
+    ("transient-scan", "temperature", -math.inf),
+    ("transient-scan", "gap", -1.0),
+    ("transient-scan", "t_prep", [0.8, -0.9]),
+    ("transient-scan", "points", 0),
+    ("transient-scan", "span_min", 0.0),
+    ("transient-scan", "span_max", math.nan),
+    ("transient-scan", "span_max", 1e-4),
+    ("limits", "n", []),
+    ("limits", "n", [2, 1]),
+    ("limits", "gamma", -1e-3),
+    ("limits", "temperature", 0.0),
+]
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", RULE_CASES)
+    def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, form, command, key, value):
+        argv = [command]
+        if form == "flag":
+            argv += flag(key, value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg)]
+        code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not (tmp_path / "out.csv").exists()
+        assert err.startswith(f"thermoprobe: configuration error: {key}:") and "Traceback" not in err
+
+    def test_the_table_covers_every_governed_key(self):
+        governed = cli._POSITIVE | cli._DIMENSIONS | cli._NON_EMPTY | {high for _, high, _ in cli._ORDERED}
+        expected = {(c, k) for c, defaults in cli._DEFAULTS.items() for k in defaults if k in governed}
+        assert {(c, k) for c, k, _ in RULE_CASES} == expected
+
+    @pytest.mark.parametrize("argv, code, expected", [
+        (["transient-scan", "--points", "1"], 0, 5),  # one row per series
+        (["hessian-check", "--n-min", "5", "--n-max", "5"], 0, 1),
+        (["equilibrium-scan", "--points", "1"], 2, "points"),
+        # a configuration error wins over the default gap x_tilde * T, which overflows
+        (["transient-scan", "--temperature", "1e308", "--t-prep", "-1"], 2, "t_prep"),
+    ])
+    def test_boundaries(self, tmp_path, capsys, argv, code, expected):
+        """Exit 0 with the expected number of rows, or exit 2 naming the expected field."""
+        got, text = run(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert got == code
+        if code == 0:
+            assert len(parse_csv(text)[1]) == expected
+        else:
+            assert text == "" and err.startswith(f"thermoprobe: configuration error: {expected}:")
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_three(self, tmp_path, monkeypatch):
         from thermoprobe.numerics import NoConvergence
@@ -515,10 +592,8 @@ class TestExitCodes:
         (["optimal-gap", "--n", str(10**15), "--temperature", "2e-154"], "overflows at T=2e-154"),
         pytest.param(["hessian-check", "--n-min", str(10**400), "--n-max", str(10**400)], f"N={10**400}",
                      id="hessian-check-N-beyond-floats"),
-        pytest.param(["hessian-check", "--n-min", str(10**307), "--n-max", str(10**307)], f"N={10**307}, T=1",
-                     id="hessian-check-row-overflows-at-N-1e307"),
-        (["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20), "--temperature", "1e150"],
-         f"N={10**20}, T=1e+150"),
+        (["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20), "--temperature", "1e153"],
+         f"N={10**20}, T=1e+153"),
     ])
     def test_numerical_edge_exits_three(self, tmp_path, capsys, argv, quantity):
         code, text = run(tmp_path, argv)

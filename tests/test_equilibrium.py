@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -307,6 +308,15 @@ class TestHessianCertificate:
             assert row["certifies_maximum"] is certifies_maximum(dense) is True
             analytic = np.sort([hessian_pair_eigenvalue(n, x), 0.0] + [hessian_shift_eigenvalue(n, x)] * (n - 2))
             assert row["eigenvalue_error"] == pytest.approx(np.abs(dense - analytic).max(), abs=1e-14)
+
+    def test_certifies_up_to_the_largest_dimension_a_float_holds(self):
+        # b and (n - 2) d are about 1/n and stay normal floats while n does
+        n = 2**1024 - 2**970  # float(n) is the largest finite float
+        (row,) = rows_of(hessian_certificate([n]))
+        x = Fraction(row["x_star"])
+        assert row["certifies_maximum"] is True
+        assert row["lambda_shift"] == pytest.approx(float(-(x - 2) / (2 * (n - 1))), rel=1e-12)
+        assert row["lambda_pair"] == pytest.approx(float(-(x * x - 4) * n / (8 * (n - 1))), rel=1e-15)
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):

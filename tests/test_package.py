@@ -1,11 +1,11 @@
 """Structure of the package: every import sits at module top, the module
 graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
 test-only oracles stay out of it, it defines no dataclass, the README's
-quick start runs, running every command loads neither numpy nor
-dataclasses nor inspect, importing it starts no thread and leaves
-OPENBLAS_NUM_THREADS alone, only the CLI run as the program freezes the
-collector's start-up heap, and the benchmark's copy of the CLI defaults
-stays equal to them."""
+quick start runs and its line count of ``src/`` holds, running every
+command loads neither numpy nor dataclasses nor inspect, importing it starts
+no thread and leaves OPENBLAS_NUM_THREADS alone, only the CLI run as the
+program freezes the collector's start-up heap, and the benchmark's copy of
+the CLI defaults stays equal to them."""
 
 import ast
 import gc
@@ -70,6 +70,13 @@ def test_readme_quick_start_runs(capsys):
     (code,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     exec(compile(code, "README.md", "exec"), {})
     assert "[True, True, True" in capsys.readouterr().out  # the certificate's column
+
+
+def test_readme_states_the_src_line_count():
+    # counted as the benchmark's metadata counts src_lines
+    root = Path(__file__).parents[1]
+    (stated,) = re.findall(r"`src/` is (\d+) lines", (root / "README.md").read_text())
+    assert int(stated) == sum(len(p.read_bytes().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
 def fresh_interpreter(code, **env):

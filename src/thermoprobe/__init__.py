@@ -8,7 +8,6 @@ generator, where the QFI per unit time is traced over the contact time.
 
 from .numerics import NoConvergence, NonFiniteState, Table
 from .equilibrium import (
-    DimensionTooSmall,
     hessian_certificate,
     optimal_gap,
     qfi_effective_two_level,

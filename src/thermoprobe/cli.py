@@ -57,24 +57,21 @@ def _parse_int_list(field, text):
 
 
 def _parse_float_list(field, text):
+    """Accept '0.8,0.9', or '' for an empty list."""
     try:
-        return [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")] if text else []
     except ValueError:
         raise ConfigError(field, f"cannot parse float list {text!r}") from None
 
 
-_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
 def _cell(value, fmt):
     """One value as a CSV cell, or as ``json.dumps`` writes it: the formats
-    differ only for None, strings and non-finite floats. Floats, subclasses
-    included, take the shortest round-trip decimal."""
+    differ only for None and strings. Floats, subclasses included, take the
+    shortest round-trip decimal; a Table holds no inf or NaN."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_NON_FINITE.get(text, text) if fmt == "json" else text
+        return float.__repr__(value)
     if isinstance(value, int):
         return int.__repr__(value)
     if value is None:
@@ -83,11 +80,10 @@ def _cell(value, fmt):
 
 
 def _encode_column(values, fmt):
-    """The cells of one column: ``repr`` for a column of finite floats or of
-    ints, which for these exact types is float.__repr__ or int.__repr__ as
-    both formats need, and ``_cell`` per value otherwise."""
-    kinds = set(map(type, values))
-    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
+    """The cells of one column: ``repr`` for a column of floats and ints,
+    which for these exact types is float.__repr__ or int.__repr__ as both
+    formats need, and ``_cell`` per value otherwise."""
+    if set(map(type, values)) <= {int, float}:
         return list(map(repr, values))
     return [_cell(v, fmt) for v in values]
 
@@ -200,12 +196,7 @@ def cmd_transient_scan(params):
 def cmd_limits(params):
     n_list = params["n"]
     x_tilde = optimal_interrogation_ratio()
-    rates = []
-    for n in n_list:
-        rate = ultimate_rate(n, x_tilde, params["gamma"], params["temperature"])
-        if not math.isfinite(rate):
-            raise NonFiniteState(f"rate {rate} is not finite for N={n}")
-        rates.append(rate)
+    rates = [ultimate_rate(n, x_tilde, params["gamma"], params["temperature"]) for n in n_list]
     return Table(("N", "x_tilde", "rate"), [(list(n_list), x_tilde, rates)])
 
 

@@ -13,10 +13,6 @@ from .numerics import NoConvergence, NonFiniteState, Table
 _PEAKS = Context(prec=28)  # eleven digits more than a double carries
 
 
-class DimensionTooSmall(ValueError):
-    """Certificate machinery needs at least a two-level probe."""
-
-
 def qfi_effective_two_level(xs, n, gap):
     """Closed-form QFI of an n-level probe with a single ground level and an
     (n-1)-fold degenerate excited level at ``gap``, as a list over the
@@ -86,8 +82,8 @@ def optimal_gap(ns, n0s, temperature):
     lengths, n < 2, n0 outside [1, n-1] or a nonpositive temperature;
     NoConvergence when |e^x (x-2) n0 / ((n-n0)(x+2)) - 1| exceeds 1e-10, as
     it does once x* lies too close to 2 to be resolved; NonFiniteState when
-    n - n0 or n0 exceeds the float range, T^2 or 1/T^2 is not a normal float,
-    or a peak or an excess overflows.
+    n - n0 or n0 exceeds the float range or T^2 or 1/T^2 is not a normal
+    float. A peak or an excess that overflows is returned as inf.
     """
     ns, n0s = list(ns), list(n0s)
     if len(ns) != len(n0s):
@@ -114,8 +110,6 @@ def optimal_gap(ns, n0s, temperature):
             x_star.append(x)
             qfi.append(float(peak / t2))
             excess.append(float((solve(k, k0 - 1)[1] - peak) * t2) if k0 > 1 else math.nan)
-    if any(map(math.isinf, qfi + excess)):
-        raise NonFiniteState(f"a peak QFI or variance excess overflows at T={temperature:g}")
     return x_star, qfi, excess
 
 
@@ -163,7 +157,7 @@ def hessian_blocks(n, temperature=1.0):
     whose eigenvalues are m -+ hypot((p - s)/2, q), m = (p + s)/2.
     """
     if n < 2:
-        raise DimensionTooSmall(f"certificate needs n >= 2, got {n}")
+        raise ValueError(f"certificate needs n >= 2, got {n}")
     _check_temperature(temperature)
     x, t = _gap_ratio(n, 1), float(temperature)
     z = 2.0 * x / (2.0 + x)
@@ -191,8 +185,8 @@ def hessian_certificate(n, temperature=1.0):
     check. No tolerance is applied to b - d, whose magnitude falls as 1/n.
     Returns a Table with columns N, x_star, lambda_pair, lambda_shift (empty
     at N = 2), shift_multiplicity, eigenvalue_error, zero_mode_residual and
-    certifies_maximum. NonFiniteState when a value of a row is not finite, as
-    at N = 20 from T of about 1.7e153. The factor e^{-x}/(ZT) of the excited
+    certifies_maximum; the Table refuses a value that is not finite, as at
+    N = 20 from T of about 1.7e153. The factor e^{-x}/(ZT) of the excited
     entries, about 1/(N T), goes subnormal from N T of about 1e308 and
     underflows from about 1e323, where b - d reads 0 and certifies nothing.
     """
@@ -205,8 +199,6 @@ def hessian_certificate(n, temperature=1.0):
         tol = 1e-8 * max(1.0, abs(low))
         certifies = low < -tol and abs(high) <= tol and (b - d < 0.0 or k == 2)
         residual = max(abs(a + (k - 1) * c), abs(c + b + (k - 2) * d))
-        if not all(map(math.isfinite, [x, pair, shift, residual] + errors)):
-            raise NonFiniteState(f"the certificate at N={k}, T={temperature:g} is not finite")
         rows.append((k, x, pair, shift if k > 2 else None, k - 2, max(errors), residual, certifies))
     return Table(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity",
                   "eigenvalue_error", "zero_mode_residual", "certifies_maximum"), [tuple(map(list, zip(*rows)))])
@@ -220,8 +212,7 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     The normalized column divides each curve by its peak over the grid. The
     harmonic-oscillator curve is appended with N = "ho" when requested. Each
     curve is one kernel call over the grid. NonFiniteState when a temperature
-    is not finite and positive, a QFI is not finite, or a curve's peak is
-    zero, so that it cannot be normalized.
+    is not finite and positive or a curve's peak, its normalizer, is not positive.
     """
     n_list = list(n_list)
     if not n_list and not include_harmonic:
@@ -237,12 +228,9 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
         curves.append(("ho", qfi_harmonic_equilibrium, gap, temperatures))
     blocks = []
     for label, kernel, *args in curves:
-        try:
-            values = kernel(*args)
-        except ArithmeticError:  # a float operation overflowed or divided by zero
-            values = [math.nan]
+        values = kernel(*args)
         peak = max(values)
-        if not (peak > 0.0 and all(map(math.isfinite, values))):
-            raise NonFiniteState(f"QFI curve N={label} has peak {peak} or non-finite values")
+        if not peak > 0.0:
+            raise NonFiniteState(f"QFI curve N={label} has peak {peak}, which cannot normalize it")
         blocks.append((label, temperatures, values, [v / peak for v in values]))
     return Table(("N", "T", "qfi", "qfi_normalized"), blocks)

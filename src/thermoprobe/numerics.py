@@ -24,14 +24,24 @@ class Table:
     other value repeats over the block. A list may be shared by several
     blocks, such as the temperature grid of every equilibrium curve.
     ``len(table)`` is the number of rows.
+
+    A Table holds only finite floats, each distinct list checked once: an inf
+    or NaN cell raises NonFiniteState naming its column, where the first
+    column is a list its value in the first failing row, and the block's
+    scalar labels. None, strings, bools and ints of any size pass.
     """
 
     def __init__(self, columns, blocks):
+        checked = set()
         for block in blocks:
             lengths = {len(cell) for cell in block if isinstance(cell, list)}
             if len(block) != len(columns) or len(lengths) != 1:
                 raise ValueError(f"a block needs one entry per column {columns} "
                                  f"and lists of one length, got lengths {sorted(lengths)}")
+            for name, cell in zip(columns, block):
+                if not (id(cell) in checked or _finite(cell if isinstance(cell, list) else [cell])):
+                    raise NonFiniteState(f"{name} is not finite at {_where(columns, block, cell)}")
+                checked.add(id(cell))
         self.columns = columns
         self.blocks = blocks
 
@@ -42,6 +52,22 @@ class Table:
     def block_rows(block):
         """Number of rows of one block: the length of its lists."""
         return next(len(cell) for cell in block if isinstance(cell, list))
+
+
+def _finite(values):
+    """Whether every float of a list is finite: one isfinite pass, or float by
+    float where the list also holds None, a str or an int beyond the floats."""
+    try:
+        return all(map(math.isfinite, values))
+    except (TypeError, OverflowError):
+        return all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
+def _where(columns, block, cell):
+    """The labels of the first row of a block in which ``cell`` is not finite."""
+    row = next(k for k, v in enumerate(cell if isinstance(cell, list) else [cell]) if not _finite([v]))
+    first = [f"{columns[0]}={block[0][row]}"] if isinstance(block[0], list) else []
+    return ", ".join(first + [f"{name}={v}" for name, v in zip(columns, block) if not isinstance(v, list)])
 
 
 def geometric_grid(start, stop, points):

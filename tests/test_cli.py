@@ -393,6 +393,16 @@ class TestTransientScan:
         _, rows = parse_csv(text)
         assert len(rows) == 4 * 4  # three ground series and thermal-1
 
+    def test_empty_t_prep_flag_matches_the_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_prep": []}))
+        from_flag = run(tmp_path, ["transient-scan", "--t-prep", ""], name="flag.csv")
+        from_config = run(tmp_path, ["transient-scan", "--config", str(cfg)], name="config.csv")
+        assert from_flag == from_config
+        code, text = from_flag
+        assert code == 0
+        assert {row["prep"] for row in parse_csv(text)[1]} == {"ground"}
+
     def test_missing_config_file_exits_two(self, tmp_path):
         code, _ = run(tmp_path, ["transient-scan", "--config", str(tmp_path / "nope.json")])
         assert code == 2
@@ -589,11 +599,13 @@ class TestExitCodes:
         (["transient-scan", "--temperature", "1e-320", "--gap", "1"], "gap/temperature"),
         (["optimal-gap", "--temperature", "1e-200"], "temperature T=1e-200"),
         (["hessian-check", "--temperature", "1e200"], "temperature T=1e+200"),
-        (["optimal-gap", "--n", str(10**15), "--temperature", "2e-154"], "overflows at T=2e-154"),
+        (["optimal-gap", "--n", str(10**15), "--temperature", "2e-154"], f"qfi_peak is not finite at N={10**15}"),
         pytest.param(["hessian-check", "--n-min", str(10**400), "--n-max", str(10**400)], f"N={10**400}",
                      id="hessian-check-N-beyond-floats"),
         (["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20), "--temperature", "1e153"],
-         f"N={10**20}, T=1e+153"),
+         f"at N={10**20}"),
+        (["equilibrium-scan", "--gap", "1e-300", "--x-min", "1e-10", "--x-max", "1", "--points", "3"],
+         "qfi is not finite at N=2"),  # the QFI overflows
     ])
     def test_numerical_edge_exits_three(self, tmp_path, capsys, argv, quantity):
         code, text = run(tmp_path, argv)
@@ -612,7 +624,7 @@ class TestExitCodes:
         ("limits", "n"),
     ])
     def test_empty_list_in_config_exits_two(self, tmp_path, capsys, command, field):
-        # a flag cannot give an empty list, a config file can
+        # a flag cannot give an empty int list, a config file can
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({field: []}))
         code, text = run(tmp_path, [command, "--config", str(cfg)])

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from thermoprobe.equilibrium import (
-    DimensionTooSmall,
     hessian_blocks,
     hessian_certificate,
     hessian_pair_eigenvalue,
@@ -319,7 +318,7 @@ class TestHessianCertificate:
         assert row["lambda_pair"] == pytest.approx(float(-(x * x - 4) * n / (8 * (n - 1))), rel=1e-15)
 
     def test_dimension_too_small(self):
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(ValueError, match="n >= 2"):
             hessian_certificate([1])
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoprobe.numerics import NonFiniteState, geometric_grid
+from thermoprobe.numerics import NonFiniteState, Table, geometric_grid
 
 from oracles import Spectrum, bisect_root, central_diff, integrate_ode, qfi_thermal, thermalize
 
@@ -102,3 +102,41 @@ class TestGeometricGrid:
 
     def test_single_point_is_the_start(self):
         assert geometric_grid(0.5, 2.0, 1) == [0.5]
+
+
+class TestTableGuard:
+    COLUMNS = ("prep", "N", "dt", "rate")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_list_cell_names_column_and_labels(self, bad):
+        good = ("ground", 2, [1.0, 2.0], [0.5, 0.25])
+        with pytest.raises(NonFiniteState, match=r"^rate is not finite at prep=thermal-0\.8, N=2$"):
+            Table(self.COLUMNS, [good, ("thermal-0.8", 2, good[2], [0.5, bad])])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_scalar_cell_names_column_and_labels(self, bad):
+        with pytest.raises(NonFiniteState, match=r"^N is not finite at prep=plus, N=(inf|-inf|nan)$"):
+            Table(self.COLUMNS, [("plus", bad, [1.0], [0.5])])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_first_list_column_names_the_failing_row(self, bad):
+        with pytest.raises(NonFiniteState, match=r"^x is not finite at N=5, label=a$"):
+            Table(("N", "label", "x"), [([4, 5, 6], "a", [1.0, bad, bad])])
+        with pytest.raises(NonFiniteState, match=r"^label is not finite at N=4, label=(inf|-inf|nan)$"):
+            Table(("N", "label", "x"), [([4, 5, 6], bad, [1.0, 1.0, 1.0])])
+
+    def test_non_finite_after_none_in_a_mixed_list(self):
+        with pytest.raises(NonFiniteState, match=r"^x is not finite at N=3$"):
+            Table(("N", "x"), [([2, 3], [None, math.nan])])
+
+    def test_shared_list_is_named_in_its_first_block(self):
+        shared = [1.0, math.inf]
+        with pytest.raises(NonFiniteState, match=r"^T is not finite at N=2$"):
+            Table(("N", "T"), [(2, shared), (4, shared)])
+
+    def test_accepts_finite_values_of_every_kind(self):
+        big = 2**1024 - 2**970  # rounds to 2**1024, beyond the floats
+        cells = [None, "ho", True, False, -0.0, 5e-324, -1.7976931348623157e308, big, -big, np.float64(0.5)]
+        table = Table(("N", "v", "w"), [(big, cells, list(range(len(cells)))), ("x", cells, [big] * len(cells)),
+                                       (None, [-0.0], [5e-324])])
+        assert len(table) == 2 * len(cells) + 1

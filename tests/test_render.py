@@ -5,7 +5,6 @@ render byte for byte as both oracles render the rows the table stands for.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -48,9 +47,10 @@ def assert_renders_as_oracles(table):
     assert cli.render_rows(table, "csv") == csv_oracle(rows)
 
 
+# a Table holds only finite floats, so no inf or NaN is drawn
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308,
-                               math.inf, -math.inf, math.nan])
-FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
+                               1.7976931348623157e308])
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)
 STRINGS = st.one_of(st.text(), st.text(alphabet='a"\\,%\n\u00e9\u2603\U0001f600'))
 VALUES = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(-2**64, 2**64), st.none(),
                    st.booleans(), STRINGS)

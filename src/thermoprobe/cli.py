@@ -158,7 +158,6 @@ def cmd_optimal_gap(params):
     ns = [n for n in n_list for _ in n0_list]
     n0s = [n0 for _ in n_list for n0 in n0_list]
     x, qfi, excess = optimal_gap(ns, n0s, t)
-    excess = [None if n0 == 1 else e for n0, e in zip(n0s, excess)]
     return Table(("N", "n0", "x_star", "gap", "qfi_peak", "variance_excess_vs_lower_n0"),
                  [(ns, n0s, x, [t * v for v in x], qfi, excess)])
 
@@ -166,7 +165,7 @@ def cmd_optimal_gap(params):
 def cmd_hessian_check(params):
     _reserve("n_max", params["n_max"] - params["n_min"] + 1)
     try:
-        return hessian_certificate(range(params["n_min"], params["n_max"] + 1), params["temperature"])
+        return hessian_certificate(range(params["n_min"], params["n_max"] + 1))
     except MemoryError:
         raise ConfigError("n_max", f"dimensions up to {params['n_max']} do not fit in memory") from None
 

@@ -55,17 +55,6 @@ def _gap_ratio(n, n0):
     return x
 
 
-def _check_temperature(temperature):
-    """Raise unless temperature is positive and T^2 and 1/T^2 are normal
-    floats, which holds from T = 1.5e-154 to 6.7e153: the peak QFIs divide by
-    T^2, and the variance excesses and the Hessian entries multiply by it."""
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if not 1.5e-154 <= temperature <= 6.7e153:
-        raise NonFiniteState(f"temperature T={temperature:g} lies outside [1.5e-154, 6.7e153], "
-                             "where T**2 and 1/T**2 are normal floats")
-
-
 def optimal_gap(ns, n0s, temperature):
     """Variance-maximizing gaps of (n, n0) probes, n0 levels at 0 and n - n0
     at the gap, for the pairs of the equal-length int sequences ns and n0s.
@@ -74,7 +63,7 @@ def optimal_gap(ns, n0s, temperature):
     Returns three lists (x_star, qfi_peak, excess): x*, the peak QFI
     x^2 p (1-p) / T^2, where p = (n-n0) e^{-x} / (n0 + (n-n0) e^{-x}) is the
     excited population, and the peak variance T^2 x^2 p (1-p) of ground
-    degeneracy n0 - 1 less that of n0 (NaN at n0 = 1). The peaks of an excess
+    degeneracy n0 - 1 less that of n0 (None at n0 = 1). The peaks of an excess
     share one digit at n <= 64 and three at n0 = 1000, so peaks and excess are
     formed in 28-digit decimal arithmetic and rounded once.
 
@@ -90,7 +79,11 @@ def optimal_gap(ns, n0s, temperature):
         raise ValueError(f"{len(ns)} dimensions and {len(n0s)} ground degeneracies differ in length")
     if any(not 1 <= k0 <= k - 1 for k, k0 in zip(ns, n0s)):
         raise ValueError(f"need n >= 2 and ground degeneracies in [1, n - 1], got n={ns}, n0={n0s}")
-    _check_temperature(temperature)
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 1.5e-154 <= temperature <= 6.7e153:  # the peaks divide by T^2, the excesses multiply by it
+        raise NonFiniteState(f"temperature T={temperature:g} lies outside [1.5e-154, 6.7e153], "
+                             "where T**2 and 1/T**2 are normal floats")
     solved = {}
 
     def solve(k, k0):
@@ -109,25 +102,25 @@ def optimal_gap(ns, n0s, temperature):
             x, peak = solve(k, k0)
             x_star.append(x)
             qfi.append(float(peak / t2))
-            excess.append(float((solve(k, k0 - 1)[1] - peak) * t2) if k0 > 1 else math.nan)
+            excess.append(float((solve(k, k0 - 1)[1] - peak) * t2) if k0 > 1 else None)
     return x_star, qfi, excess
 
 
-def _variance_hessian_diag(f, eps_i, t, h1, h2):
-    """Second derivative of the energy variance in level eps_i, with
-    f = e^{-eps_i/T} / (Z T) applied one power at a time: f is about 1/N at the
-    excited level, so f^2, or e^{eps_i/T} against it, would leave the range of
+def _variance_hessian_diag(f, eps_i, h1, h2):
+    """Second derivative of the energy variance in level eps_i at T = 1, with
+    f = e^{-eps_i} / Z applied one power at a time: f is about 1/N at the
+    excited level, so f^2, or e^{eps_i} against it, would leave the range of
     floats long before the entry does."""
     return f * (
-        f * (2.0 * (h2 - 3.0 * h1 * h1 - 4.0 * t * h1 - t * t) + 8.0 * (t + h1) * eps_i - 4.0 * eps_i * eps_i)
-        + (2.0 * t * t + 2.0 * h1 * (2.0 * t + h1) - h2 - 2.0 * (2.0 * t + h1) * eps_i + eps_i * eps_i) / t
+        f * (2.0 * (h2 - 3.0 * h1 * h1 - 4.0 * h1 - 1.0) + 8.0 * (1.0 + h1) * eps_i - 4.0 * eps_i * eps_i)
+        + (2.0 + 2.0 * h1 * (2.0 + h1) - h2 - 2.0 * (2.0 + h1) * eps_i + eps_i * eps_i)
     )
 
 
-def _variance_hessian_offdiag(f_i, f_j, s, t, h1, h2):
-    """Mixed second derivative in two levels of energy sum s, each with its
-    factor e^{-eps/T} / (Z T), applied one at a time."""
-    return f_i * (f_j * (4.0 * h1 * (s - 2.0 * t) + s * (4.0 * t - s) + 2.0 * h2 - 6.0 * h1 * h1 - 2.0 * t * t))
+def _variance_hessian_offdiag(f_i, f_j, s, h1, h2):
+    """Mixed second derivative at T = 1 in two levels of energy sum s, each
+    with its factor e^{-eps} / Z, applied one at a time."""
+    return f_i * (f_j * (4.0 * h1 * (s - 2.0) + s * (4.0 - s) + 2.0 * h2 - 6.0 * h1 * h1 - 2.0))
 
 
 def hessian_shift_eigenvalue(n, x):
@@ -144,55 +137,52 @@ def hessian_pair_eigenvalue(n, x):
     return -(x * x - 4.0) / 8.0 * (n / (n - 1))
 
 
-def hessian_blocks(n, temperature=1.0):
+def hessian_blocks(n):
     """x_star, the entries (a, b, c, d) and the block eigenvalues (low, high)
     of the variance Hessian at the (n, 1) optimum, for an int n.
 
-    The n x n matrix has a at (0, 0), c in the rest of row and column 0, b on
-    the rest of the diagonal and d elsewhere, from the closed-form second
-    derivatives with the stationary-state substitutions Z = 2x/(2+x),
-    <H> = T(x-2)/2 and <H^2> = T^2 x(x-2)/2. Differences of excited levels
-    have eigenvalue b - d; the ground level and the uniform excited vector
-    span the block [[p, q], [q, s]] = [[a, c sqrt(n-1)], [c sqrt(n-1), b + (n-2) d]],
+    The Hessian in the level energies is dimensionless: the variance scales as
+    T^2 at fixed eps/T, so it is formed at T = 1, where the gap is x. The n x n
+    matrix has a at (0, 0), c in the rest of row and column 0, b on the rest of
+    the diagonal and d elsewhere, from the closed-form second derivatives with
+    the stationary-state substitutions Z = 2x/(2+x), <H> = (x-2)/2 and
+    <H^2> = x(x-2)/2. Differences of excited levels have eigenvalue b - d; the
+    ground level and the uniform excited vector span the block
+    [[p, q], [q, s]] = [[a, c sqrt(n-1)], [c sqrt(n-1), b + (n-2) d]],
     whose eigenvalues are m -+ hypot((p - s)/2, q), m = (p + s)/2.
     """
     if n < 2:
         raise ValueError(f"certificate needs n >= 2, got {n}")
-    _check_temperature(temperature)
-    x, t = _gap_ratio(n, 1), float(temperature)
+    x = _gap_ratio(n, 1)
     z = 2.0 * x / (2.0 + x)
-    h1 = t * (x - 2.0) / 2.0
-    h2 = t * t * x * (x - 2.0) / 2.0
-    gap = t * x
-    ground, excited = 1.0 / (z * t), math.exp(-x) / (z * t)
-    a = _variance_hessian_diag(ground, 0.0, t, h1, h2)
-    b = _variance_hessian_diag(excited, gap, t, h1, h2)
-    c = _variance_hessian_offdiag(ground, excited, gap, t, h1, h2)
-    d = _variance_hessian_offdiag(excited, excited, 2.0 * gap, t, h1, h2)
+    h1 = (x - 2.0) / 2.0
+    h2 = x * (x - 2.0) / 2.0
+    ground, excited = 1.0 / z, math.exp(-x) / z
+    a = _variance_hessian_diag(ground, 0.0, h1, h2)
+    b = _variance_hessian_diag(excited, x, h1, h2)
+    c = _variance_hessian_offdiag(ground, excited, x, h1, h2)
+    d = _variance_hessian_offdiag(excited, excited, 2.0 * x, h1, h2)
     p, q, s = a, c * math.sqrt(n - 1), b + (n - 2) * d
     mean, radius = (p + s) / 2.0, math.hypot((p - s) / 2.0, q)
     return x, (a, b, c, d), (mean - radius, mean + radius)
 
 
-def hessian_certificate(n, temperature=1.0):
+def hessian_certificate(ns):
     """Certify the (n, 1) optimum as a maximum of the energy variance for
-    each dimension in the int sequence n. The numeric eigenvalues are the block pair of ``hessian_blocks`` and
-    b - d, (n-2)-fold; the analytic ones are the pair eigenvalue, 0 and the
-    shift eigenvalue, in the same order. The optimum is certified when b - d
-    is negative (for n > 2) and the block has one negative eigenvalue and one
-    within 1e-8 of zero, relative to the negative one (or 1): its mode is
-    the uniform energy shift, which the two distinct row sums of the Hessian
-    check. No tolerance is applied to b - d, whose magnitude falls as 1/n.
-    Returns a Table with columns N, x_star, lambda_pair, lambda_shift (empty
-    at N = 2), shift_multiplicity, eigenvalue_error, zero_mode_residual and
-    certifies_maximum; the Table refuses a value that is not finite, as at
-    N = 20 from T of about 1.7e153. The factor e^{-x}/(ZT) of the excited
-    entries, about 1/(N T), goes subnormal from N T of about 1e308 and
-    underflows from about 1e323, where b - d reads 0 and certifies nothing.
+    each dimension n in the int sequence ns. The numeric eigenvalues are the
+    block pair of ``hessian_blocks`` and b - d, (n-2)-fold; the analytic ones
+    are the pair eigenvalue, 0 and the shift eigenvalue, in the same order.
+    The optimum is certified when b - d is negative (for n > 2) and the block
+    has one negative eigenvalue and one within 1e-8 of zero, relative to the
+    negative one (or 1): its mode is the uniform energy shift, which the two
+    distinct row sums of the Hessian check. No tolerance is applied to b - d,
+    whose magnitude falls as 1/n. Returns a Table with columns N, x_star,
+    lambda_pair, lambda_shift (empty at N = 2), shift_multiplicity,
+    eigenvalue_error, zero_mode_residual and certifies_maximum.
     """
     rows = []
-    for k in n:
-        x, (a, b, c, d), (low, high) = hessian_blocks(k, temperature)
+    for k in ns:
+        x, (a, b, c, d), (low, high) = hessian_blocks(k)
         pair = hessian_pair_eigenvalue(k, x)
         shift = hessian_shift_eigenvalue(k, x)
         errors = [abs(low - pair), abs(high)] + ([abs(b - d - shift)] if k > 2 else [])

@@ -200,7 +200,7 @@ class TestHessianCheck:
         assert "Traceback" not in proc.stderr
 
     def test_memory_error_in_the_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
-        def exhausted(dims, temperature):
+        def exhausted(dims):
             raise MemoryError
 
         monkeypatch.setattr(cli, "hessian_certificate", exhausted)
@@ -219,19 +219,13 @@ class TestHessianCheck:
         assert int(row["N"]) == n and row["certifies_maximum"] == "true"
         assert float(row["lambda_shift"]) == -(x - 2.0) / (2.0 * (n - 1))
 
-    @pytest.mark.parametrize("t", ["1e-100", "1e100"])
-    def test_temperature_moves_only_the_rounding_residues(self, tmp_path, t):
-        # the variance Hessian is scale-free at the optimum: T changes only the
-        # rounding in eigenvalue_error and zero_mode_residual
+    @pytest.mark.parametrize("t", ["1e-300", "0.7", "1e300"])
+    def test_output_does_not_depend_on_the_temperature(self, tmp_path, t):
+        # the variance Hessian in the level energies is dimensionless, so the
+        # certificate is formed at T = 1 whatever --temperature says
         code, text = run(tmp_path, ["hessian-check", "--n-max", "64", "--temperature", t])
         assert code == 0
-        _, rows = parse_csv(text)
-        _, at_one = parse_csv(run(tmp_path, ["hessian-check", "--n-max", "64"], "one.csv")[1])
-        residues = ("eigenvalue_error", "zero_mode_residual")
-        assert [{k: v for k, v in r.items() if k not in residues} for r in rows] == \
-            [{k: v for k, v in r.items() if k not in residues} for r in at_one]
-        assert all(r["certifies_maximum"] == "true" for r in rows)
-        assert all(float(r[k]) <= 1e-8 for r in rows for k in residues)
+        assert text == run(tmp_path, ["hessian-check", "--n-max", "64"], "one.csv")[1]
 
     def test_dimensions_beyond_64(self, tmp_path):
         code, text = run(tmp_path, ["hessian-check", "--n-min", "60", "--n-max", "100"])
@@ -241,12 +235,16 @@ class TestHessianCheck:
         assert all(r["certifies_maximum"] == "true" for r in rows)
         assert all(float(r["eigenvalue_error"]) <= 1e-8 for r in rows)
 
-    @pytest.mark.parametrize("n", [10**8, 10**12, 10**15]
-                             + [pytest.param(10**k, id=f"1e{k}") for k in (162, 200, 300, 307)])
-    def test_certifies_very_large_dimensions(self, tmp_path, n):
+    @pytest.mark.parametrize("n, t", [pytest.param(n, None, id=str(n)) for n in (10**8, 10**12, 10**15)]
+                             + [pytest.param(10**k, None, id=f"1e{k}") for k in (162, 200, 300, 307)]
+                             # N T beyond the float range, where the T-independent certificate still holds
+                             + [pytest.param(10**k, t, id=f"1e{k}-T{t}")
+                                for k, t in ((274, "1e50"), (184, "1e140"), (20, "1e153"))])
+    def test_certifies_very_large_dimensions(self, tmp_path, n, t):
         # the shift eigenvalue -(x-2)/(2(n-1)) shrinks as 1/n but stays negative,
         # and the entries b and d, about 1/n and 1/n^2, must not underflow before it
-        code, text = run(tmp_path, ["hessian-check", "--n-min", str(n), "--n-max", str(n)])
+        temperature = ["--temperature", t] if t else []
+        code, text = run(tmp_path, ["hessian-check", "--n-min", str(n), "--n-max", str(n), *temperature])
         assert code == 0
         _, (row,) = parse_csv(text)
         x = float(row["x_star"])
@@ -591,19 +589,15 @@ class TestExitCodes:
         (["limits", "--gamma", "1e308", "--temperature", "1e308"], "rate"),
         (["limits", "--gamma", "1e308", "--temperature", "1e100"], "rate"),
         (["optimal-gap", "--temperature", "1e200"], "temperature T=1e+200"),
-        (["hessian-check", "--temperature", "1e-200"], "temperature T=1e-200"),
         (["transient-scan", "--gap", "1e300"], "gap**3"),
         (["transient-scan", "--gamma", "1e308", "--gap", "1"], "prep=ground"),  # the rate overflows
         (["transient-scan", "--temperature", "1e308"], "gap"),
         (["equilibrium-scan", "--gap", "1e-200", "--x-min", "1e150", "--x-max", "1e200"], "temperature"),
         (["transient-scan", "--temperature", "1e-320", "--gap", "1"], "gap/temperature"),
         (["optimal-gap", "--temperature", "1e-200"], "temperature T=1e-200"),
-        (["hessian-check", "--temperature", "1e200"], "temperature T=1e+200"),
         (["optimal-gap", "--n", str(10**15), "--temperature", "2e-154"], f"qfi_peak is not finite at N={10**15}"),
         pytest.param(["hessian-check", "--n-min", str(10**400), "--n-max", str(10**400)], f"N={10**400}",
                      id="hessian-check-N-beyond-floats"),
-        (["hessian-check", "--n-min", str(10**20), "--n-max", str(10**20), "--temperature", "1e153"],
-         f"at N={10**20}"),
         (["equilibrium-scan", "--gap", "1e-300", "--x-min", "1e-10", "--x-max", "1", "--points", "3"],
          "qfi is not finite at N=2"),  # the QFI overflows
     ])

@@ -219,7 +219,7 @@ class TestHessianCheck:
         assert int(row["N"]) == n and row["certifies_maximum"] == "true"
         assert float(row["lambda_shift"]) == -(x - 2.0) / (2.0 * (n - 1))
 
-    @pytest.mark.parametrize("t", ["1e-300", "0.7", "1e300"])
+    @pytest.mark.parametrize("t", ["1e-300", "1e-200", "0.7", "1e200", "1e300"])
     def test_output_does_not_depend_on_the_temperature(self, tmp_path, t):
         # the variance Hessian in the level energies is dimensionless, so the
         # certificate is formed at T = 1 whatever --temperature says

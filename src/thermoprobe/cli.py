@@ -33,7 +33,6 @@ class ConfigError(ValueError):
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 def _parse_int_list(field, text):
@@ -142,8 +141,6 @@ def _reserve(field, rows):
 
 def cmd_equilibrium_scan(params):
     n_list = params["n"]
-    if params["points"] < 2:
-        raise ConfigError("points", f"need at least 2 grid points, got {params['points']}")
     _reserve("points", params["points"] * (len(n_list) + 1))
     grid = geometric_grid(params["x_min"], params["x_max"], params["points"])
     return qfi_equilibrium_scan(n_list, grid, gap=params["gap"], include_harmonic=params["harmonic"])
@@ -218,11 +215,11 @@ _DEFAULTS = {
 
 # Rules that parameters share across commands, each applied to every command
 # that has the key: finite and positive, per entry of a list and skipping a
-# None gap; probe dimensions of at least 2; lists that must not be empty (an
-# empty t_prep asks for no thermal series); and ordered pairs (low, high,
-# strict), with high above low, or at least low where not strict.
-_POSITIVE = {"gap", "x_min", "x_max", "temperature", "gamma", "t_prep", "points", "span_min", "span_max"}
-_DIMENSIONS = {"n", "n_min"}
+# None gap; probe dimensions and grid sizes of at least 2; lists that must not
+# be empty (an empty t_prep asks for no thermal series); and ordered pairs
+# (low, high, strict), with high above low, or at least low where not strict.
+_POSITIVE = {"gap", "x_min", "x_max", "temperature", "gamma", "t_prep", "span_min", "span_max"}
+_AT_LEAST_TWO = {"n", "n_min", "points"}
 _NON_EMPTY = {"n", "n0"}
 _ORDERED = [("x_min", "x_max", True), ("span_min", "span_max", True), ("n_min", "n_max", False)]
 
@@ -294,13 +291,10 @@ def build_run_config(args):
     command = args.command
     params = dict(_DEFAULTS[command])
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError("config", f"no such file: {args.config}")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError("config", f"invalid JSON: {err}") from None
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError, RecursionError) as err:  # ValueError: not UTF-8, not JSON
+            raise ConfigError("config", f"cannot read {args.config}: {err}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top level must be a JSON object")
         for key, value in loaded.items():
@@ -322,8 +316,8 @@ def build_run_config(args):
             raise ConfigError(key, "list must not be empty")
         if key in _POSITIVE and not all(v is None or 0 < v < math.inf for v in entries):
             raise ConfigError(key, f"must be finite and positive, got {value}")
-        if key in _DIMENSIONS and not all(v >= 2 for v in entries):
-            raise ConfigError(key, f"every dimension must be >= 2, got {value}")
+        if key in _AT_LEAST_TWO and not all(v >= 2 for v in entries):
+            raise ConfigError(key, f"must be at least 2, got {value}")
     for low, high, strict in _ORDERED:
         if low in params and not (params[high] > params[low] if strict else params[high] >= params[low]):
             raise ConfigError(high, f"must {'exceed' if strict else 'be at least'} {low}, got {params[high]}")
@@ -346,7 +340,11 @@ def main(argv=None):
         return EXIT_NUMERIC
     text = render_rows(table, args.format)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as err:
+            print(f"thermoprobe: configuration error: out: {err}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return EXIT_OK

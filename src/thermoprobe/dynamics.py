@@ -22,7 +22,7 @@ class DissipationModel:
 
     Raises:
         ValueError: for a field that is not positive and finite.
-        NonFiniteState: when the ratio gap/T overflows.
+        NonFiniteState: when the ratio gap/T overflows or underflows to 0, or gap^3 overflows.
     """
 
     def __init__(self, gap, temperature, coupling):
@@ -31,29 +31,20 @@ class DissipationModel:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         self.gap, self.temperature, self.coupling = gap, temperature, coupling
         self.ratio = gap / temperature
-        if not math.isfinite(self.ratio):
-            raise NonFiniteState(f"ratio gap/temperature overflows at T={temperature:g}")
-
-    @property
-    def decay_rate(self):
-        return self.phase_space_damping / -math.expm1(-self.ratio)
-
-    @property
-    def relaxation_time(self):
-        """1 / (coupling * gap^3 * coth(ratio/2)), the qubit population timescale;
-        infinite when coupling * gap^3 underflows to zero."""
-        rate = self.phase_space_damping
-        return math.tanh(self.ratio / 2.0) / rate if rate > 0.0 else math.inf
-
-    @property
-    def phase_space_damping(self):
-        """Net damping of second moments, the downward less the upward rate:
-        the detailed-balance factors cancel, leaving coupling * gap^3 with no
-        temperature dependence. NonFiniteState when gap^3 overflows."""
+        if not 0.0 < self.ratio < math.inf:  # 0 would divide by zero in the decay rate
+            raise NonFiniteState(f"ratio gap/temperature {'overflows' if self.ratio else 'underflows'} "
+                                 f"at T={temperature:g}")
+        # Net damping of second moments, the downward less the upward rate: the
+        # detailed-balance factors cancel, leaving coupling * gap^3 with no
+        # temperature dependence.
         try:
-            return self.coupling * self.gap**3
+            self.phase_space_damping = rate = coupling * gap**3
         except OverflowError:
-            raise NonFiniteState(f"rate scale coupling * gap**3 overflows at gap={self.gap:g}") from None
+            raise NonFiniteState(f"rate scale coupling * gap**3 overflows at gap={gap:g}") from None
+        self.decay_rate = rate / -math.expm1(-self.ratio)
+        # 1 / (coupling * gap^3 * coth(ratio/2)), the qubit population timescale;
+        # infinite when coupling * gap^3 underflows to zero
+        self.relaxation_time = math.tanh(self.ratio / 2.0) / rate if rate > 0.0 else math.inf
 
 
 def qfi_transient(n, excited0, model, dts):

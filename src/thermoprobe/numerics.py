@@ -74,8 +74,8 @@ def geometric_grid(start, stop, points):
     """``points`` values from ``start`` to ``stop`` in geometric progression,
     both ends exact. Point k is 10 ** (k s + log10(start)), s the step of the
     exponents, so it errs by the exponent's rounding times ln 10: 2e-13 at most."""
-    if points == 1:
-        return [start]
+    if points < 2:
+        raise ValueError(f"need at least 2 points, got {points}")
     low = math.log10(start)
     step = (math.log10(stop) - low) / (points - 1)
     return [start] + [10.0 ** (k * step + low) for k in range(1, points - 1)] + [stop]

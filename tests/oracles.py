@@ -24,6 +24,7 @@
 - Tables: the row dicts a column Table stands for, expanded one row at a
   time, so that tests read scans and the renderer's oracles see rows.
 - Flags: the command-line form of one parameter value.
+- Files: config files that the CLI cannot read.
 """
 
 import math
@@ -538,3 +539,24 @@ def flag(key, value):
     elif isinstance(value, float):
         value = repr(value)
     return [f"--{key.replace('_', '-')}={value}"]
+
+
+# Contents of config files that cannot be parsed: bytes that are not UTF-8, an
+# int past Python's 4300-digit limit, an array nested deeper than the decoder
+# recurses, and truncated JSON.
+CONFIG_BYTES = {
+    "not-utf8": b"\xff\xfe",
+    "long-int": b'{"points": ' + b"7" * 5000 + b"}",
+    "deep": b"[" * 100000,
+    "truncated": b'{"points": 3',
+}
+UNREADABLE_CONFIGS = ["missing", "directory", *CONFIG_BYTES]
+
+
+def place_unreadable_config(path, kind):
+    """Leave at ``path`` one of UNREADABLE_CONFIGS: no file, a directory, or
+    a file of unparseable bytes."""
+    if kind == "directory":
+        path.mkdir()
+    elif kind in CONFIG_BYTES:
+        path.write_bytes(CONFIG_BYTES[kind])

@@ -12,7 +12,7 @@ from thermoprobe import cli
 from thermoprobe.dynamics import DissipationModel, optimal_interrogation_ratio, ultimate_rate
 from thermoprobe.numerics import Table
 
-from oracles import flag
+from oracles import UNREADABLE_CONFIGS, flag, place_unreadable_config
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -401,9 +401,14 @@ class TestTransientScan:
         assert code == 0
         assert {row["prep"] for row in parse_csv(text)[1]} == {"ground"}
 
-    def test_missing_config_file_exits_two(self, tmp_path):
-        code, _ = run(tmp_path, ["transient-scan", "--config", str(tmp_path / "nope.json")])
-        assert code == 2
+    @pytest.mark.parametrize("kind", UNREADABLE_CONFIGS)
+    def test_unreadable_config_file_exits_two(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg.json"
+        place_unreadable_config(cfg, kind)
+        code, text = run(tmp_path, ["transient-scan", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("thermoprobe: configuration error: config:") and "Traceback" not in err
 
 
 class TestLimits:
@@ -427,8 +432,8 @@ class TestLimits:
 
 
 # One bad value for each command and key that a shared rule governs: finite
-# and positive, dimensions >= 2, non-empty lists, and ordered pairs, where the
-# value lies below its partner's default.
+# and positive, dimensions and grid sizes of at least 2, non-empty lists, and
+# ordered pairs, where the value lies below its partner's default.
 RULE_CASES = [
     ("equilibrium-scan", "n", []),
     ("equilibrium-scan", "n", [2, 1]),
@@ -437,6 +442,7 @@ RULE_CASES = [
     ("equilibrium-scan", "x_max", math.inf),
     ("equilibrium-scan", "x_max", 0.25),
     ("equilibrium-scan", "points", 0),
+    ("equilibrium-scan", "points", 1),
     ("optimal-gap", "n", []),
     ("optimal-gap", "n", [1, 4]),
     ("optimal-gap", "n0", []),
@@ -451,6 +457,7 @@ RULE_CASES = [
     ("transient-scan", "gap", -1.0),
     ("transient-scan", "t_prep", [0.8, -0.9]),
     ("transient-scan", "points", 0),
+    ("transient-scan", "points", 1),
     ("transient-scan", "span_min", 0.0),
     ("transient-scan", "span_max", math.nan),
     ("transient-scan", "span_max", 1e-4),
@@ -479,13 +486,15 @@ class TestSharedRules:
         assert err.startswith(f"thermoprobe: configuration error: {key}:") and "Traceback" not in err
 
     def test_the_table_covers_every_governed_key(self):
-        governed = cli._POSITIVE | cli._DIMENSIONS | cli._NON_EMPTY | {high for _, high, _ in cli._ORDERED}
+        governed = cli._POSITIVE | cli._AT_LEAST_TWO | cli._NON_EMPTY | {high for _, high, _ in cli._ORDERED}
         expected = {(c, k) for c, defaults in cli._DEFAULTS.items() for k in defaults if k in governed}
         assert {(c, k) for c, k, _ in RULE_CASES} == expected
 
     @pytest.mark.parametrize("argv, code, expected", [
-        (["transient-scan", "--points", "1"], 0, 5),  # one row per series
+        (["transient-scan", "--points", "2"], 0, 10),  # two rows per series
+        (["equilibrium-scan", "--points", "2"], 0, 12),
         (["hessian-check", "--n-min", "5", "--n-max", "5"], 0, 1),
+        (["transient-scan", "--points", "1"], 2, "points"),
         (["equilibrium-scan", "--points", "1"], 2, "points"),
         # a configuration error wins over the default gap x_tilde * T, which overflows
         (["transient-scan", "--temperature", "1e308", "--t-prep", "-1"], 2, "t_prep"),
@@ -524,6 +533,16 @@ class TestExitCodes:
         assert code == 2
         assert text == ""
         assert f"configuration error: {field}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."])
+    def test_unwritable_out_path_exits_two(self, tmp_path, capsys, target):
+        """A missing directory, or a directory as the path, is a configuration error naming out."""
+        before = sorted(tmp_path.iterdir())
+        code = cli.main(["limits", "--out", str(tmp_path / target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("thermoprobe: configuration error: out:") and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("argv, config, field", [
         (["equilibrium-scan", "--points", "1000000000000000"], None, "points"),

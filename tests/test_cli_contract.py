@@ -4,7 +4,9 @@ Whatever the input, ``cli.main`` returns 0, 2 or 3 and raises nothing
 (argparse's own rejection, ``SystemExit(2)``, counts as exit 2), and an
 exit-0 output holds only finite numbers. Floats are drawn log-uniform over
 [1e-320, 1e308], with their negatives, 0, +-inf and nan; every size is
-bounded so that no example allocates much.
+bounded so that no example allocates much. About one call in 20 meets a file
+it cannot use: a config file that cannot be read or parsed, or an --out path
+in a missing directory or naming a directory.
 """
 
 import io
@@ -18,10 +20,10 @@ import pytest
 
 from thermoprobe import cli
 
-from oracles import flag
+from oracles import UNREADABLE_CONFIGS, flag, place_unreadable_config
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def mostly(common, rare, odds=10):
@@ -70,10 +72,15 @@ FIELDS = {
 # a config value of the wrong type, or a flag value that does not parse
 JUNK = st.sampled_from(["abc", True, [1.5], {"a": 1}, None, "2..x"])
 
+# a config file in place of the drawn one, or an --out path, that cannot be used
+FAULT_KINDS = UNREADABLE_CONFIGS + ["out-missing-dir", "out-directory"]
+FILE_FAULTS = mostly(st.none(), st.sampled_from(FAULT_KINDS), odds=20)
+
 
 @st.composite
 def invocations(draw):
-    """(argv, config dict or None) for one random call of one command."""
+    """(argv, config dict or None, file fault or None) for one random call of
+    one command."""
     command = draw(st.sampled_from(sorted(FIELDS)))
     argv, config = [command, "--format", draw(st.sampled_from(["csv", "json"]))], {}
     for key, values in FIELDS[command].items():
@@ -88,7 +95,7 @@ def invocations(draw):
             argv += as_flag
     if draw(st.integers(1, 20)) == 20:
         config["unknown_field"] = 1
-    return argv, config or None
+    return argv, config or None, draw(FILE_FAULTS)
 
 
 def finite_numbers(text, fmt):
@@ -105,21 +112,38 @@ def finite_numbers(text, fmt):
     return all(math.isfinite(v) for v in values if isinstance(v, float))
 
 
+def each_file_fault(test):
+    """One explicit example per kind of file fault, the commands in turn, on
+    top of the drawn ones, which reach some kinds only now and then."""
+    commands = sorted(FIELDS)
+    for i, kind in enumerate(FAULT_KINDS):
+        test = example(([commands[i % len(commands)], "--format", "csv"], None, kind))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(invocations())
+@each_file_fault
 def test_exit_code_and_finite_output(invocation):
-    argv, config = invocation
+    argv, config, fault = invocation
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        if config is not None:
-            path = Path(tmp) / "config.json"
+        path = Path(tmp) / "config.json"
+        if fault in UNREADABLE_CONFIGS:
+            place_unreadable_config(path, fault)
+            argv = argv + ["--config", str(path)]
+        elif config is not None:
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
+        if fault == "out-missing-dir":
+            argv = argv + ["--out", str(Path(tmp) / "missing" / "out.csv")]
+        elif fault == "out-directory":
+            argv = argv + ["--out", tmp]
         try:
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(argv)
         except SystemExit as stop:  # argparse rejected the arguments
             code = stop.code
-    assert code in (0, 2, 3), (argv, config, err.getvalue())
+    assert code in (0, 2, 3), (argv, config, fault, err.getvalue())
     if code == 0:
         assert finite_numbers(out.getvalue(), argv[2]), (argv, config)

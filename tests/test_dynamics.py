@@ -66,9 +66,17 @@ class TestDissipationModel:
             with pytest.raises(ValueError):
                 DissipationModel(**kw)
 
-    def test_ratio_overflow_is_a_numerical_failure(self):
-        with pytest.raises(NonFiniteState, match="gap/temperature"):
-            DissipationModel(gap=1.0, temperature=1e-320, coupling=1e-3)
+    @pytest.mark.parametrize("gap, temperature, coupling, flow", [
+        (1.0, 1e-320, 1e-3, "overflows"),
+        (1e-16, 1e308, 1e300, "underflows"),  # a zero ratio would make the decay rate divide by zero
+    ])
+    def test_ratio_out_of_range_is_a_numerical_failure(self, gap, temperature, coupling, flow):
+        with pytest.raises(NonFiniteState, match=f"gap/temperature {flow}"):
+            DissipationModel(gap=gap, temperature=temperature, coupling=coupling)
+
+    def test_rate_scale_overflow_fails_at_construction(self):
+        with pytest.raises(NonFiniteState, match=r"gap\*\*3"):
+            DissipationModel(gap=1e300, temperature=1.0, coupling=1e-3)
 
     def test_detailed_balance_fixed_point(self):
         m = default_operating_model()

@@ -100,8 +100,10 @@ class TestGeometricGrid:
                 assert abs(value / exact - 1) <= 1e-12, f"point {k}"
                 exact *= ratio
 
-    def test_single_point_is_the_start(self):
-        assert geometric_grid(0.5, 2.0, 1) == [0.5]
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_fewer_than_two_points_raise(self, points):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            geometric_grid(0.5, 2.0, points)
 
 
 class TestTableGuard:

@@ -21,7 +21,7 @@ from .dynamics import (
     ultimate_rate,
 )
 from .equilibrium import hessian_certificate, optimal_gap, qfi_equilibrium_scan
-from .numerics import NoConvergence, NonFiniteState, Table, geometric_grid
+from .numerics import NonFiniteState, Table, geometric_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -33,34 +33,6 @@ class ConfigError(ValueError):
 
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
-
-
-def _parse_int_list(field, text):
-    """Accept '2,4,6' or a range '2..10' (inclusive)."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ConfigError(field, f"cannot parse range {text!r}") from None
-        if hi < lo:
-            raise ConfigError(field, f"empty range {text!r}")
-        try:
-            return list(range(lo, hi + 1))
-        except (MemoryError, OverflowError):
-            raise ConfigError(field, f"range {text!r} is too large") from None
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(field, f"cannot parse integer list {text!r}") from None
-
-
-def _parse_float_list(field, text):
-    """Accept '0.8,0.9', or '' for an empty list."""
-    try:
-        return [float(v) for v in text.split(",")] if text else []
-    except ValueError:
-        raise ConfigError(field, f"cannot parse float list {text!r}") from None
 
 
 def _cell(value, fmt):
@@ -148,6 +120,7 @@ def cmd_equilibrium_scan(params):
 
 def cmd_optimal_gap(params):
     n_list, n0_list, t = params["n"], params["n0"], params["temperature"]
+    _reserve("n", len(n_list) * len(n0_list))
     for n in n_list:
         for n0 in n0_list:
             if not 1 <= n0 <= n - 1:
@@ -191,12 +164,11 @@ def cmd_transient_scan(params):
 
 def cmd_limits(params):
     n_list = params["n"]
+    _reserve("n", len(n_list))
     x_tilde = optimal_interrogation_ratio()
     rates = [ultimate_rate(n, x_tilde, params["gamma"], params["temperature"]) for n in n_list]
     return Table(("N", "x_tilde", "rate"), [(list(n_list), x_tilde, rates)])
 
-
-_LIST_PARSERS = {"n": _parse_int_list, "n0": _parse_int_list, "t_prep": _parse_float_list}
 
 _DEFAULTS = {
     "equilibrium-scan": {
@@ -258,38 +230,47 @@ def _build_parser():
                                action="store_false" if default else "store_true",
                                help=f"{key} is {'on' if default else 'off'} by default")
             else:
-                kind = str if key in _LIST_PARSERS else int if isinstance(default, int) else float
                 shown = ",".join(map(str, default)) if isinstance(default, list) else default
-                p.add_argument(f"--{name}", dest=key, type=kind, default=None, help=f"default: {shown}")
+                p.add_argument(f"--{name}", dest=key, default=None, help=f"default: {shown}")
         p.add_argument("--config", help="JSON file with parameter defaults")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
-def _matches_default(value, default):
-    """Whether a config value has the type of its built-in default.
-
-    Any int stands for a float, a bool never stands for a number, list entries
-    match the default's entries, and a None default (a value the command
-    works out itself) takes null or a number.
-    """
-    if isinstance(default, bool):
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, int):
-        return isinstance(value, int)
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_matches_default(v, default[0]) for v in value)
-    return isinstance(value, (int, float)) or (default is None and value is None)
+def _parse(key, value, default):
+    """A flag's text, or a config value read as that text would be, as the type
+    of the entries of ``default``. A switch takes only a bool, null only stands
+    for a None default and a list only for a list key; anything else is text,
+    a list joined with commas: ints or floats, '' for no entries, and for ints
+    also an inclusive range 'lo..hi'. A number beyond the floats reads as inf."""
+    if (isinstance(default, bool) or isinstance(value, bool) or value is None
+            or not isinstance(value, str) and isinstance(value, list) != isinstance(default, list)):
+        if type(value) is type(default):
+            return value
+        raise ConfigError(key, f"must match the type of its default {default!r}, got {value!r}")
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    entry = default[0] if isinstance(default, list) else default
+    kind = int if isinstance(entry, int) else float
+    try:
+        if not isinstance(default, list):
+            return kind(text)
+        if kind is int and ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [kind(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise ConfigError(key, f"cannot parse {text!r} as {kind.__name__}") from None
+    except (MemoryError, OverflowError):
+        raise ConfigError(key, f"range {text!r} is too large") from None
 
 
 def build_run_config(args):
     """Parameters of the command: CLI flags over a JSON config file over
-    built-in defaults, checked against the shared rules."""
+    built-in defaults, each read by ``_parse`` and checked against the shared rules."""
     command = args.command
-    params = dict(_DEFAULTS[command])
+    defaults = _DEFAULTS[command]
+    params, loaded = dict(defaults), {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -297,19 +278,11 @@ def build_run_config(args):
             raise ConfigError("config", f"cannot read {args.config}: {err}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        for key, value in loaded.items():
-            if key not in params:
-                raise ConfigError("config", f"unknown parameter {key!r} for {command}")
-            if key in _LIST_PARSERS and isinstance(value, str):
-                value = _LIST_PARSERS[key](key, value)
-            default = _DEFAULTS[command][key]
-            if not _matches_default(value, default):
-                raise ConfigError(key, f"must match the type of its default {default!r}, got {value!r}")
-            params[key] = value
-    for key in params:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[key] = _LIST_PARSERS[key](key, flag) if key in _LIST_PARSERS else flag
+    flags = [(key, value) for key, value in vars(args).items() if key in defaults and value is not None]
+    for key, value in [*loaded.items(), *flags]:
+        if key not in defaults:
+            raise ConfigError("config", f"unknown parameter {key!r} for {command}")
+        params[key] = _parse(key, value, defaults[key])
     for key, value in params.items():
         entries = value if isinstance(value, list) else [value]
         if key in _NON_EMPTY and not entries:
@@ -324,6 +297,14 @@ def build_run_config(args):
     return params
 
 
+def _write(path, text):
+    """Write the output to ``path``, naming out if it cannot be written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigError("out", err) from None
+
+
 def main(argv=None):
     if argv is None:
         # Running as the program: shutdown would otherwise walk every start-up
@@ -331,22 +312,17 @@ def main(argv=None):
         gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
-        table = _RUNNERS[args.command](build_run_config(args))
+        text = render_rows(_RUNNERS[args.command](build_run_config(args)), args.format)
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as err:
         print(f"thermoprobe: configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergence, ArithmeticError) as err:
+    except ArithmeticError as err:  # NoConvergence and NonFiniteState among them
         print(f"thermoprobe: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    text = render_rows(table, args.format)
-    if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as err:
-            print(f"thermoprobe: configuration error: out: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -6,7 +6,7 @@ the package is deterministic: identical inputs produce bit-identical outputs.
 import math
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(ArithmeticError):
     """A solution misses its accuracy requirement, such as a root whose
     residual stays above the bound."""
 

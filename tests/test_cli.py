@@ -183,20 +183,25 @@ class TestHessianCheck:
                 assert float(row["lambda_shift"]) == pytest.approx(-(x - 2.0) / (2.0 * (n - 1)), rel=1e-12)
             assert row["certifies_maximum"] == "true"
 
-    def test_range_beyond_the_address_space_limit_exits_two(self, tmp_path):
-        # 10^7 dimensions fit as 64-bit ints (80 MB) but their rows need about
-        # 10 GB; under a 1 GB address-space limit on the child alone the run must
-        # end at the reservation, not in a MemoryError traceback partway through
+    @pytest.mark.parametrize("argv, field", [
+        (["hessian-check", "--n-max", str(10**7)], "n_max"),
+        (["limits", "--n", f"2..{10**7}"], "n"),
+        (["optimal-gap", "--n", f"2..{3 * 10**6}", "--n0", "1"], "n"),
+    ], ids=["hessian-check", "limits", "optimal-gap"])
+    def test_range_beyond_the_address_space_limit_exits_two(self, tmp_path, argv, field):
+        # millions of dimensions fit as a list of ints (a few hundred MB at most)
+        # but their rows need gigabytes; under a 1 GB address-space limit on the
+        # child alone the run must end at the reservation, not in a MemoryError
+        # traceback partway through
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
         out = tmp_path / "out.csv"
-        proc = subprocess.run([sys.executable, "-m", "thermoprobe.cli", "hessian-check", "--n-max", str(10**7),
-                               "--out", str(out)], capture_output=True, text=True, timeout=30,
-                              preexec_fn=limit_address_space)
+        proc = subprocess.run([sys.executable, "-m", "thermoprobe.cli", *argv, "--out", str(out)],
+                              capture_output=True, text=True, timeout=30, preexec_fn=limit_address_space)
         assert proc.returncode == 2, proc.stderr
         assert not out.exists()
-        assert proc.stderr.startswith("thermoprobe: configuration error: n_max:")
+        assert proc.stderr.startswith(f"thermoprobe: configuration error: {field}:")
         assert "Traceback" not in proc.stderr
 
     def test_memory_error_in_the_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -374,6 +379,7 @@ class TestTransientScan:
         ({"n": [3.0]}, "n"),
         ({"include_plus": 1}, "include_plus"),
         ({"gamma": True}, "gamma"),
+        ({"gap": [1.0]}, "gap"),  # a list only for a list key
     ])
     def test_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, config, field):
         cfg = tmp_path / "cfg.json"
@@ -391,15 +397,20 @@ class TestTransientScan:
         _, rows = parse_csv(text)
         assert len(rows) == 4 * 4  # three ground series and thermal-1
 
-    def test_empty_t_prep_flag_matches_the_config(self, tmp_path):
+    @pytest.mark.parametrize("flags, config, preps", [
+        (["--t-prep", ""], {"t_prep": []}, {"ground"}),
+        # a number given as text in a config file reads as its flag does
+        (["--gap", "1.5"], {"gap": "1.5"}, {"ground", "thermal-0.8", "thermal-0.9"}),
+    ])
+    def test_flag_matches_the_config(self, tmp_path, flags, config, preps):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"t_prep": []}))
-        from_flag = run(tmp_path, ["transient-scan", "--t-prep", ""], name="flag.csv")
+        cfg.write_text(json.dumps(config))
+        from_flag = run(tmp_path, ["transient-scan", *flags], name="flag.csv")
         from_config = run(tmp_path, ["transient-scan", "--config", str(cfg)], name="config.csv")
         assert from_flag == from_config
         code, text = from_flag
         assert code == 0
-        assert {row["prep"] for row in parse_csv(text)[1]} == {"ground"}
+        assert {row["prep"] for row in parse_csv(text)[1]} == preps
 
     @pytest.mark.parametrize("kind", UNREADABLE_CONFIGS)
     def test_unreadable_config_file_exits_two(self, tmp_path, capsys, kind):
@@ -433,7 +444,9 @@ class TestLimits:
 
 # One bad value for each command and key that a shared rule governs: finite
 # and positive, dimensions and grid sizes of at least 2, non-empty lists, and
-# ordered pairs, where the value lies below its partner's default.
+# ordered pairs, where the value lies below its partner's default. An int
+# beyond the floats, such as BEYOND_FLOATS, reads as inf where a float is due.
+BEYOND_FLOATS = 10**400
 RULE_CASES = [
     ("equilibrium-scan", "n", []),
     ("equilibrium-scan", "n", [2, 1]),
@@ -441,12 +454,14 @@ RULE_CASES = [
     ("equilibrium-scan", "x_min", -1.0),
     ("equilibrium-scan", "x_max", math.inf),
     ("equilibrium-scan", "x_max", 0.25),
+    ("equilibrium-scan", "x_max", BEYOND_FLOATS),
     ("equilibrium-scan", "points", 0),
     ("equilibrium-scan", "points", 1),
     ("optimal-gap", "n", []),
     ("optimal-gap", "n", [1, 4]),
     ("optimal-gap", "n0", []),
     ("optimal-gap", "temperature", math.nan),
+    ("optimal-gap", "temperature", BEYOND_FLOATS),
     ("hessian-check", "n_min", 1),
     ("hessian-check", "n_max", 1),
     ("hessian-check", "temperature", -1.0),
@@ -455,22 +470,26 @@ RULE_CASES = [
     ("transient-scan", "gamma", 0.0),
     ("transient-scan", "temperature", -math.inf),
     ("transient-scan", "gap", -1.0),
+    ("transient-scan", "gap", BEYOND_FLOATS),
     ("transient-scan", "t_prep", [0.8, -0.9]),
     ("transient-scan", "points", 0),
     ("transient-scan", "points", 1),
     ("transient-scan", "span_min", 0.0),
     ("transient-scan", "span_max", math.nan),
     ("transient-scan", "span_max", 1e-4),
+    ("transient-scan", "span_max", BEYOND_FLOATS),
     ("limits", "n", []),
     ("limits", "n", [2, 1]),
     ("limits", "gamma", -1e-3),
     ("limits", "temperature", 0.0),
+    ("limits", "temperature", BEYOND_FLOATS),
 ]
 
 
 class TestSharedRules:
     @pytest.mark.parametrize("form", ["flag", "config"])
-    @pytest.mark.parametrize("command, key, value", RULE_CASES)
+    @pytest.mark.parametrize("command, key, value", RULE_CASES,
+                             ids=lambda v: "1e400" if v is BEYOND_FLOATS else None)
     def test_bad_value_exits_two_naming_the_key(self, tmp_path, capsys, form, command, key, value):
         argv = [command]
         if form == "flag":
@@ -498,9 +517,17 @@ class TestSharedRules:
         (["equilibrium-scan", "--points", "1"], 2, "points"),
         # a configuration error wins over the default gap x_tilde * T, which overflows
         (["transient-scan", "--temperature", "1e308", "--t-prep", "-1"], 2, "t_prep"),
+        # flag text that does not parse as the type of its default
+        (["transient-scan", "--points", "x"], 2, "points"),
+        (["transient-scan", "--points", "2.5"], 2, "points"),
+        (["transient-scan", "--gap", "abc"], 2, "gap"),
+        (["hessian-check", "--n-max", "1e3"], 2, "n_max"),
+        (["limits", "--n", "2..x"], 2, "n"),
+        (["transient-scan", "--t-prep", "0.8,abc"], 2, "t_prep"),
     ])
     def test_boundaries(self, tmp_path, capsys, argv, code, expected):
-        """Exit 0 with the expected number of rows, or exit 2 naming the expected field."""
+        """Exit 0 with the expected number of rows, or exit 2 naming the expected
+        field on the first line of stderr, which holds no argparse usage."""
         got, text = run(tmp_path, argv)
         err = capsys.readouterr().err
         assert got == code
@@ -508,6 +535,7 @@ class TestSharedRules:
             assert len(parse_csv(text)[1]) == expected
         else:
             assert text == "" and err.startswith(f"thermoprobe: configuration error: {expected}:")
+            assert "usage:" not in err
 
 
 class TestExitCodes:

@@ -1,17 +1,19 @@
 """The CLI contract under random flags and config files for all five commands.
 
 Whatever the input, ``cli.main`` returns 0, 2 or 3 and raises nothing
-(argparse's own rejection, ``SystemExit(2)``, counts as exit 2), and an
-exit-0 output holds only finite numbers. Floats are drawn log-uniform over
-[1e-320, 1e308], with their negatives, 0, +-inf and nan; every size is
-bounded so that no example allocates much. About one call in 20 meets a file
-it cannot use: a config file that cannot be read or parsed, or an --out path
-in a missing directory or naming a directory.
+(argparse's own rejection, ``SystemExit(2)``, counts as exit 2); an exit-0
+output holds only finite numbers, and an exit 2 that ``main`` returns names
+the field at fault, a parameter of the command, ``config`` or ``out``. Floats
+are drawn log-uniform over [1e-320, 1e308], with their negatives, 0, +-inf
+and nan; every size is bounded so that no example allocates much. About one
+call in 20 meets a file it cannot use: a config file that cannot be read or
+parsed, or an --out path in a missing directory or naming a directory.
 """
 
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -69,8 +71,9 @@ FIELDS = {
     "limits": {"n": int_lists(70), "gamma": FLOATS, "temperature": FLOATS},
 }
 
-# a config value of the wrong type, or a flag value that does not parse
-JUNK = st.sampled_from(["abc", True, [1.5], {"a": 1}, None, "2..x"])
+# a config value of the wrong type, or a flag value that does not parse; an
+# int beyond the floats, which reads as inf; and a number given as text
+JUNK = st.sampled_from(["abc", True, [1.5], {"a": 1}, None, "2..x", 10**400, "1.5"])
 
 # a config file in place of the drawn one, or an --out path, that cannot be used
 FAULT_KINDS = UNREADABLE_CONFIGS + ["out-missing-dir", "out-directory"]
@@ -139,11 +142,15 @@ def test_exit_code_and_finite_output(invocation):
             argv = argv + ["--out", str(Path(tmp) / "missing" / "out.csv")]
         elif fault == "out-directory":
             argv = argv + ["--out", tmp]
+        stopped = False
         try:
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(argv)
         except SystemExit as stop:  # argparse rejected the arguments
-            code = stop.code
+            code, stopped = stop.code, True
     assert code in (0, 2, 3), (argv, config, fault, err.getvalue())
     if code == 0:
         assert finite_numbers(out.getvalue(), argv[2]), (argv, config)
+    if code == 2 and not stopped:
+        names = "|".join([*FIELDS[argv[0]], "config", "out"])
+        assert re.match(f"thermoprobe: configuration error: ({names}):", err.getvalue()), (argv, config, fault)

@@ -50,15 +50,6 @@ def _cell(value, fmt):
     return encode_basestring_ascii(value) if fmt == "json" else value
 
 
-def _encode_column(values, fmt):
-    """The cells of one column: ``repr`` for a column of floats and ints,
-    which for these exact types is float.__repr__ or int.__repr__ as both
-    formats need, and ``_cell`` per value otherwise."""
-    if set(map(type, values)) <= {int, float}:
-        return list(map(repr, values))
-    return [_cell(v, fmt) for v in values]
-
-
 def render_rows(table, fmt):
     """Serialize a Table to CSV (shortest round-trip floats) or JSON, byte for
     byte as ``json.dumps(rows, indent=2)`` of its rows as dicts.
@@ -93,8 +84,10 @@ def render_rows(table, fmt):
                 cells = [_cell(values, fmt)] * count
             elif id(values) in encoded:
                 cells = encoded[id(values)]
+            elif set(map(type, values)) <= {int, float}:  # repr of these exact types is what _cell gives
+                cells = encoded[id(values)] = list(map(repr, values))
             else:
-                cells = encoded[id(values)] = _encode_column(values, fmt)
+                cells = encoded[id(values)] = [_cell(v, fmt) for v in values]
             out[start + 2 * j:stop:width] = cells
         start = stop
     out[0] = head + out[0]
@@ -298,10 +291,17 @@ def build_run_config(args):
 
 
 def _write(path, text):
-    """Write the output to ``path``, naming out if it cannot be written."""
+    """Write the output to ``path``, or to stdout and flush it, naming out if that fails."""
     try:
-        Path(path).write_text(text)
+        if path:
+            Path(path).write_text(text)
+        elif sys.stdout is None:
+            raise OSError("stdout is closed")
+        else:
+            print(text, end="", flush=True)
     except OSError as err:
+        if not path:  # drop stdout: exit would flush its unwritten rest again, fail and end in 120
+            sys.stdout = None
         raise ConfigError("out", err) from None
 
 
@@ -312,18 +312,17 @@ def main(argv=None):
         gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
-        text = render_rows(_RUNNERS[args.command](build_run_config(args)), args.format)
-        if args.out:
-            _write(args.out, text)
-        else:
-            sys.stdout.write(text)
+        _write(args.out, render_rows(_RUNNERS[args.command](build_run_config(args)), args.format))
+        return EXIT_OK
     except ConfigError as err:
-        print(f"thermoprobe: configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, line = EXIT_CONFIG, f"configuration error: {err}"
     except ArithmeticError as err:  # NoConvergence and NonFiniteState among them
-        print(f"thermoprobe: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        code, line = EXIT_NUMERIC, f"numerical failure: {err}"
+    try:  # stderr alone: print(file=None) would fall back to stdout
+        sys.stderr.write(f"thermoprobe: {line}\n")
+    except (AttributeError, OSError):  # closed (None) or unwritable: dropped, as stdout is in _write
+        sys.stderr = None
+    return code
 
 
 if __name__ == "__main__":

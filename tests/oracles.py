@@ -24,9 +24,11 @@
 - Tables: the row dicts a column Table stands for, expanded one row at a
   time, so that tests read scans and the renderer's oracles see rows.
 - Flags: the command-line form of one parameter value.
-- Files: config files that the CLI cannot read.
+- Files: config files that the CLI cannot read, and stdouts it cannot write.
 """
 
+import errno
+import io
 import math
 from dataclasses import dataclass
 
@@ -560,3 +562,31 @@ def place_unreadable_config(path, kind):
         path.mkdir()
     elif kind in CONFIG_BYTES:
         path.write_bytes(CONFIG_BYTES[kind])
+
+
+UNWRITABLE_STDOUTS = ["stdout-write-fails", "stdout-flush-fails", "stdout-closed"]
+
+
+class FullStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` fails as on a full device."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        self._fail_if("write")
+        return super().write(text)
+
+    def flush(self):
+        self._fail_if("flush")
+
+    def _fail_if(self, method):
+        if self.failing == method:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def unwritable_stdout(kind):
+    """One of UNWRITABLE_STDOUTS as ``sys.stdout``: a stream whose write or
+    flush fails, or None, which Python sets when file descriptor 1 is closed."""
+    return None if kind == "stdout-closed" else FullStdout(kind.split("-")[1])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import resource
 import subprocess
@@ -12,7 +13,7 @@ from thermoprobe import cli
 from thermoprobe.dynamics import DissipationModel, optimal_interrogation_ratio, ultimate_rate
 from thermoprobe.numerics import Table
 
-from oracles import UNREADABLE_CONFIGS, flag, place_unreadable_config
+from oracles import UNREADABLE_CONFIGS, UNWRITABLE_STDOUTS, flag, place_unreadable_config, unwritable_stdout
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -20,6 +21,19 @@ def run(tmp_path, argv, name="out.csv"):
     out = tmp_path / name
     code = cli.main(argv + ["--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+def default_stdio_env():
+    """The environment without PYTHONUNBUFFERED, so that a child's stdout is
+    block-buffered into a file or pipe, as an interpreter's is by default."""
+    return {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+def run_program(command_line):
+    """Run ``thermoprobe <command_line>`` in a fresh interpreter through ``sh``,
+    so that the line can redirect or close the program's streams."""
+    return subprocess.run(["sh", "-c", f'"$0" -m thermoprobe.cli {command_line}', sys.executable],
+                          capture_output=True, text=True, timeout=30, env=default_stdio_env())
 
 
 def parse_csv(text):
@@ -571,6 +585,41 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("thermoprobe: configuration error: out:") and "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("kind", UNWRITABLE_STDOUTS)
+    def test_unwritable_stdout_exits_two(self, capsys, monkeypatch, kind):
+        """A stdout whose write or flush fails, or a closed one, is a configuration error naming out."""
+        monkeypatch.setattr(sys, "stdout", unwritable_stdout(kind))
+        code = cli.main(["limits"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("thermoprobe: configuration error: out:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("redirect", ["> /dev/full", ">&-"])
+    def test_unwritable_stdout_of_the_program_exits_two(self, redirect):
+        # a fresh interpreter with block-buffered stdout, where output left in
+        # the buffer would fail again at exit with "Exception ignored" and exit 120
+        proc = run_program(f"limits {redirect}")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("thermoprobe: configuration error: out:")
+
+    def test_pipe_without_reader_exits_two(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.run([sys.executable, "-m", "thermoprobe.cli", "limits"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=30, env=default_stdio_env())
+        os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("thermoprobe: configuration error: out: [Errno 32] Broken pipe")
+
+    @pytest.mark.parametrize("redirect", ["2>&-", "2> /dev/full"])
+    def test_diagnostic_that_cannot_be_written_stays_off_stdout(self, redirect):
+        # a closed stderr (None) must not send the diagnostic to stdout, as
+        # print(file=None) would; a full one fails the write, and again at exit
+        proc = run_program(f"limits --n 1 {redirect}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("argv, config, field", [
         (["equilibrium-scan", "--points", "1000000000000000"], None, "points"),

@@ -7,7 +7,8 @@ the field at fault, a parameter of the command, ``config`` or ``out``. Floats
 are drawn log-uniform over [1e-320, 1e308], with their negatives, 0, +-inf
 and nan; every size is bounded so that no example allocates much. About one
 call in 20 meets a file it cannot use: a config file that cannot be read or
-parsed, or an --out path in a missing directory or naming a directory.
+parsed, an --out path in a missing directory or naming a directory, or a
+stdout whose write or flush fails or that is closed.
 """
 
 import io
@@ -22,7 +23,7 @@ import pytest
 
 from thermoprobe import cli
 
-from oracles import UNREADABLE_CONFIGS, flag, place_unreadable_config
+from oracles import UNREADABLE_CONFIGS, UNWRITABLE_STDOUTS, flag, place_unreadable_config, unwritable_stdout
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -75,8 +76,8 @@ FIELDS = {
 # int beyond the floats, which reads as inf; and a number given as text
 JUNK = st.sampled_from(["abc", True, [1.5], {"a": 1}, None, "2..x", 10**400, "1.5"])
 
-# a config file in place of the drawn one, or an --out path, that cannot be used
-FAULT_KINDS = UNREADABLE_CONFIGS + ["out-missing-dir", "out-directory"]
+# a config file in place of the drawn one, an --out path or a stdout, that cannot be used
+FAULT_KINDS = UNREADABLE_CONFIGS + ["out-missing-dir", "out-directory"] + UNWRITABLE_STDOUTS
 FILE_FAULTS = mostly(st.none(), st.sampled_from(FAULT_KINDS), odds=20)
 
 
@@ -116,11 +117,11 @@ def finite_numbers(text, fmt):
 
 
 def each_file_fault(test):
-    """One explicit example per kind of file fault, the commands in turn, on
-    top of the drawn ones, which reach some kinds only now and then."""
-    commands = sorted(FIELDS)
-    for i, kind in enumerate(FAULT_KINDS):
-        test = example(([commands[i % len(commands)], "--format", "csv"], None, kind))(test)
+    """One explicit example per kind of file fault and command, on top of the
+    drawn ones, which reach some kinds only now and then."""
+    for kind in FAULT_KINDS:
+        for command in sorted(FIELDS):
+            test = example(([command, "--format", "csv"], None, kind))(test)
     return test
 
 
@@ -130,6 +131,7 @@ def each_file_fault(test):
 def test_exit_code_and_finite_output(invocation):
     argv, config, fault = invocation
     out, err = io.StringIO(), io.StringIO()
+    stdout = unwritable_stdout(fault) if fault in UNWRITABLE_STDOUTS else out
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         if fault in UNREADABLE_CONFIGS:
@@ -144,11 +146,12 @@ def test_exit_code_and_finite_output(invocation):
             argv = argv + ["--out", tmp]
         stopped = False
         try:
-            with redirect_stdout(out), redirect_stderr(err):
+            with redirect_stdout(stdout), redirect_stderr(err):
                 code = cli.main(argv)
         except SystemExit as stop:  # argparse rejected the arguments
             code, stopped = stop.code, True
     assert code in (0, 2, 3), (argv, config, fault, err.getvalue())
+    assert not (fault and code == 0), (argv, config, fault)  # no fault is swallowed
     if code == 0:
         assert finite_numbers(out.getvalue(), argv[2]), (argv, config)
     if code == 2 and not stopped:

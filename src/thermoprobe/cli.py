@@ -6,9 +6,11 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 import argparse
 import gc
+import io
 import json
 import math
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -55,11 +57,11 @@ def render_rows(table, fmt):
     byte as ``json.dumps(rows, indent=2)`` of its rows as dicts.
 
     Each distinct column list is encoded once, however many blocks share it,
-    and each scalar column once per block. The text is one list of the key
-    prefixes and cells of every row, joined once.
+    and each scalar column once per block. A block is one pass over its rows,
+    each cell followed by the key prefix or separator after it; the head
+    starts the text, the tail replaces the last separator, and one join ends it.
     """
-    total = len(table)
-    if not total:
+    if not len(table):
         return "[]\n" if fmt == "json" else "\n"
     names = table.columns
     if fmt == "json":
@@ -69,30 +71,22 @@ def render_rows(table, fmt):
     else:
         mids = [","] * (len(names) - 1)
         head, sep, tail = ",".join(names) + "\n", "\n", "\n"
-    # a row is cell, mid, ..., mid, cell, sep; head joins the first cell, tail replaces the last sep
-    width = 2 * len(names)
-    unit = [None] * width
-    unit[1::2] = mids + [sep]
-    out = unit * total
-    encoded = {}
-    start = 0
+    parts, encoded = [head], {}
     for block in table.blocks:
-        count = Table.block_rows(block)
-        stop = start + width * count
-        for j, values in enumerate(block):
+        streams = []  # the repeats are endless: zip stops at the block's lists
+        for values, after in zip(block, mids + [sep]):
             if not isinstance(values, list):
-                cells = [_cell(values, fmt)] * count
+                cells = repeat(_cell(values, fmt))
             elif id(values) in encoded:
                 cells = encoded[id(values)]
             elif set(map(type, values)) <= {int, float}:  # repr of these exact types is what _cell gives
                 cells = encoded[id(values)] = list(map(repr, values))
             else:
                 cells = encoded[id(values)] = [_cell(v, fmt) for v in values]
-            out[start + 2 * j:stop:width] = cells
-        start = stop
-    out[0] = head + out[0]
-    out[-1] = tail
-    return "".join(out)
+            streams += cells, repeat(after)
+        parts += chain.from_iterable(zip(*streams))
+    parts[-1] = tail
+    return "".join(parts)
 
 
 def _reserve(field, rows):
@@ -105,6 +99,7 @@ def _reserve(field, rows):
 
 
 def cmd_equilibrium_scan(params):
+    """QFI vs temperature curves at fixed gap"""
     n_list = params["n"]
     _reserve("points", params["points"] * (len(n_list) + 1))
     grid = geometric_grid(params["x_min"], params["x_max"], params["points"])
@@ -112,6 +107,7 @@ def cmd_equilibrium_scan(params):
 
 
 def cmd_optimal_gap(params):
+    """variance-maximizing gaps and peak QFI"""
     n_list, n0_list, t = params["n"], params["n0"], params["temperature"]
     _reserve("n", len(n_list) * len(n0_list))
     for n in n_list:
@@ -126,6 +122,7 @@ def cmd_optimal_gap(params):
 
 
 def cmd_hessian_check(params):
+    """curvature certificate of the optimal spectrum"""
     _reserve("n_max", params["n_max"] - params["n_min"] + 1)
     try:
         return hessian_certificate(range(params["n_min"], params["n_max"] + 1))
@@ -134,6 +131,7 @@ def cmd_hessian_check(params):
 
 
 def cmd_transient_scan(params):
+    """QFI per unit time vs interrogation time"""
     n_list = params["n"]
     labels = [thermal_label(t_prep) for t_prep in params["t_prep"]]
     if len(set(labels)) < len(labels):
@@ -156,6 +154,7 @@ def cmd_transient_scan(params):
 
 
 def cmd_limits(params):
+    """short-interrogation sensitivity bounds"""
     n_list = params["n"]
     _reserve("n", len(n_list))
     x_tilde = optimal_interrogation_ratio()
@@ -197,15 +196,6 @@ _RUNNERS = {
 }
 
 
-_HELP = {
-    "equilibrium-scan": "QFI vs temperature curves at fixed gap",
-    "optimal-gap": "variance-maximizing gaps and peak QFI",
-    "hessian-check": "curvature certificate of the optimal spectrum",
-    "transient-scan": "QFI per unit time vs interrogation time",
-    "limits": "short-interrogation sensitivity bounds",
-}
-
-
 def _build_parser():
     """One flag per key of ``_DEFAULTS``, --no-<key> for a switch that is on by
     default; each defaults to None, so that only the flags given override."""
@@ -215,7 +205,7 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, defaults in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+        p = sub.add_parser(command, help=_RUNNERS[command].__doc__)
         for key, default in defaults.items():
             name = key.replace("_", "-")
             if isinstance(default, bool):  # a switch; its flag turns it the other way
@@ -295,14 +285,18 @@ def _write(path, text):
     try:
         if path:
             Path(path).write_text(text)
-        elif sys.stdout is None:
-            raise OSError("stdout is closed")
+        elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+            # python -u: one raw write may stop short, which sys.stdout.write ignores
+            data = memoryview(text.encode(sys.stdout.encoding))
+            while data:
+                data = data[sys.stdout.buffer.write(data):]
         else:
-            print(text, end="", flush=True)
-    except OSError as err:
+            sys.stdout.write(text)  # a closed stdout is None: AttributeError
+            sys.stdout.flush()
+    except (AttributeError, OSError) as err:
         if not path:  # drop stdout: exit would flush its unwritten rest again, fail and end in 120
             sys.stdout = None
-        raise ConfigError("out", err) from None
+        raise ConfigError("out", "stdout is closed" if isinstance(err, AttributeError) else err) from None
 
 
 def main(argv=None):

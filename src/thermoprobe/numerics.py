@@ -23,7 +23,7 @@ class Table:
     entry per column: a list holds one value per row of the block, and any
     other value repeats over the block. A list may be shared by several
     blocks, such as the temperature grid of every equilibrium curve.
-    ``len(table)`` is the number of rows.
+    ``sizes`` holds the number of rows of each block, and ``len(table)`` their sum.
 
     A Table holds only finite floats, each distinct list checked once: an inf
     or NaN cell raises NonFiniteState naming its column, where the first
@@ -32,26 +32,23 @@ class Table:
     """
 
     def __init__(self, columns, blocks):
-        checked = set()
+        checked, sizes = set(), []
         for block in blocks:
             lengths = {len(cell) for cell in block if isinstance(cell, list)}
             if len(block) != len(columns) or len(lengths) != 1:
                 raise ValueError(f"a block needs one entry per column {columns} "
                                  f"and lists of one length, got lengths {sorted(lengths)}")
+            sizes += lengths  # the block's one list length
             for name, cell in zip(columns, block):
                 if not (id(cell) in checked or _finite(cell if isinstance(cell, list) else [cell])):
                     raise NonFiniteState(f"{name} is not finite at {_where(columns, block, cell)}")
                 checked.add(id(cell))
         self.columns = columns
         self.blocks = blocks
+        self.sizes = sizes
 
     def __len__(self):
-        return sum(map(self.block_rows, self.blocks))
-
-    @staticmethod
-    def block_rows(block):
-        """Number of rows of one block: the length of its lists."""
-        return next(len(cell) for cell in block if isinstance(cell, list))
+        return sum(self.sizes)
 
 
 def _finite(values):

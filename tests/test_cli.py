@@ -613,6 +613,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("thermoprobe: configuration error: out: [Errno 32] Broken pipe")
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["block-buffered", "python-u"])
+    def test_reader_gone_mid_output_exits_two(self, unbuffered):
+        # under python -u stdout writes straight to the pipe, where a write the
+        # reader leaves during stops short instead of failing
+        env = {**default_stdio_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+        proc = subprocess.Popen([sys.executable, "-m", "thermoprobe.cli", "equilibrium-scan", "--points", "20000",
+                                 "--format", "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(100_000)) == 100_000
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 2
+        assert err.decode().splitlines() == ["thermoprobe: configuration error: out: [Errno 32] Broken pipe"]
+
     @pytest.mark.parametrize("redirect", ["2>&-", "2> /dev/full"])
     def test_diagnostic_that_cannot_be_written_stays_off_stdout(self, redirect):
         # a closed stderr (None) must not send the diagnostic to stdout, as
@@ -765,6 +778,19 @@ class TestGeneratedParser:
         expected = {flag(key, not default)[0] if isinstance(default, bool) else "--" + key.replace("_", "-")
                     for key, default in cli._DEFAULTS[command].items()}
         assert expected | {"--config", "--out", "--format", "--help"} == shown
+
+    def test_help_lists_every_command_with_its_line(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["--help"])
+        assert stop.value.code == 0
+        listed = dict(re.findall(r"^    ([a-z-]+) +(\S.*)$", capsys.readouterr().out, flags=re.M))
+        assert listed == {
+            "equilibrium-scan": "QFI vs temperature curves at fixed gap",
+            "optimal-gap": "variance-maximizing gaps and peak QFI",
+            "hessian-check": "curvature certificate of the optimal spectrum",
+            "transient-scan": "QFI per unit time vs interrogation time",
+            "limits": "short-interrogation sensitivity bounds",
+        }
 
 
 class TestRendering:

@@ -1,6 +1,7 @@
 """Structure of the package: every import sits at module top, the module
 graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
-test-only oracles stay out of it, it defines no dataclass, the README's
+test-only oracles stay out of it, every module parses as Python 3.10, the
+oldest that pyproject.toml accepts, it defines no dataclass, the README's
 quick start runs and its line count of ``src/`` holds, running every
 command loads neither numpy nor dataclasses nor inspect, importing it starts
 no thread and leaves OPENBLAS_NUM_THREADS alone, only the CLI run as the
@@ -55,6 +56,12 @@ def test_oracles_are_not_in_the_package():
     defined = {node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     modules = [thermoprobe] + [importlib.import_module(f"thermoprobe.{m}") for m in LAYERS]
     assert sorted(name for name in defined if any(hasattr(mod, name) for mod in modules)) == []
+
+
+@pytest.mark.parametrize("module", LAYERS + ["__init__"])
+def test_parses_as_the_oldest_supported_python(module):
+    # requires-python = ">=3.10": syntax of later versions, such as except*, fails here
+    ast.parse((PACKAGE / f"{module}.py").read_text(), feature_version=(3, 10))
 
 
 def test_src_defines_no_dataclass():

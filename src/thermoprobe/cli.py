@@ -302,7 +302,7 @@ def _write(path, text):
 def main(argv=None):
     if argv is None:
         # Running as the program: shutdown would otherwise walk every start-up
-        # object in full collections (~5 ms); reference counting still frees them.
+        # object in full collections (7-10 ms); reference counting still frees them.
         gc.freeze()
     args = _build_parser().parse_args(argv)
     try:

@@ -30,10 +30,14 @@ class DissipationModel:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         self.gap, self.temperature, self.coupling = gap, temperature, coupling
-        self.ratio = gap / temperature
-        if not 0.0 < self.ratio < math.inf:  # 0 would divide by zero in the decay rate
-            raise NonFiniteState(f"ratio gap/temperature {'overflows' if self.ratio else 'underflows'} "
+        self.ratio = x = gap / temperature
+        if not 0.0 < x < math.inf:  # 0 would divide by zero in the decay rate
+            raise NonFiniteState(f"ratio gap/temperature {'overflows' if x else 'underflows'} "
                                  f"at T={temperature:g}")
+        # w = e^{-x}, 1 - w and d_T w = x w / T, which the transient QFIs read
+        self.boltzmann = w = math.exp(-x)
+        self.boltzmann_complement = -math.expm1(-x)
+        self.boltzmann_slope = x * w / temperature  # x * w first: a w that underflows gives 0, not 0 * inf
         # Net damping of second moments, the downward less the upward rate: the
         # detailed-balance factors cancel, leaving coupling * gap^3 with no
         # temperature dependence.
@@ -41,10 +45,10 @@ class DissipationModel:
             self.phase_space_damping = rate = coupling * gap**3
         except OverflowError:
             raise NonFiniteState(f"rate scale coupling * gap**3 overflows at gap={gap:g}") from None
-        self.decay_rate = rate / -math.expm1(-self.ratio)
+        self.decay_rate = rate / self.boltzmann_complement
         # 1 / (coupling * gap^3 * coth(ratio/2)), the qubit population timescale;
         # infinite when coupling * gap^3 underflows to zero
-        self.relaxation_time = math.tanh(self.ratio / 2.0) / rate if rate > 0.0 else math.inf
+        self.relaxation_time = math.tanh(x / 2.0) / rate if rate > 0.0 else math.inf
 
 
 def qfi_transient(n, excited0, model, dts):
@@ -63,14 +67,12 @@ def qfi_transient(n, excited0, model, dts):
     coupling are held fixed. 1 - E is formed as a sum, not as a difference,
     and where E underflows to 0 the value is 0.
     """
-    x, t = model.ratio, model.temperature
-    w = math.exp(-x)
+    w, scale = model.boltzmann, model.boltzmann_slope
     z = 1.0 + (n - 1) * w
     excited_eq = (n - 1) * w / z
     rate = model.decay_rate * z
-    scale = x * w / t  # x * w before / T: a w that underflows gives 0, not 0 * inf
     drift = excited_eq - excited0
-    z2, zw = z * z, -math.expm1(-x) * z
+    z2, zw = z * z, model.boltzmann_complement * z
 
     def at(d):
         q = rate * d
@@ -95,13 +97,10 @@ def qfi_transient_plus(model, dts):
     csch and sech^2 are written with w = e^{-x}, so nothing overflows at large
     x.
     """
-    x, t = model.ratio, model.temperature
-    tau = model.relaxation_time
-    w = math.exp(-x)
-    scale = x * w / t  # x * w before / T: a w that underflows gives 0, not 0 * inf
-    em2 = -math.expm1(-2.0 * x)
+    tau, w, scale = model.relaxation_time, model.boltzmann, model.boltzmann_slope
+    em2 = -math.expm1(-2.0 * model.ratio)
     wp2 = (1.0 + w) ** 2
-    tanh_half = -math.expm1(-x) / (1.0 + w)
+    tanh_half = model.boltzmann_complement / (1.0 + w)
     sech2 = 4.0 * w / wp2
 
     def at(d):

@@ -27,6 +27,8 @@ def qfi_effective_two_level(xs, n, gap):
 
     def at(v):
         emh = math.exp(-0.5 * v)
+        if not emh:  # v * v overflows from v = 1.34e154, and inf * 0 is NaN
+            return 0.0
         root = v * v * emh / (gap * ((n - 1) * emh * emh + 1.0))
         return (n - 1) * (root * root)
     return list(map(at, xs))

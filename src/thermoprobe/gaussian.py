@@ -38,8 +38,7 @@ def qfi_harmonic_transient(model, dts):
     equal numbers, nothing that overflows at large x, and 0 where w underflows.
     """
     x, t = model.ratio, model.temperature
-    w = math.exp(-x)
-    em = -math.expm1(-x)
+    w, em = model.boltzmann, model.boltzmann_complement
     damping = -model.phase_space_damping
     # w before x * x, so that a w that underflows gives 0, not 0 * inf
     scale = 2.0 * w * x * x / t / t / em**3

@@ -14,6 +14,7 @@ from thermoprobe.dynamics import DissipationModel, optimal_interrogation_ratio, 
 from thermoprobe.numerics import Table
 
 from oracles import UNREADABLE_CONFIGS, UNWRITABLE_STDOUTS, flag, place_unreadable_config, unwritable_stdout
+from test_golden import GOLDEN
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -72,9 +73,11 @@ class TestEquilibriumScan:
         code, _ = run(tmp_path, ["equilibrium-scan", "--x-min", "5", "--x-max", "1"])
         assert code == 2
 
-    def test_large_ratio_writes_finite_rows(self, tmp_path):
-        # x/2 runs to 1000, through the band where sinh(x/2)^2 overflows a double
-        code, text = run(tmp_path, ["equilibrium-scan", "--x-max", "2000"])
+    @pytest.mark.parametrize("x_max", ["2000", "1e300"])
+    def test_large_ratio_writes_finite_rows(self, tmp_path, x_max):
+        # x/2 runs through the band where sinh(x/2)^2 overflows a double, and
+        # at 1e300 past x = 1.34e154, where x^2 does
+        code, text = run(tmp_path, ["equilibrium-scan", "--x-max", x_max])
         assert code == 0
         _, rows = parse_csv(text)
         assert len(rows) == 6 * 400
@@ -813,3 +816,15 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert out.read_text().startswith("N,x_tilde,rate")
+
+    def test_optimized_interpreter_changes_only_the_command_help_lines(self):
+        # python -OO strips the runners' docstrings, which the top-level help
+        # lines are: the commands are still listed, with blank lines
+        limits = subprocess.run([sys.executable, "-OO", "-m", "thermoprobe.cli", "limits"],
+                                capture_output=True, text=True, timeout=30)
+        assert limits.returncode == 0 and limits.stderr == ""
+        assert hashlib.sha256(limits.stdout.encode()).hexdigest() == GOLDEN["limits"]
+        usage = subprocess.run([sys.executable, "-OO", "-m", "thermoprobe.cli", "--help"],
+                               capture_output=True, text=True, timeout=30)
+        assert usage.returncode == 0
+        assert set(re.findall(r"^    ([a-z-]+)$", usage.stdout, flags=re.M)) == set(cli._RUNNERS)

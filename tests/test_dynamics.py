@@ -58,6 +58,15 @@ class TestDissipationModel:
         up = m.decay_rate * math.exp(-x)
         assert m.phase_space_damping == pytest.approx(m.decay_rate - up, rel=1e-14)
         assert m.phase_space_damping == 0.5 * 8.0
+        # the Boltzmann factor, its complement and its temperature derivative
+        assert (m.boltzmann, m.boltzmann_complement) == (math.exp(-x), -math.expm1(-x))
+        assert m.boltzmann_slope == x * math.exp(-x) / 1.0
+        # expm1 is exact at a tiny ratio, where 1 - e^{-x} would read 0
+        assert DissipationModel(gap=1e-300, temperature=1.0, coupling=0.5).boltzmann_complement == 1e-300
+        # an underflowing w gives a zero slope, also where x / T overflows
+        for gap, temperature in [(800.0, 1.0), (1.0, 1e-300)]:
+            cold = DissipationModel(gap=gap, temperature=temperature, coupling=0.5)
+            assert (cold.boltzmann, cold.boltzmann_slope) == (0.0, 0.0)
 
     def test_validation(self):
         for bad in [dict(gap=0.0), dict(temperature=-1.0), dict(coupling=0.0)]:

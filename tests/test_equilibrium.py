@@ -388,6 +388,11 @@ class TestEquilibriumScan:
         w10 = full_width_half_max(ts, np.array(qfi_effective_two_level(xs, 10, 1.0)))
         assert w10 < w2
 
+    @pytest.mark.parametrize("x", [1.3e154, 1.35e154, 1e300])
+    def test_two_level_qfi_is_zero_where_the_half_exponential_underflows(self, x):
+        # from x = 1.34e154 on, x^2 overflows, and inf * e^{-x/2} would be NaN
+        assert qfi_effective_two_level([x], 2, 1.0) == [0.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             qfi_equilibrium_scan([], [1.0], include_harmonic=False)

@@ -36,6 +36,8 @@ GOLDEN = {
     "transient-scan --include-plus --include-harmonic --points 2000":
         "a05f633980bb0cf26493d79c7c636f07576cf7d5a5b8435d4330eb015eb2300a",
     'transient-scan --t-prep ""': "3abf878fca59f6cac14249bfa7b53a7dc40989a687a092dc39944ad20a3d68db",
+    "equilibrium-scan --x-max 1e300 --points 50":
+        "4f637218b552c222d0d924a36bd07720a90d39c97f7a46c764a542de78a98ad1",
 }
 
 

@@ -89,27 +89,15 @@ def render_rows(table, fmt):
     return "".join(parts)
 
 
-def _reserve(field, rows):
-    """Fail at once on ``field`` unless ``rows`` output rows, about 1 kB each at
-    the peak, fit in memory; ``bytes`` takes zeroed pages and leaves them untouched."""
-    try:
-        bytes(rows * 1024)
-    except (MemoryError, OverflowError):
-        raise ConfigError(field, f"{rows} rows do not fit in memory") from None
-
-
 def cmd_equilibrium_scan(params):
     """QFI vs temperature curves at fixed gap"""
-    n_list = params["n"]
-    _reserve("points", params["points"] * (len(n_list) + 1))
     grid = geometric_grid(params["x_min"], params["x_max"], params["points"])
-    return qfi_equilibrium_scan(n_list, grid, gap=params["gap"], include_harmonic=params["harmonic"])
+    return qfi_equilibrium_scan(params["n"], grid, gap=params["gap"], include_harmonic=params["harmonic"])
 
 
 def cmd_optimal_gap(params):
     """variance-maximizing gaps and peak QFI"""
     n_list, n0_list, t = params["n"], params["n0"], params["temperature"]
-    _reserve("n", len(n_list) * len(n0_list))
     for n in n_list:
         for n0 in n0_list:
             if not 1 <= n0 <= n - 1:
@@ -123,16 +111,11 @@ def cmd_optimal_gap(params):
 
 def cmd_hessian_check(params):
     """curvature certificate of the optimal spectrum"""
-    _reserve("n_max", params["n_max"] - params["n_min"] + 1)
-    try:
-        return hessian_certificate(range(params["n_min"], params["n_max"] + 1))
-    except MemoryError:
-        raise ConfigError("n_max", f"dimensions up to {params['n_max']} do not fit in memory") from None
+    return hessian_certificate(range(params["n_min"], params["n_max"] + 1))
 
 
 def cmd_transient_scan(params):
     """QFI per unit time vs interrogation time"""
-    n_list = params["n"]
     labels = [thermal_label(t_prep) for t_prep in params["t_prep"]]
     if len(set(labels)) < len(labels):
         raise ConfigError("t_prep", f"temperatures {params['t_prep']} share a series label: {labels}")
@@ -147,19 +130,16 @@ def cmd_transient_scan(params):
         # a subnormal contact time carries too few digits for its rate
         raise ConfigError("span_min", f"first contact time span_min * tau = {params['span_min'] * tau:g} is "
                           f"below the smallest normal float; need span_min >= {sys.float_info.min / tau:g}")
-    _reserve("points", params["points"] * (len(n_list) + len(params["t_prep"]) + 2))
     grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
-    return transient_scan(model, grid, n_list, params["t_prep"],
+    return transient_scan(model, grid, params["n"], params["t_prep"],
                           include_plus=params["include_plus"], include_harmonic=params["include_harmonic"])
 
 
 def cmd_limits(params):
     """short-interrogation sensitivity bounds"""
-    n_list = params["n"]
-    _reserve("n", len(n_list))
     x_tilde = optimal_interrogation_ratio()
-    rates = [ultimate_rate(n, x_tilde, params["gamma"], params["temperature"]) for n in n_list]
-    return Table(("N", "x_tilde", "rate"), [(list(n_list), x_tilde, rates)])
+    rates = [ultimate_rate(n, x_tilde, params["gamma"], params["temperature"]) for n in params["n"]]
+    return Table(("N", "x_tilde", "rate"), [(list(params["n"]), x_tilde, rates)])
 
 
 _DEFAULTS = {
@@ -175,6 +155,16 @@ _DEFAULTS = {
         "points": 200, "span_min": 1e-3, "span_max": 20.0,
     },
     "limits": {"n": [2, 4, 10], "gamma": 1e-3, "temperature": 1.0},
+}
+
+# Each command's size field and the most output rows its parameters give; the
+# config pass reserves about 1 kB a row, the peak, as its last rule.
+_ROWS = {
+    "equilibrium-scan": ("points", lambda p: p["points"] * (len(p["n"]) + 1)),
+    "optimal-gap": ("n", lambda p: len(p["n"]) * len(p["n0"])),
+    "hessian-check": ("n_max", lambda p: p["n_max"] - p["n_min"] + 1),
+    "transient-scan": ("points", lambda p: p["points"] * (len(p["n"]) + len(p["t_prep"]) + 2)),
+    "limits": ("n", lambda p: len(p["n"])),
 }
 
 # Rules that parameters share across commands, each applied to every command
@@ -277,6 +267,12 @@ def build_run_config(args):
     for low, high, strict in _ORDERED:
         if low in params and not (params[high] > params[low] if strict else params[high] >= params[low]):
             raise ConfigError(high, f"must {'exceed' if strict else 'be at least'} {low}, got {params[high]}")
+    field, count = _ROWS[command]
+    rows = count(params)
+    try:  # bytes takes zeroed pages and leaves them untouched
+        bytes(rows * 1024)
+    except (MemoryError, OverflowError):
+        raise ConfigError(field, f"{rows} rows do not fit in memory") from None
     return params
 
 
@@ -310,6 +306,8 @@ def main(argv=None):
         return EXIT_OK
     except ConfigError as err:
         code, line = EXIT_CONFIG, f"configuration error: {err}"
+    except MemoryError:  # the rows fitted when reserved, their working set did not
+        code, line = EXIT_CONFIG, f"configuration error: {_ROWS[args.command][0]}: the run does not fit in memory"
     except ArithmeticError as err:  # NoConvergence and NonFiniteState among them
         code, line = EXIT_NUMERIC, f"numerical failure: {err}"
     try:  # stderr alone: print(file=None) would fall back to stdout

@@ -4,6 +4,7 @@ vacuum preparation relaxing toward the thermal state.
 """
 
 import math
+import sys
 
 
 def qfi_harmonic_equilibrium(gap, temperatures):
@@ -11,16 +12,21 @@ def qfi_harmonic_equilibrium(gap, temperatures):
     csch^2(h) with h = gap / 2T, as a list over the sequence ``temperatures``.
 
     csch^2(h) is written 4 e^{-2h} / expm1(-2h)^2 and the whole form as the
-    square ((gap/T) e^{-h} / (T expm1(-2h)))^2: nothing overflows at large h,
-    and no factor goes subnormal before the result does (e^{-h} stays normal
-    up to h = 700, and T expm1(-2h) for any normal T).
+    square ((gap/T) e^{-h} / (T expm1(-2h)))^2, in which no factor overflows
+    before the result does. Where h is subnormal the QFI is 1/T^2, as
+    h^2 csch^2(h) = 1 to every digit a double holds; where e^{-h} is 0, 0.
     """
     if gap <= 0 or not all(t > 0 for t in temperatures):
         raise ValueError("gap and temperature must be positive")
 
     def at(t):
         half = gap / (2.0 * t)
-        root = gap / t * math.exp(-half) / (t * math.expm1(-2.0 * half))
+        if half < sys.float_info.min:  # a subnormal h carries too few digits
+            return 1.0 / t / t
+        emh = math.exp(-half)
+        if not emh:  # gap / t overflows from h = 9e307, and inf * 0 is NaN
+            return 0.0
+        root = gap / t * emh / (t * math.expm1(-2.0 * half))
         return root * root
     return list(map(at, temperatures))
 

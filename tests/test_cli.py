@@ -83,6 +83,17 @@ class TestEquilibriumScan:
         assert len(rows) == 6 * 400
         assert all(math.isfinite(float(r[k])) for r in rows for k in ("T", "qfi", "qfi_normalized"))
 
+    @pytest.mark.parametrize("flags, rows", [
+        (["--x-max", "1.7976931348623157e308", "--points", "50"], 6 * 50),  # e^{-x/2} underflows, gap/T overflows
+        (["--gap", "1e-16", "--x-min", "5e-324", "--x-max", "1", "--points", "3"], 6 * 3),  # x/2 underflows
+    ], ids=["largest-x", "smallest-x"])
+    def test_oscillator_at_the_ends_of_the_ratio_writes_finite_rows(self, tmp_path, flags, rows):
+        code, text = run(tmp_path, ["equilibrium-scan", *flags])
+        assert code == 0
+        _, got = parse_csv(text)
+        assert len(got) == rows
+        assert all(math.isfinite(float(r[k])) for r in got for k in ("T", "qfi", "qfi_normalized"))
+
     def test_vanishing_curve_exits_three(self, tmp_path, capsys):
         # every QFI underflows to 0, so no curve can be normalized by its peak
         code, text = run(tmp_path, ["equilibrium-scan", "--x-min", "1e-300", "--x-max", "1e-299",
@@ -204,7 +215,9 @@ class TestHessianCheck:
         (["hessian-check", "--n-max", str(10**7)], "n_max"),
         (["limits", "--n", f"2..{10**7}"], "n"),
         (["optimal-gap", "--n", f"2..{3 * 10**6}", "--n0", "1"], "n"),
-    ], ids=["hessian-check", "limits", "optimal-gap"])
+        (["equilibrium-scan", "--points", str(10**7)], "points"),
+        (["transient-scan", "--points", str(10**7)], "points"),
+    ], ids=["hessian-check", "limits", "optimal-gap", "equilibrium-scan", "transient-scan"])
     def test_range_beyond_the_address_space_limit_exits_two(self, tmp_path, argv, field):
         # millions of dimensions fit as a list of ints (a few hundred MB at most)
         # but their rows need gigabytes; under a 1 GB address-space limit on the
@@ -220,17 +233,6 @@ class TestHessianCheck:
         assert not out.exists()
         assert proc.stderr.startswith(f"thermoprobe: configuration error: {field}:")
         assert "Traceback" not in proc.stderr
-
-    def test_memory_error_in_the_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
-        def exhausted(dims):
-            raise MemoryError
-
-        monkeypatch.setattr(cli, "hessian_certificate", exhausted)
-        code, text = run(tmp_path, ["hessian-check", "--n-max", "64"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert text == ""
-        assert err.startswith("thermoprobe: configuration error: n_max:") and "Traceback" not in err
 
     def test_dimensions_beyond_64_bit_ints(self, tmp_path):
         n = 10**20
@@ -579,6 +581,27 @@ class TestExitCodes:
         assert text == ""
         assert f"configuration error: {field}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, target, field", [
+        (["hessian-check", "--n-max", "64"], "hessian_certificate", "n_max"),
+        (["equilibrium-scan"], "render_rows", "points"),
+        (["optimal-gap"], "render_rows", "n"),
+        (["hessian-check"], "render_rows", "n_max"),
+        (["transient-scan"], "render_rows", "points"),
+        (["limits"], "render_rows", "n"),
+    ], ids=["certificate", "equilibrium-scan", "optimal-gap", "hessian-check", "transient-scan", "limits"])
+    def test_memory_error_while_running_exits_two(self, tmp_path, capsys, monkeypatch, argv, target, field):
+        """Memory that runs out after the reservation, while computing or
+        rendering, is a configuration error naming the command's size field."""
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        code, text = run(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert err.startswith(f"thermoprobe: configuration error: {field}:") and "Traceback" not in err
+
     @pytest.mark.parametrize("target", ["missing/out.csv", "."])
     def test_unwritable_out_path_exits_two(self, tmp_path, capsys, target):
         """A missing directory, or a directory as the path, is a configuration error naming out."""
@@ -649,9 +672,12 @@ class TestExitCodes:
         (["limits"], {"n": "2..1000000000000000"}, "n"),
         (["optimal-gap", "--n0", "1..1000000000000000"], None, "n0"),
         (["optimal-gap"], {"n0": "1..100000000000000000000"}, "n0"),
+        # the size is refused before the default gap x_tilde * T, or gamma * gap**3, overflows
+        (["transient-scan", "--temperature", "1e308", "--points", "1000000000000"], None, "points"),
+        (["transient-scan", "--gap", "1e300", "--points", "1000000000000"], None, "points"),
     ])
     def test_oversized_size_exits_two(self, tmp_path, capsys, argv, config, field):
-        # sizes of 1e15 and more exceed a 47-bit address space, so allocation fails at once
+        # sizes of 1e12 rows and more exceed a 47-bit address space, so allocation fails at once
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
@@ -794,6 +820,23 @@ class TestGeneratedParser:
             "transient-scan": "QFI per unit time vs interrogation time",
             "limits": "short-interrogation sensitivity bounds",
         }
+
+
+class TestRowBudget:
+    def test_every_command_declares_its_rows(self):
+        assert set(cli._ROWS) == set(cli._DEFAULTS) == set(cli._RUNNERS)
+
+    @pytest.mark.parametrize("argv", [
+        *[[command] for command in sorted(cli._DEFAULTS)],
+        ["equilibrium-scan", "--no-harmonic"],
+        ["transient-scan", "--include-plus", "--include-harmonic"],
+    ], ids=" ".join)
+    def test_declared_rows_bound_the_table(self, argv):
+        # each command at its defaults, where equilibrium-scan has its harmonic series, and
+        # with the optional series switched the other way
+        params = cli.build_run_config(cli._build_parser().parse_args(argv))
+        _, rows = cli._ROWS[argv[0]]
+        assert rows(params) >= len(cli._RUNNERS[argv[0]](params))
 
 
 class TestRendering:

@@ -4,11 +4,12 @@ Whatever the input, ``cli.main`` returns 0, 2 or 3 and raises nothing
 (argparse's own rejection, ``SystemExit(2)``, counts as exit 2); an exit-0
 output holds only finite numbers, and an exit 2 that ``main`` returns names
 the field at fault, a parameter of the command, ``config`` or ``out``. Floats
-are drawn log-uniform over [1e-320, 1e308], with their negatives, 0, +-inf
-and nan; every size is bounded so that no example allocates much. About one
-call in 20 meets a file it cannot use: a config file that cannot be read or
-parsed, an --out path in a missing directory or naming a directory, or a
-stdout whose write or flush fails or that is closed.
+are drawn log-uniform over [5e-324, 1e308], from the smallest subnormal up,
+with their negatives, 0, +-inf and nan; every size is bounded so that no
+example allocates much. About one call in 20 meets a file it cannot use: a
+config file that cannot be read or parsed, an --out path in a missing
+directory or naming a directory, or a stdout whose write or flush fails or
+that is closed.
 """
 
 import io
@@ -35,7 +36,7 @@ def mostly(common, rare, odds=10):
     return st.integers(1, odds).flatmap(lambda i: rare if i == odds else common)
 
 
-MAGNITUDES = st.floats(-320.0, 308.0).map(lambda e: 10.0 ** e)
+MAGNITUDES = st.floats(-323.3, 308.0).map(lambda e: 10.0 ** e)
 FLOATS = mostly(MAGNITUDES, st.one_of(
     MAGNITUDES.map(lambda v: -v), st.sampled_from([0.0, math.inf, -math.inf, math.nan])))
 
@@ -128,6 +129,11 @@ def each_file_fault(test):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(invocations())
 @each_file_fault
+# the oscillator's equilibrium QFI where e^{-x/2} underflows and where x/2 does
+@example((["equilibrium-scan", "--format", "csv", "--x-max", "1.7976931348623157e308", "--points", "50"],
+          None, None))
+@example((["equilibrium-scan", "--format", "csv", "--gap", "1e-16", "--x-min", "5e-324", "--x-max", "1",
+           "--points", "3"], None, None))
 def test_exit_code_and_finite_output(invocation):
     argv, config, fault = invocation
     out, err = io.StringIO(), io.StringIO()

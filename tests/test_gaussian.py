@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,33 @@ class TestHarmonicEquilibrium:
     def test_large_ratio_vanishes(self):
         assert qfi_harmonic_equilibrium(1.0, [1.0 / 60.0])[0] < 1e-18
         assert qfi_harmonic_equilibrium(1.0, [1.0 / 2000.0])[0] == 0.0
+
+    def test_ratio_beyond_the_floats_vanishes(self):
+        # e^{-h} underflows where gap/T overflows: 0.0, not inf * 0
+        assert qfi_harmonic_equilibrium(1.0, [1.0 / 1.7976931348623157e308]) == [0.0]
+
+    @pytest.mark.parametrize("gap, t", [(5e-324, 1.0), (1e-300, 1e23), (1e-300, 3e22), (1e-300, 1.7e23),
+                                        (1e-310, 1e10)])
+    def test_subnormal_half_ratio_is_the_high_temperature_limit(self, gap, t):
+        # h = gap/2T is 0 at the first point, where expm1(-2h) is 0, and
+        # subnormal, with too few digits for the closed form, at the others
+        assert qfi_harmonic_equilibrium(gap, [t])[0] == pytest.approx(1.0 / t**2, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gap", [5e-324, 1e-300, 1.0, 1e100])
+    def test_matches_mpmath_across_the_ratios(self, gap):
+        # log-spaced ratios x = gap/T from the smallest subnormal to 1400;
+        # the rounding of h = x/2, carried through e^{-h}, costs about x ulp
+        mp = pytest.importorskip("mpmath").mp
+        for x in (10.0 ** (k / 4) for k in range(-1293, 13)):
+            t = gap / x
+            if not 0.0 < t < math.inf:
+                continue
+            with mp.workdps(50):
+                h = mp.mpf(gap) / (2 * mp.mpf(t))
+                want = (h / mp.mpf(t) / mp.sinh(h)) ** 2
+            if sys.float_info.min < want < sys.float_info.max:
+                got = qfi_harmonic_equilibrium(gap, [t])[0]
+                assert abs(got - want) <= (1.0 + x) * 5e-16 * want, (gap, x)
 
     def test_validation(self):
         with pytest.raises(ValueError):

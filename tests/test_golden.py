@@ -38,6 +38,11 @@ GOLDEN = {
     'transient-scan --t-prep ""': "3abf878fca59f6cac14249bfa7b53a7dc40989a687a092dc39944ad20a3d68db",
     "equilibrium-scan --x-max 1e300 --points 50":
         "4f637218b552c222d0d924a36bd07720a90d39c97f7a46c764a542de78a98ad1",
+    # the oscillator at both ends of x: e^{-x/2} underflows, and x/2 underflows
+    "equilibrium-scan --x-max 1.7976931348623157e308 --points 50":
+        "957ba434f48772fdc1ad49a10cb07d4b8c1da25449d80a811cd211e6b908d9f1",
+    "equilibrium-scan --gap 1e-16 --x-min 5e-324 --x-max 1 --points 3":
+        "6764c01114ed693f6bc6a45de339e629d0265dc12f6eead968e827c04c4763cb",
 }
 
 

@@ -89,12 +89,28 @@ def render_rows(table, fmt):
     return "".join(parts)
 
 
+_DEFAULTS, _ROWS, _RUNNERS = {}, {}, {}
+
+
+def _command(name, field, rows, **defaults):
+    """Declare the runner of command ``name`` and its defaults, in --help order.
+    As its last rule, the config pass reserves about 1 kB for each of the
+    ``rows(params)`` most output rows, naming ``field`` if they do not fit."""
+    def declare(runner):
+        _DEFAULTS[name], _ROWS[name], _RUNNERS[name] = defaults, (field, rows), runner
+        return runner
+    return declare
+
+
+@_command("equilibrium-scan", "points", lambda p: p["points"] * (len(p["n"]) + 1),
+          n=[2, 4, 6, 8, 10], gap=1.0, x_min=0.5, x_max=50.0, points=400, harmonic=True)
 def cmd_equilibrium_scan(params):
     """QFI vs temperature curves at fixed gap"""
     grid = geometric_grid(params["x_min"], params["x_max"], params["points"])
     return qfi_equilibrium_scan(params["n"], grid, gap=params["gap"], include_harmonic=params["harmonic"])
 
 
+@_command("optimal-gap", "n", lambda p: len(p["n"]) * len(p["n0"]), n=list(range(2, 11)), n0=[1], temperature=1.0)
 def cmd_optimal_gap(params):
     """variance-maximizing gaps and peak QFI"""
     n_list, n0_list, t = params["n"], params["n0"], params["temperature"]
@@ -109,11 +125,15 @@ def cmd_optimal_gap(params):
                  [(ns, n0s, x, [t * v for v in x], qfi, excess)])
 
 
+@_command("hessian-check", "n_max", lambda p: p["n_max"] - p["n_min"] + 1, n_min=2, n_max=20, temperature=1.0)
 def cmd_hessian_check(params):
     """curvature certificate of the optimal spectrum"""
     return hessian_certificate(range(params["n_min"], params["n_max"] + 1))
 
 
+@_command("transient-scan", "points", lambda p: p["points"] * (len(p["n"]) + len(p["t_prep"]) + 2),
+          gamma=1e-3, temperature=1.0, gap=None, n=[2, 4, 10], t_prep=[0.8, 0.9], include_plus=False,
+          include_harmonic=False, points=200, span_min=1e-3, span_max=20.0)
 def cmd_transient_scan(params):
     """QFI per unit time vs interrogation time"""
     labels = [thermal_label(t_prep) for t_prep in params["t_prep"]]
@@ -126,7 +146,7 @@ def cmd_transient_scan(params):
             raise NonFiniteState(f"default gap x_tilde * T overflows at T={params['temperature']:g}")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
     tau = model.relaxation_time
-    if tau >= sys.float_info.min and params["span_min"] * tau < sys.float_info.min:
+    if tau > 0.0 and params["span_min"] * tau < sys.float_info.min:
         # a subnormal contact time carries too few digits for its rate
         raise ConfigError("span_min", f"first contact time span_min * tau = {params['span_min'] * tau:g} is "
                           f"below the smallest normal float; need span_min >= {sys.float_info.min / tau:g}")
@@ -135,37 +155,13 @@ def cmd_transient_scan(params):
                           include_plus=params["include_plus"], include_harmonic=params["include_harmonic"])
 
 
+@_command("limits", "n", lambda p: len(p["n"]), n=[2, 4, 10], gamma=1e-3, temperature=1.0)
 def cmd_limits(params):
     """short-interrogation sensitivity bounds"""
     x_tilde = optimal_interrogation_ratio()
     rates = [ultimate_rate(n, x_tilde, params["gamma"], params["temperature"]) for n in params["n"]]
     return Table(("N", "x_tilde", "rate"), [(list(params["n"]), x_tilde, rates)])
 
-
-_DEFAULTS = {
-    "equilibrium-scan": {
-        "n": [2, 4, 6, 8, 10], "gap": 1.0, "x_min": 0.5, "x_max": 50.0,
-        "points": 400, "harmonic": True,
-    },
-    "optimal-gap": {"n": list(range(2, 11)), "n0": [1], "temperature": 1.0},
-    "hessian-check": {"n_min": 2, "n_max": 20, "temperature": 1.0},
-    "transient-scan": {
-        "gamma": 1e-3, "temperature": 1.0, "gap": None, "n": [2, 4, 10],
-        "t_prep": [0.8, 0.9], "include_plus": False, "include_harmonic": False,
-        "points": 200, "span_min": 1e-3, "span_max": 20.0,
-    },
-    "limits": {"n": [2, 4, 10], "gamma": 1e-3, "temperature": 1.0},
-}
-
-# Each command's size field and the most output rows its parameters give; the
-# config pass reserves about 1 kB a row, the peak, as its last rule.
-_ROWS = {
-    "equilibrium-scan": ("points", lambda p: p["points"] * (len(p["n"]) + 1)),
-    "optimal-gap": ("n", lambda p: len(p["n"]) * len(p["n0"])),
-    "hessian-check": ("n_max", lambda p: p["n_max"] - p["n_min"] + 1),
-    "transient-scan": ("points", lambda p: p["points"] * (len(p["n"]) + len(p["t_prep"]) + 2)),
-    "limits": ("n", lambda p: len(p["n"])),
-}
 
 # Rules that parameters share across commands, each applied to every command
 # that has the key: finite and positive, per entry of a list and skipping a
@@ -176,14 +172,6 @@ _POSITIVE = {"gap", "x_min", "x_max", "temperature", "gamma", "t_prep", "span_mi
 _AT_LEAST_TWO = {"n", "n_min", "points"}
 _NON_EMPTY = {"n", "n0"}
 _ORDERED = [("x_min", "x_max", True), ("span_min", "span_max", True), ("n_min", "n_max", False)]
-
-_RUNNERS = {
-    "equilibrium-scan": cmd_equilibrium_scan,
-    "optimal-gap": cmd_optimal_gap,
-    "hessian-check": cmd_hessian_check,
-    "transient-scan": cmd_transient_scan,
-    "limits": cmd_limits,
-}
 
 
 def _build_parser():

@@ -4,7 +4,7 @@ preparation in closed form, the sensitivity-per-time figure of merit, and its
 short-interrogation limit.
 
 Level convention for qubits: the Hamiltonian is (gap/2) sigma_z with the
-excited state along +z, so the ground preparation is bloch = (0, 0, -1).
+excited state along +z, so the ground preparation has Bloch vector (0, 0, -1).
 """
 
 import math
@@ -22,7 +22,7 @@ class DissipationModel:
 
     Raises:
         ValueError: for a field that is not positive and finite.
-        NonFiniteState: when the ratio gap/T overflows or underflows to 0, or gap^3 overflows.
+        NonFiniteState: when the ratio x = gap/T overflows or underflows to 0, or the decay rate does.
     """
 
     def __init__(self, gap, temperature, coupling):
@@ -44,8 +44,10 @@ class DissipationModel:
         try:
             self.phase_space_damping = rate = coupling * gap**3
         except OverflowError:
-            raise NonFiniteState(f"rate scale coupling * gap**3 overflows at gap={gap:g}") from None
-        self.decay_rate = rate / self.boltzmann_complement
+            rate = math.inf
+        self.decay_rate = rate / self.boltzmann_complement  # inf if gap**3, the product or the quotient overflows
+        if self.decay_rate == math.inf:
+            raise NonFiniteState(f"coupling * gap**3 / (1-e^-x) overflows at coupling={coupling:g}, gap={gap:g}")
         # 1 / (coupling * gap^3 * coth(ratio/2)), the qubit population timescale;
         # infinite when coupling * gap^3 underflows to zero
         self.relaxation_time = math.tanh(x / 2.0) / rate if rate > 0.0 else math.inf

@@ -11,6 +11,7 @@ from .gaussian import qfi_harmonic_equilibrium
 from .numerics import NoConvergence, NonFiniteState, Table
 
 _PEAKS = Context(prec=28)  # eleven digits more than a double carries
+_NORMAL = 2.2250738585072014e-308  # the smallest normal float
 
 
 def qfi_effective_two_level(xs, n, gap):
@@ -18,9 +19,10 @@ def qfi_effective_two_level(xs, n, gap):
     (n-1)-fold degenerate excited level at ``gap``, as a list over the
     sequence ``xs`` of ratios x = gap/T.
 
-    Written with decaying exponentials so large x cannot overflow, and as
-    (n-1) (x^2 e^{-x/2} / (gap (1 + (n-1) e^{-x})))^2 so that no factor goes
-    subnormal before the result does (e^{-x/2} stays normal up to x = 1400).
+    Written with decaying exponentials so large x cannot overflow, as
+    (n-1) (x^2 e^{-x/2} / (gap (1 + (n-1) e^{-x})))^2. Where x^2, the denominator
+    or the squared root leaves the normal floats, x, gap and the root are split
+    into mantissas and powers of two, which are applied once, to the result.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -29,8 +31,15 @@ def qfi_effective_two_level(xs, n, gap):
         emh = math.exp(-0.5 * v)
         if not emh:  # v * v overflows from v = 1.34e154, and inf * 0 is NaN
             return 0.0
-        root = v * v * emh / (gap * ((n - 1) * emh * emh + 1.0))
-        return (n - 1) * (root * root)
+        level = (n - 1) * emh * emh + 1.0
+        root = v * v * emh / (gap * level)
+        if v * v >= _NORMAL and gap * level >= _NORMAL and root * root >= _NORMAL:
+            return (n - 1) * (root * root)
+        (mv, ev), (mg, eg) = math.frexp(v), math.frexp(gap)
+        m, e = math.frexp(mv * mv * emh / (mg * level))
+        q, k = math.frexp((n - 1) * (m * m))
+        k += 2 * (e + 2 * ev - eg)
+        return math.ldexp(q, k) if k <= 1024 else math.inf  # q < 1: finite up to 2^1024
     return list(map(at, xs))
 
 

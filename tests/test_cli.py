@@ -11,7 +11,7 @@ import pytest
 
 from thermoprobe import cli
 from thermoprobe.dynamics import DissipationModel, optimal_interrogation_ratio, ultimate_rate
-from thermoprobe.numerics import Table
+from thermoprobe.numerics import Table, geometric_grid
 
 from oracles import UNREADABLE_CONFIGS, UNWRITABLE_STDOUTS, flag, place_unreadable_config, unwritable_stdout
 from test_golden import GOLDEN
@@ -93,6 +93,25 @@ class TestEquilibriumScan:
         _, got = parse_csv(text)
         assert len(got) == rows
         assert all(math.isfinite(float(r[k])) for r in got for k in ("T", "qfi", "qfi_normalized"))
+
+    @pytest.mark.parametrize("flags", [
+        ["--x-min", "1e-181", "--x-max", "1e-180", "--n", "2"],           # x^2 and gap are subnormal
+        ["--x-min", "1e-163", "--x-max", "1e-160", "--n", "1000000"],     # so is the squared root
+    ], ids=["n=2", "n=1e6"])
+    def test_two_level_below_the_normal_intermediates_matches_mpmath(self, tmp_path, flags):
+        # gap 1e-300: the value is a normal float though x^2, gap * (1 + (n-1) e^{-x})
+        # or the root squared is not
+        mp = pytest.importorskip("mpmath").mp
+        code, text = run(tmp_path, ["equilibrium-scan", "--gap", "1e-300", "--points", "2",
+                                    "--no-harmonic", *flags])
+        assert code == 0
+        _, rows = parse_csv(text)
+        n = int(flags[-1])
+        for x, row in zip(geometric_grid(float(flags[1]), float(flags[3]), 2), rows):
+            with mp.workdps(50):
+                w = (n - 1) * mp.exp(-mp.mpf(x))
+                want = mp.mpf(x) ** 4 * w / (mp.mpf(1e-300) ** 2 * (1 + w) ** 2)
+            assert abs(float(row["qfi"]) - want) <= 1e-15 * want
 
     def test_vanishing_curve_exits_three(self, tmp_path, capsys):
         # every QFI underflows to 0, so no curve can be normalized by its peak
@@ -345,11 +364,15 @@ class TestTransientScan:
         assert text == ""
         assert "numerical failure" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("span_min", ["1e-320", "5e-324"])
-    def test_subnormal_first_contact_time_exits_two(self, tmp_path, capsys, span_min):
+    @pytest.mark.parametrize("flags", [
+        ["--span-min", "1e-320"],
+        ["--span-min", "5e-324"],
+        ["--gamma", "1e308", "--gap", "1"],    # at the default span_min of a subnormal relaxation time,
+        ["--gamma", "1e300", "--gap", "500"],  # 4.6e-309 and 8e-309
+    ], ids=["1e-320", "5e-324", "tau=4.6e-309", "tau=8e-309"])
+    def test_subnormal_first_contact_time_exits_two(self, tmp_path, capsys, flags):
         # a subnormal dt carries too few digits for its rate, which came out 2 % off at 1e-320
-        code, text = run(tmp_path, ["transient-scan", "--span-min", span_min, "--include-plus",
-                                    "--include-harmonic"])
+        code, text = run(tmp_path, ["transient-scan", *flags, "--include-plus", "--include-harmonic"])
         err = capsys.readouterr().err
         assert code == 2
         assert text == ""
@@ -728,7 +751,8 @@ class TestExitCodes:
         (["limits", "--gamma", "1e308", "--temperature", "1e100"], "rate"),
         (["optimal-gap", "--temperature", "1e200"], "temperature T=1e+200"),
         (["transient-scan", "--gap", "1e300"], "gap**3"),
-        (["transient-scan", "--gamma", "1e308", "--gap", "1"], "prep=ground"),  # the rate overflows
+        # the rate overflows; span_min keeps the first contact time of 4.6e-309 relaxation times normal
+        (["transient-scan", "--gamma", "1e308", "--gap", "1", "--span-min", "10"], "prep=ground"),
         (["transient-scan", "--temperature", "1e308"], "gap"),
         (["equilibrium-scan", "--gap", "1e-200", "--x-min", "1e150", "--x-max", "1e200"], "temperature"),
         (["transient-scan", "--temperature", "1e-320", "--gap", "1"], "gap/temperature"),
@@ -738,6 +762,9 @@ class TestExitCodes:
                      id="hessian-check-N-beyond-floats"),
         (["equilibrium-scan", "--gap", "1e-300", "--x-min", "1e-10", "--x-max", "1", "--points", "3"],
          "qfi is not finite at N=2"),  # the QFI overflows
+        (["transient-scan", "--gamma", "1e300", "--gap", "1000"], "gap**3"),  # finite gap**3, infinite product
+        # finite product, infinite decay rate: exits before the span_min check, as no span_min lets it run
+        (["transient-scan", "--gamma", "1e300", "--gap", "100", "--temperature", "1e10"], "gap**3"),
     ])
     def test_numerical_edge_exits_three(self, tmp_path, capsys, argv, quantity):
         code, text = run(tmp_path, argv)
@@ -765,7 +792,7 @@ class TestExitCodes:
         assert f"configuration error: {field}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
-        ["--gamma", "1e308", "--gap", "1", "--include-plus", "--include-harmonic"],
+        ["--gamma", "1e308", "--gap", "1", "--span-min", "10", "--include-plus", "--include-harmonic"],
         ["--temperature", "1e-320", "--gap", "1"],
     ])
     def test_numerical_failure_prints_one_line(self, flags):

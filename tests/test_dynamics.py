@@ -84,8 +84,11 @@ class TestDissipationModel:
             DissipationModel(gap=gap, temperature=temperature, coupling=coupling)
 
     def test_rate_scale_overflow_fails_at_construction(self):
-        with pytest.raises(NonFiniteState, match=r"gap\*\*3"):
-            DissipationModel(gap=1e300, temperature=1.0, coupling=1e-3)
+        # gap**3 overflows; then only its product with the coupling; then only the
+        # decay rate, the product divided by 1 - e^{-x}
+        for gap, temperature, coupling in [(1e300, 1.0, 1e-3), (1000.0, 1.0, 1e300), (100.0, 1e10, 1e300)]:
+            with pytest.raises(NonFiniteState, match=r"gap\*\*3"):
+                DissipationModel(gap=gap, temperature=temperature, coupling=coupling)
 
     def test_detailed_balance_fixed_point(self):
         m = default_operating_model()

@@ -8,6 +8,10 @@ the only error left on the package side is its floating-point evaluation.
 Where the exact value lies below the normal range the result can carry no
 more than the subnormal spacing, hence the small absolute allowance.
 
+The two-level form is also checked at every quarter decade of x from the
+smallest subnormal to 1400, at gaps from 5e-324 to 1e100 and N up to 10^15,
+to 1e-15 relative wherever its value is a normal float.
+
 The optimal-gap columns x_star, qfi_peak and variance_excess_vs_lower_n0 are
 checked as the command writes them, for every (n, n0) with n <= 64 and for a
 few n0 at n = 10^6 and 10^15, at temperatures down to 1e-100 and up to 1e100.
@@ -16,6 +20,7 @@ The oracle solves the gap equation itself.
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +56,20 @@ def test_effective_two_level(n, gap):
 
     _assert_close(qfi_effective_two_level(X_GRID, n, gap), [oracle(x) for x in X_GRID],
                   f"N={n} gap={gap}")
+
+
+@pytest.mark.parametrize("n", [2, 10, 10**6, 10**15])
+@pytest.mark.parametrize("gap", [5e-324, 1e-310, 1e-300, 1e-100, 1.0, 1e100])
+def test_effective_two_level_across_the_ratios(n, gap):
+    # log-spaced x from the smallest subnormal to 1400, where x^2, the denominator
+    # gap (1 + (n-1) e^{-x}) or the root squared may leave the normal floats
+    # before the value does; checked wherever the value is a normal float
+    xs = [5e-324] + [10.0 ** (k / 4) for k in range(-1293, 13)] + [1400.0]
+    for x, got in zip(xs, qfi_effective_two_level(xs, n, gap)):
+        w = (n - 1) * mp.exp(-mp.mpf(x))
+        want = mp.mpf(x) ** 4 * w / (mp.mpf(gap) ** 2 * (1 + w) ** 2)
+        if sys.float_info.min <= want <= sys.float_info.max:
+            assert abs(got - want) <= 1e-15 * want, (n, gap, x)
 
 
 @pytest.mark.parametrize("gap", [1.0, 0.02, 37.0, 1e-159])  # T^2 goes subnormal at the last

@@ -43,6 +43,11 @@ GOLDEN = {
         "957ba434f48772fdc1ad49a10cb07d4b8c1da25449d80a811cd211e6b908d9f1",
     "equilibrium-scan --gap 1e-16 --x-min 5e-324 --x-max 1 --points 3":
         "6764c01114ed693f6bc6a45de339e629d0265dc12f6eead968e827c04c4763cb",
+    # two-level values that are normal floats where x^2, the denominator or the root squared is not
+    "equilibrium-scan --gap 1e-300 --x-min 1e-181 --x-max 1e-180 --points 2 --n 2 --no-harmonic":
+        "f12df9c45c2d74f77ce566d2ecac5f15f966c658cfa641a7c771887481d83bfe",
+    "equilibrium-scan --gap 1e-300 --x-min 1e-163 --x-max 1e-160 --points 2 --n 1000000 --no-harmonic":
+        "a749526761dfa47ec973c460612f25348ae12f4eabfe976f50c60f1125fbdd5e",
 }
 
 

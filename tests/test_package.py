@@ -143,6 +143,10 @@ def test_calling_main_leaves_the_collector_alone(tmp_path):
 
 def test_benchmark_defaults_match_the_cli():
     # the benchmark's checks rebuild each call's parameters from its own copy of
-    # the defaults; run_path reads the file without importing or compiling it to disk
+    # the defaults; run_path reads the file without importing or compiling it to disk.
+    # == ignores order, but --help lists the commands and each one's flags in key order
     workloads = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "workloads.py"))
     assert workloads["DEFAULTS"] == cli._DEFAULTS
+    def order(defaults):
+        return [(command, list(keys)) for command, keys in defaults.items()]
+    assert order(workloads["DEFAULTS"]) == order(cli._DEFAULTS)

@@ -12,16 +12,17 @@ from .equilibrium import (
     optimal_gap,
     qfi_effective_two_level,
     qfi_equilibrium_scan,
+    qfi_harmonic_equilibrium,
 )
 from .dynamics import (
     DissipationModel,
     log_interrogation_grid,
     optimal_interrogation_ratio,
+    qfi_harmonic_transient,
     qfi_transient,
     qfi_transient_plus,
     transient_scan,
     ultimate_rate,
 )
-from .gaussian import qfi_harmonic_equilibrium, qfi_harmonic_transient
 
 __version__ = "0.1.0"

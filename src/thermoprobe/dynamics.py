@@ -1,7 +1,7 @@
 """Dissipative probe dynamics for partly thermalized thermometry: relaxation
 toward the Gibbs state under a thermal generator, the transient QFI of each
-preparation in closed form, the sensitivity-per-time figure of merit, and its
-short-interrogation limit.
+preparation in closed form, the vacuum-prepared oscillator's included, the
+sensitivity-per-time figure of merit, and its short-interrogation limit.
 
 Level convention for qubits: the Hamiltonian is (gap/2) sigma_z with the
 excited state along +z, so the ground preparation has Bloch vector (0, 0, -1).
@@ -9,7 +9,6 @@ excited state along +z, so the ground preparation has Bloch vector (0, 0, -1).
 
 import math
 
-from .gaussian import qfi_harmonic_transient
 from .numerics import NonFiniteState, Table, geometric_grid
 
 
@@ -113,6 +112,31 @@ def qfi_transient_plus(model, dts):
         radial = envelope * d_envelope - tanh_half * s * d_rz
         # radial / s first: radial^2 alone underflows where u is tiny and the ratio is not
         return d_envelope * d_envelope + d_rz * d_rz + radial * (radial / (s * (stay + s * sech2)))
+    return list(map(at, dts))
+
+
+def qfi_harmonic_transient(model, dts):
+    """QFI of a vacuum-prepared oscillator after thermal contact of each length
+    in the sequence ``dts``, as a list.
+
+    In the vacuum = identity convention the covariance stays c times the identity,
+    c = f + (1 - f) coth(x/2) with x = gap/T and f = e^{-coupling gap^3 dt}, which
+    does not depend on T. The QFI is the single-mode Gaussian form (d_T c)^2 / ((c - 1)(c + 1))
+    (Šafránek, J. Phys. A 52, 035304 (2019)). With w = e^{-x}, the excess
+    c - 1 = (1 - f) 2w / (1 - w) and d_T c = (c - 1) x / (T (1 - w)), so the
+    QFI is (1 - f) 2w x^2 / (T^2 (1 - w)^3 (c + 1)): no difference of nearly
+    equal numbers, nothing that overflows at large x, and 0 where w underflows.
+    """
+    x, t = model.ratio, model.temperature
+    w, em = model.boltzmann, model.boltzmann_complement
+    damping = -model.phase_space_damping
+    # w before x * x, so that a w that underflows gives 0, not 0 * inf
+    scale = 2.0 * w * x * x / t / t / em**3
+    excess = 2.0 * w / em
+
+    def at(d):
+        mixed = -math.expm1(damping * d)
+        return mixed * scale / (mixed * excess + 2.0)
     return list(map(at, dts))
 
 

@@ -1,17 +1,27 @@
 """Thermal-equilibrium sensitivity of fully thermalized probes: the
-closed-form QFI of effective two-level spectra, the optimal gap and peak QFI
-in closed form, the certificate that the optimum is a true maximum of the
-energy variance, and the equilibrium scan over temperature.
+closed-form QFI of effective two-level spectra and of the oscillator, the
+optimal gap and peak QFI in closed form, the certificate that the optimum is
+a true maximum of the energy variance, and the equilibrium scan over temperature.
 """
 
 import math
 from decimal import Context, Decimal, localcontext
 
-from .gaussian import qfi_harmonic_equilibrium
 from .numerics import NoConvergence, NonFiniteState, Table
 
 _PEAKS = Context(prec=28)  # eleven digits more than a double carries
 _NORMAL = 2.2250738585072014e-308  # the smallest normal float
+_E1255 = 0.6679091040410121, -1810  # e^{-1255} = m 2^e, m within 1.5e-18: the best-rounded of e^{-1200} .. e^{-1416}
+
+
+def _exp_neg(y):
+    """e^{-y} as a mantissa, 0 from y of about 2000, and a power of two. A subnormal
+    e^{-y} carries too few digits: there it is e^{1255 - y} e^{-1255}, 1255 - y exact."""
+    value = math.exp(-y)
+    if value >= _NORMAL:
+        return math.frexp(value)
+    m, e = math.frexp(math.exp(1255.0 - y))
+    return m * _E1255[0], e + _E1255[1]
 
 
 def qfi_effective_two_level(xs, n, gap):
@@ -20,27 +30,57 @@ def qfi_effective_two_level(xs, n, gap):
     sequence ``xs`` of ratios x = gap/T.
 
     Written with decaying exponentials so large x cannot overflow, as
-    (n-1) (x^2 e^{-x/2} / (gap (1 + (n-1) e^{-x})))^2. Where x^2, the denominator
-    or the squared root leaves the normal floats, x, gap and the root are split
-    into mantissas and powers of two, which are applied once, to the result.
+    (n-1) (x^2 e^{-x/2} / (gap (1 + (n-1) e^{-x})))^2. Where e^{-x/2}, x^2, the
+    denominator or the squared root leaves the normal floats, the factors are
+    split into mantissas and powers of two, which are applied once, to the result.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
 
     def at(v):
         emh = math.exp(-0.5 * v)
-        if not emh:  # v * v overflows from v = 1.34e154, and inf * 0 is NaN
-            return 0.0
         level = (n - 1) * emh * emh + 1.0
         root = v * v * emh / (gap * level)
-        if v * v >= _NORMAL and gap * level >= _NORMAL and root * root >= _NORMAL:
+        if emh >= _NORMAL and v * v >= _NORMAL and gap * level >= _NORMAL and root * root >= _NORMAL:
             return (n - 1) * (root * root)
-        (mv, ev), (mg, eg) = math.frexp(v), math.frexp(gap)
-        m, e = math.frexp(mv * mv * emh / (mg * level))
+        (mh, eh), (mv, ev), (mg, eg) = _exp_neg(0.5 * v), math.frexp(v), math.frexp(gap)
+        if not mh:  # else 0 * 2^k: inf where the powers of v pass 2^1024, as at v = 1e300
+            return 0.0
+        m, e = math.frexp(mv * mv * mh / (mg * level))
         q, k = math.frexp((n - 1) * (m * m))
-        k += 2 * (e + 2 * ev - eg)
+        k += 2 * (e + eh + 2 * ev - eg)
         return math.ldexp(q, k) if k <= 1024 else math.inf  # q < 1: finite up to 2^1024
     return list(map(at, xs))
+
+
+def qfi_harmonic_equilibrium(gap, temperatures):
+    """Equilibrium QFI of a thermalized harmonic probe, gap^2 / (4 T^4) *
+    csch^2(h) with h = gap / 2T, as a list over the sequence ``temperatures``.
+
+    csch^2(h) is written 4 e^{-2h} / expm1(-2h)^2 and the whole form as the
+    square ((gap/T) e^{-h} / (T expm1(-2h)))^2, in which no factor overflows
+    before the result does. Where e^{-h} is subnormal, expm1(-2h) is -1, and
+    e^{-h} and T are split into mantissas and powers of two. Where h is
+    subnormal the QFI is 1/T^2, as h^2 csch^2(h) = 1 to every digit a double
+    holds; from h of about 2000, 0.
+    """
+    if gap <= 0 or not all(t > 0 for t in temperatures):
+        raise ValueError("gap and temperature must be positive")
+
+    def at(t):
+        half = gap / (2.0 * t)
+        if half < _NORMAL:  # a subnormal h carries too few digits
+            return 1.0 / t / t
+        emh = math.exp(-half)
+        if emh >= _NORMAL:
+            root = gap / t * emh / (t * math.expm1(-2.0 * half))
+            return root * root
+        (m, e), (mt, et) = _exp_neg(half), math.frexp(t)
+        if not m:  # gap / t overflows from h = 9e307, and inf * 0 is NaN
+            return 0.0
+        root = gap / t * m / mt
+        return math.ldexp(root * root, 2 * (e - et))
+    return list(map(at, temperatures))
 
 
 def _gap_ratio(n, n0):

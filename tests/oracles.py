@@ -36,6 +36,10 @@ import numpy as np
 
 from thermoprobe.numerics import NonFiniteState
 
+# x~, the root of e^x (5 - x) = 5 + 2x other than 0, correctly rounded: the
+# ratio gap/T of the fastest short-time rate and the CLI's default operating point
+X_TILDE = 4.8887092350471315
+
 
 def integrate_ode(rhs, y0, t_end, dt):
     """Integrate ``y' = rhs(y)`` from 0 to ``t_end`` with classic fixed-step RK4.

@@ -17,6 +17,7 @@ from thermoprobe.dynamics import (
     DissipationModel,
     log_interrogation_grid,
     optimal_interrogation_ratio,
+    qfi_harmonic_transient,
     qfi_transient,
     qfi_transient_plus,
     ultimate_rate,
@@ -27,7 +28,6 @@ from thermoprobe.equilibrium import (
     optimal_gap,
     qfi_effective_two_level,
 )
-from thermoprobe.gaussian import qfi_harmonic_transient
 
 from oracles import (
     Spectrum,

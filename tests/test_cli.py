@@ -113,6 +113,25 @@ class TestEquilibriumScan:
                 want = mp.mpf(x) ** 4 * w / (mp.mpf(1e-300) ** 2 * (1 + w) ** 2)
             assert abs(float(row["qfi"]) - want) <= 1e-15 * want
 
+    def test_values_past_the_normal_half_exponential_match_mpmath(self, tmp_path):
+        # gap 1e-300: e^{-x/2} is subnormal from x = 1416.8, though both curves
+        # are normal floats down to 1.9e-299 at x = 2100
+        mp = pytest.importorskip("mpmath").mp
+        code, text = run(tmp_path, ["equilibrium-scan", "--gap", "1e-300", "--x-min", "1450", "--x-max", "2100",
+                                    "--points", "6", "--n", "2"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert [r["N"] for r in rows] == ["2"] * 6 + ["ho"] * 6
+        grid = geometric_grid(1450.0, 2100.0, 6)
+        for x, qubit, oscillator in zip(grid, rows[:6], rows[6:]):
+            with mp.workdps(60):
+                gap, t = mp.mpf(1e-300), mp.mpf(float(oscillator["T"]))
+                w = mp.exp(-mp.mpf(x))
+                want_qubit = mp.mpf(x) ** 4 * w / (gap**2 * (1 + w) ** 2)
+                want_oscillator = (gap / (2 * t * t) / mp.sinh(gap / (2 * t))) ** 2
+            assert abs(float(qubit["qfi"]) - want_qubit) <= 1e-15 * want_qubit
+            assert abs(float(oscillator["qfi"]) - want_oscillator) <= (1.0 + x) * 5e-16 * want_oscillator
+
     def test_vanishing_curve_exits_three(self, tmp_path, capsys):
         # every QFI underflows to 0, so no curve can be normalized by its peak
         code, text = run(tmp_path, ["equilibrium-scan", "--x-min", "1e-300", "--x-max", "1e-299",

@@ -7,17 +7,18 @@ from thermoprobe.dynamics import (
     DissipationModel,
     log_interrogation_grid,
     optimal_interrogation_ratio,
+    qfi_harmonic_transient,
     qfi_transient,
     qfi_transient_plus,
     transient_scan,
     ultimate_rate,
 )
-from thermoprobe.equilibrium import optimal_gap, qfi_effective_two_level
-from thermoprobe.gaussian import qfi_harmonic_equilibrium, qfi_harmonic_transient
+from thermoprobe.equilibrium import optimal_gap, qfi_effective_two_level, qfi_harmonic_equilibrium
 from thermoprobe.numerics import NonFiniteState
 
 from oracles import (
     Spectrum,
+    X_TILDE,
     bisect_root,
     central_diff,
     fidelity_qubit,
@@ -30,8 +31,6 @@ from oracles import (
     rows_of,
     thermalize,
 )
-
-X_TILDE = 4.888709235047135
 
 
 def default_operating_model(gamma=1e-3, temperature=1.0):

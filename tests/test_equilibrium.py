@@ -12,6 +12,7 @@ from thermoprobe.equilibrium import (
     optimal_gap,
     qfi_effective_two_level,
     qfi_equilibrium_scan,
+    qfi_harmonic_equilibrium,
 )
 from thermoprobe.numerics import NoConvergence
 
@@ -84,8 +85,6 @@ class TestBuresOracle:
     def test_harmonic_thermal_family(self):
         # oracle on the covariance family reproduces gap^2/(4T^4) csch^2(gap/2T);
         # the step sits above the roundoff floor of direct fidelity differencing
-        from thermoprobe.gaussian import qfi_harmonic_equilibrium
-
         fam = thermal_covariance_family(1.0)
         for x in np.linspace(0.2, 10.0, 15):
             t = 1.0 / x

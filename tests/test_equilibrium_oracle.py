@@ -1,16 +1,18 @@
 """The equilibrium closed forms and the optimal-gap columns against
 50-digit mpmath.
 
-Both QFI forms are evaluated over whole grids of x = gap/T up to 1400, which
-spans the band h = x/2 in (355, 700] where the oscillator form overflowed
-when written with sinh. The oracle takes the package's own float inputs, so
-the only error left on the package side is its floating-point evaluation.
-Where the exact value lies below the normal range the result can carry no
-more than the subnormal spacing, hence the small absolute allowance.
+Both QFI forms are evaluated over whole grids of x = gap/T up to 3000, which
+span the band h = x/2 in (355, 700] where the oscillator form overflowed
+when written with sinh, and the band x > 1416.8 where e^{-x/2} is subnormal.
+The oracle takes the package's own float inputs, so the only error left on
+the package side is its floating-point evaluation. Where the exact value lies
+below the normal range the result can carry no more than the subnormal
+spacing, hence the small absolute allowance.
 
 The two-level form is also checked at every quarter decade of x from the
-smallest subnormal to 1400, at gaps from 5e-324 to 1e100 and N up to 10^15,
-to 1e-15 relative wherever its value is a normal float.
+smallest subnormal to 1400 and every 8 from there to 3000, at gaps from
+5e-324 to 1e100 and N up to 10^15, to 1e-15 relative wherever its value is a
+normal float.
 
 The optimal-gap columns x_star, qfi_peak and variance_excess_vs_lower_n0 are
 checked as the command writes them, for every (n, n0) with n <= 64 and for a
@@ -26,8 +28,7 @@ import numpy as np
 import pytest
 
 from thermoprobe.cli import cmd_optimal_gap
-from thermoprobe.equilibrium import qfi_effective_two_level
-from thermoprobe.gaussian import qfi_harmonic_equilibrium
+from thermoprobe.equilibrium import qfi_effective_two_level, qfi_harmonic_equilibrium
 
 from oracles import rows_of
 
@@ -37,7 +38,9 @@ mp.mp.dps = 50
 REL_TOL = 1e-12
 ABS_TOL = 4 * math.ulp(0.0)  # a few steps of the subnormal spacing
 # the whole CLI range at default settings, then densely across the old overflow band
-X_GRID = np.concatenate([np.geomspace(1e-3, 710.0, 200), np.linspace(710.0, 1400.0, 400)[1:]])
+# and the band where e^{-x/2} is subnormal
+X_GRID = np.concatenate([np.geomspace(1e-3, 710.0, 200), np.linspace(710.0, 1400.0, 400)[1:],
+                         np.linspace(1400.0, 3000.0, 321)[1:]])
 
 
 def _assert_close(got, want, label):
@@ -63,8 +66,9 @@ def test_effective_two_level(n, gap):
 def test_effective_two_level_across_the_ratios(n, gap):
     # log-spaced x from the smallest subnormal to 1400, where x^2, the denominator
     # gap (1 + (n-1) e^{-x}) or the root squared may leave the normal floats
-    # before the value does; checked wherever the value is a normal float
-    xs = [5e-324] + [10.0 ** (k / 4) for k in range(-1293, 13)] + [1400.0]
+    # before the value does, then to 3000, where e^{-x/2} does; checked
+    # wherever the value is a normal float
+    xs = [5e-324] + [10.0 ** (k / 4) for k in range(-1293, 13)] + [1400.0 + 8.0 * k for k in range(201)]
     for x, got in zip(xs, qfi_effective_two_level(xs, n, gap)):
         w = (n - 1) * mp.exp(-mp.mpf(x))
         want = mp.mpf(x) ** 4 * w / (mp.mpf(gap) ** 2 * (1 + w) ** 2)

@@ -4,11 +4,11 @@ import sys
 import numpy as np
 import pytest
 
-from thermoprobe.dynamics import DissipationModel, ultimate_rate
-from thermoprobe.equilibrium import qfi_effective_two_level
-from thermoprobe.gaussian import qfi_harmonic_equilibrium, qfi_harmonic_transient
+from thermoprobe.dynamics import DissipationModel, qfi_harmonic_transient, ultimate_rate
+from thermoprobe.equilibrium import qfi_effective_two_level, qfi_harmonic_equilibrium
 
 from oracles import (
+    X_TILDE,
     fidelity_gaussian,
     qfi_bures_oracle,
     qfi_transient_closed_form_qubit,
@@ -17,7 +17,6 @@ from oracles import (
     thermal_covariance,
 )
 
-X_TILDE = 4.888709235047135
 VACUUM = np.array([1.0, 0.0, 1.0])
 
 
@@ -135,10 +134,11 @@ class TestHarmonicEquilibrium:
 
     @pytest.mark.parametrize("gap", [5e-324, 1e-300, 1.0, 1e100])
     def test_matches_mpmath_across_the_ratios(self, gap):
-        # log-spaced ratios x = gap/T from the smallest subnormal to 1400;
-        # the rounding of h = x/2, carried through e^{-h}, costs about x ulp
+        # log-spaced ratios x = gap/T from the smallest subnormal to 1400, then
+        # every 8 to 3000, where e^{-h} is subnormal from x = 1416.8; the
+        # rounding of h = x/2, carried through e^{-h}, costs about x ulp
         mp = pytest.importorskip("mpmath").mp
-        for x in (10.0 ** (k / 4) for k in range(-1293, 13)):
+        for x in [10.0 ** (k / 4) for k in range(-1293, 13)] + [1400.0 + 8.0 * k for k in range(201)]:
             t = gap / x
             if not 0.0 < t < math.inf:
                 continue

@@ -48,6 +48,9 @@ GOLDEN = {
         "f12df9c45c2d74f77ce566d2ecac5f15f966c658cfa641a7c771887481d83bfe",
     "equilibrium-scan --gap 1e-300 --x-min 1e-163 --x-max 1e-160 --points 2 --n 1000000 --no-harmonic":
         "a749526761dfa47ec973c460612f25348ae12f4eabfe976f50c60f1125fbdd5e",
+    # both curves where e^{-x/2} is subnormal and the values are normal floats
+    "equilibrium-scan --gap 1e-300 --x-min 1450 --x-max 2100 --points 6 --n 2":
+        "e0f3c648e2a45ac05a1bd4ca291f41c0aff9dd83a529b0eddf800c638b103e3a",
 }
 
 

@@ -25,7 +25,7 @@ from thermoprobe import cli
 
 PACKAGE = Path(thermoprobe.__file__).parent
 # Each module imports only modules listed before it.
-LAYERS = ["numerics", "gaussian", "dynamics", "equilibrium", "cli"]
+LAYERS = ["numerics", "dynamics", "equilibrium", "cli"]
 
 
 def parse(module):

@@ -19,11 +19,10 @@ from thermoprobe.cli import _DEFAULTS, cmd_limits
 from thermoprobe.dynamics import DissipationModel, log_interrogation_grid, transient_scan, ultimate_rate
 from thermoprobe.numerics import geometric_grid
 
-from oracles import rows_of
+from oracles import X_TILDE, rows_of
 
 mp = pytest.importorskip("mpmath")
 
-X_TILDE = 4.888709235047135
 REL_TOL = 1e-12
 
 

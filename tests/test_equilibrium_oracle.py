@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from thermoprobe.cli import cmd_optimal_gap
-from thermoprobe.equilibrium import qfi_effective_two_level, qfi_harmonic_equilibrium
+from thermoprobe.equilibrium import _exp_neg, qfi_effective_two_level, qfi_harmonic_equilibrium
 
 from oracles import rows_of
 
@@ -74,6 +74,16 @@ def test_effective_two_level_across_the_ratios(n, gap):
         want = mp.mpf(x) ** 4 * w / (mp.mpf(gap) ** 2 * (1 + w) ** 2)
         if sys.float_info.min <= want <= sys.float_info.max:
             assert abs(got - want) <= 1e-15 * want, (n, gap, x)
+
+
+def test_scaled_exponential():
+    # e^{-y} as m 2^e, through the switch to the scaled form where e^{-y} is
+    # subnormal and on to y = 1500, past the largest x/2 at which a QFI is a
+    # normal float; within exp's ulp, the product's rounding and the literal's 1.5e-18
+    for y in np.linspace(600.0, 1500.0, 901):
+        m, e = _exp_neg(float(y))
+        want = mp.exp(-mp.mpf(float(y)))
+        assert abs(mp.ldexp(mp.mpf(m), e) / want - 1) <= 3.4e-16, y
 
 
 @pytest.mark.parametrize("gap", [1.0, 0.02, 37.0, 1e-159])  # T^2 goes subnormal at the last

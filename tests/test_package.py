@@ -1,5 +1,6 @@
 """Structure of the package: every import sits at module top, the module
-graph runs one way, from ``numerics`` at the leaf up to ``cli``, the
+graph runs one way, from ``numerics`` at the leaf up to ``cli``, no
+module but ``dynamics`` and ``cli`` reads a ``DissipationModel`` field, the
 test-only oracles stay out of it, every module parses as Python 3.10, the
 oldest that pyproject.toml accepts, it defines no dataclass, the README's
 quick start runs and its line count of ``src/`` holds, running every
@@ -22,6 +23,7 @@ import pytest
 
 import thermoprobe
 from thermoprobe import cli
+from thermoprobe.dynamics import DissipationModel
 
 PACKAGE = Path(thermoprobe.__file__).parent
 # Each module imports only modules listed before it.
@@ -49,6 +51,15 @@ def test_imports_only_lower_layers(module):
     imported = {node.module for node in ast.walk(parse(module))
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert imported <= set(LAYERS[:LAYERS.index(module)])
+
+
+@pytest.mark.parametrize("module", [m for m in LAYERS if m not in ("dynamics", "cli")])
+def test_reads_no_dissipation_model_attribute(module):
+    # DissipationModel lives in dynamics; a module that reads its fields without
+    # importing it depends on dynamics in a way no import shows
+    fields = set(vars(DissipationModel(1.0, 1.0, 1e-3)))
+    read = {node.attr for node in ast.walk(parse(module)) if isinstance(node, ast.Attribute)}
+    assert sorted(read & fields) == []
 
 
 def test_oracles_are_not_in_the_package():

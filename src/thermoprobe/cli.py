@@ -11,8 +11,6 @@ import json
 import math
 import sys
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .dynamics import (
     DissipationModel,
@@ -38,18 +36,10 @@ class ConfigError(ValueError):
 
 
 def _cell(value, fmt):
-    """One value as a CSV cell, or as ``json.dumps`` writes it: the formats
-    differ only for None and strings. Floats, subclasses included, take the
-    shortest round-trip decimal; a Table holds no inf or NaN."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return float.__repr__(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value is None:
-        return "null" if fmt == "json" else ""
-    return encode_basestring_ascii(value) if fmt == "json" else value
+    """One value as ``json.dumps`` writes it; a CSV cell holds a string as it is and None as nothing."""
+    if fmt == "csv" and (value is None or isinstance(value, str)):
+        return value or ""
+    return json.dumps(value)
 
 
 def render_rows(table, fmt):
@@ -57,35 +47,33 @@ def render_rows(table, fmt):
     byte as ``json.dumps(rows, indent=2)`` of its rows as dicts.
 
     Each distinct column list is encoded once, however many blocks share it,
-    and each scalar column once per block. A block is one pass over its rows,
-    each cell followed by the key prefix or separator after it; the head
-    starts the text, the tail replaces the last separator, and one join ends it.
-    """
+    and each block's scalar cells once, folded into the constant text around
+    them: a row is its list cells, one constant text before each and one
+    after the last. The tail replaces the last row's ending."""
     if not len(table):
         return "[]\n" if fmt == "json" else "\n"
     names = table.columns
     if fmt == "json":
-        keys = ["    " + encode_basestring_ascii(k) + ": " for k in names]
-        mids = [",\n" + k for k in keys[1:]]
-        head, sep, tail = "[\n  {\n" + keys[0], "\n  },\n  {\n" + keys[0], "\n  }\n]\n"
+        starts = [(",\n" if i else "  {\n") + "    " + json.dumps(k) + ": " for i, k in enumerate(names)]
+        head, end, tail = "[\n", "\n  },\n", "\n  }\n]\n"
     else:
-        mids = [","] * (len(names) - 1)
-        head, sep, tail = ",".join(names) + "\n", "\n", "\n"
+        starts = [""] + [","] * (len(names) - 1)
+        head, end, tail = ",".join(names) + "\n", "\n", "\n"
     parts, encoded = [head], {}
     for block in table.blocks:
-        streams = []  # the repeats are endless: zip stops at the block's lists
-        for values, after in zip(block, mids + [sep]):
+        streams, text = [], ""
+        for start, values in zip(starts, block):
             if not isinstance(values, list):
-                cells = repeat(_cell(values, fmt))
-            elif id(values) in encoded:
-                cells = encoded[id(values)]
-            elif set(map(type, values)) <= {int, float}:  # repr of these exact types is what _cell gives
-                cells = encoded[id(values)] = list(map(repr, values))
-            else:
-                cells = encoded[id(values)] = [_cell(v, fmt) for v in values]
-            streams += cells, repeat(after)
+                text += start + _cell(values, fmt)
+                continue
+            if id(values) not in encoded:  # repr of exact ints and floats is what json.dumps writes
+                exact = set(map(type, values)) <= {int, float}
+                encoded[id(values)] = list(map(repr, values)) if exact else [_cell(v, fmt) for v in values]
+            streams += repeat(text + start), encoded[id(values)]
+            text = ""
+        streams.append(repeat(text + end))  # the repeats are endless: zip stops at the block's lists
         parts += chain.from_iterable(zip(*streams))
-    parts[-1] = tail
+    parts[-1] = parts[-1].removesuffix(end) + tail
     return "".join(parts)
 
 
@@ -234,7 +222,8 @@ def build_run_config(args):
     params, loaded = dict(defaults), {}
     if args.config:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            with open(args.config) as file:
+                loaded = json.load(file)
         except (OSError, ValueError, RecursionError) as err:  # ValueError: not UTF-8, not JSON
             raise ConfigError("config", f"cannot read {args.config}: {err}") from None
         if not isinstance(loaded, dict):
@@ -268,7 +257,8 @@ def _write(path, text):
     """Write the output to ``path``, or to stdout and flush it, naming out if that fails."""
     try:
         if path:
-            Path(path).write_text(text)
+            with open(path, "w") as file:
+                file.write(text)
         elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
             # python -u: one raw write may stop short, which sys.stdout.write ignores
             data = memoryview(text.encode(sys.stdout.encoding))

@@ -9,7 +9,7 @@ excited state along +z, so the ground preparation has Bloch vector (0, 0, -1).
 
 import math
 
-from .numerics import NonFiniteState, Table, geometric_grid
+from .numerics import NonFiniteState, Table, excited_degeneracy, geometric_grid
 
 
 class DissipationModel:
@@ -68,9 +68,9 @@ def qfi_transient(n, excited0, model, dts):
     coupling are held fixed. 1 - E is formed as a sum, not as a difference,
     and where E underflows to 0 the value is 0.
     """
-    w, scale = model.boltzmann, model.boltzmann_slope
-    z = 1.0 + (n - 1) * w
-    excited_eq = (n - 1) * w / z
+    w, scale, degeneracy = model.boltzmann, model.boltzmann_slope, excited_degeneracy(n)
+    z = 1.0 + degeneracy * w
+    excited_eq = degeneracy * w / z
     rate = model.decay_rate * z
     drift = excited_eq - excited0
     z2, zw = z * z, model.boltzmann_complement * z
@@ -80,7 +80,7 @@ def qfi_transient(n, excited0, model, dts):
         stay, moved = math.exp(-q), -math.expm1(-q)
         excited = excited_eq * moved + excited0 * stay
         ground = moved / z + (1.0 - excited0) * stay
-        slope = scale * ((n - 1) * moved / z2 + drift * stay * q * n / zw)
+        slope = scale * (degeneracy * moved / z2 + drift * stay * q * n / zw)
         return slope * (slope / excited if excited > 0.0 else 0.0) / ground
     return list(map(at, dts))
 
@@ -147,12 +147,10 @@ def ultimate_rate(n, ratio, coupling, temperature):
     decaying exponentials so large ratios cannot overflow. Linear in (n-1)
     and in the coupling.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
     emx = math.exp(-ratio)
-    return coupling * temperature * (n - 1) * ratio**5 * emx / (-math.expm1(-ratio)) ** 3
+    return coupling * temperature * excited_degeneracy(n) * ratio**5 * emx / (-math.expm1(-ratio)) ** 3
 
 
 def optimal_interrogation_ratio():

@@ -7,7 +7,7 @@ a true maximum of the energy variance, and the equilibrium scan over temperature
 import math
 from decimal import Context, Decimal, localcontext
 
-from .numerics import NoConvergence, NonFiniteState, Table
+from .numerics import NoConvergence, NonFiniteState, Table, excited_degeneracy
 
 _PEAKS = Context(prec=28)  # eleven digits more than a double carries
 _NORMAL = 2.2250738585072014e-308  # the smallest normal float
@@ -34,20 +34,19 @@ def qfi_effective_two_level(xs, n, gap):
     denominator or the squared root leaves the normal floats, the factors are
     split into mantissas and powers of two, which are applied once, to the result.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    degeneracy = excited_degeneracy(n)
 
     def at(v):
         emh = math.exp(-0.5 * v)
-        level = (n - 1) * emh * emh + 1.0
+        level = degeneracy * emh * emh + 1.0
         root = v * v * emh / (gap * level)
         if emh >= _NORMAL and v * v >= _NORMAL and gap * level >= _NORMAL and root * root >= _NORMAL:
-            return (n - 1) * (root * root)
+            return degeneracy * (root * root)
         (mh, eh), (mv, ev), (mg, eg) = _exp_neg(0.5 * v), math.frexp(v), math.frexp(gap)
         if not mh:  # else 0 * 2^k: inf where the powers of v pass 2^1024, as at v = 1e300
             return 0.0
         m, e = math.frexp(mv * mv * mh / (mg * level))
-        q, k = math.frexp((n - 1) * (m * m))
+        q, k = math.frexp(degeneracy * (m * m))
         k += 2 * (e + eh + 2 * ev - eg)
         return math.ldexp(q, k) if k <= 1024 else math.inf  # q < 1: finite up to 2^1024
     return list(map(at, xs))

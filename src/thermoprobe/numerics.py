@@ -1,7 +1,7 @@
 """Shared pieces: the column table that scans and commands return, the
-geometric grid and the exception types the other modules raise. Everything in
-the package is deterministic: identical inputs produce bit-identical outputs.
-"""
+geometric grid, the checked excited degeneracy of a probe and the exception
+types the other modules raise. Everything in the package is deterministic:
+identical inputs produce bit-identical outputs."""
 
 import math
 
@@ -65,6 +65,18 @@ def _where(columns, block, cell):
     row = next(k for k, v in enumerate(cell if isinstance(cell, list) else [cell]) if not _finite([v]))
     first = [f"{columns[0]}={block[0][row]}"] if isinstance(block[0], list) else []
     return ", ".join(first + [f"{name}={v}" for name, v in zip(columns, block) if not isinstance(v, list)])
+
+
+def excited_degeneracy(n):
+    """n - 1, the excited levels of an int dimension n, as a float. ValueError
+    for n < 2; NonFiniteState naming N where n exceeds the float range."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    try:
+        float(n)  # n - 1 is a float wherever n is
+    except OverflowError:
+        raise NonFiniteState(f"dimension N={n} exceeds the float range") from None
+    return float(n - 1)
 
 
 def geometric_grid(start, stop, points):

@@ -794,6 +794,16 @@ class TestExitCodes:
         if quantity is not None:
             assert quantity in err
 
+    @pytest.mark.parametrize("command", ["equilibrium-scan", "limits", "transient-scan"])
+    def test_dimension_beyond_the_floats_names_n(self, tmp_path, capsys, command):
+        # the kernels take n - 1 as a float; a bare OverflowError would name no N
+        code, text = run(tmp_path, [command, "--n", str(10**400)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert text == ""
+        assert f"numerical failure: dimension N={10**400} exceeds the float range" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, field", [
         ("equilibrium-scan", "n"),
         ("optimal-gap", "n"),

@@ -196,6 +196,28 @@ class TestHarmonicTransient:
         oracle = qfi_bures_oracle(populations, m.temperature)
         assert qfi_harmonic_transient(m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("x, damping_times", [(0.5, 0.3), (X_TILDE, 0.3), (12.0, 0.3),
+                                                  (2.0, 0.05), (2.0, 0.5), (2.0, 3.0)])
+    def test_photon_counting_reaches_the_qfi(self, x, damping_times):
+        # the relaxed vacuum is diagonal in Fock states, with geometric counts
+        # p_k = n^k / (n + 1)^(k + 1) of mean n = (c - 1)/2; the Fisher information
+        # of counting, summed over k, must be the kernel's QFI (Šafránek, J. Phys.
+        # A 52, 035304 (2019)), with d_T n taken from c(T) and not from the kernel
+        mp = pytest.importorskip("mpmath").mp
+        m = model_at(x)
+        dt = damping_times / m.phase_space_damping
+        with mp.workdps(30):
+            gap, f = mp.mpf(m.gap), mp.exp(-mp.mpf(m.coupling) * mp.mpf(m.gap) ** 3 * mp.mpf(dt))
+
+            def mean(t):
+                return (f + (1 - f) * mp.coth(gap / (2 * t)) - 1) / 2
+
+            n, slope = mean(mp.mpf(m.temperature)), mp.diff(mean, mp.mpf(m.temperature))
+            fisher = mp.nsum(lambda k: n**k / (n + 1) ** (k + 1) * (slope * (k / n - (k + 1) / (n + 1))) ** 2,
+                             [0, mp.inf])
+        got = qfi_harmonic_transient(m, [dt])[0]
+        assert abs(got - fisher) <= 1e-14 * fisher
+
     def test_close_to_qubit_at_moderate_dt(self):
         m = model_at(X_TILDE)
         dt = 0.1 / m.decay_rate

@@ -4,8 +4,9 @@ module but ``dynamics`` and ``cli`` reads a ``DissipationModel`` field, the
 test-only oracles stay out of it, every module parses as Python 3.10, the
 oldest that pyproject.toml accepts, it defines no dataclass, the README's
 quick start runs and its line count of ``src/`` holds, running every
-command loads neither numpy nor dataclasses nor inspect, importing it starts
-no thread and leaves OPENBLAS_NUM_THREADS alone, only the CLI run as the
+command loads neither numpy nor dataclasses nor inspect, nor pathlib to
+read ``--config`` and write ``--out``, importing it starts no thread and
+leaves OPENBLAS_NUM_THREADS alone, only the CLI run as the
 program freezes the collector's start-up heap, and the benchmark's copy of
 the CLI defaults stays equal to them."""
 
@@ -97,15 +98,16 @@ def test_readme_states_the_src_line_count():
     assert int(stated) == sum(len(p.read_bytes().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
-def fresh_interpreter(code, **env):
-    """Run ``code`` in a new interpreter that imports this package, with
-    OPENBLAS_NUM_THREADS unset unless given in ``env``; return its stdout."""
+def fresh_interpreter(code, *options, **env):
+    """Run ``code`` in a new interpreter, started with ``options``, that
+    imports this package, with OPENBLAS_NUM_THREADS unset unless given in
+    ``env``; return its stdout."""
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     child_env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     child_env.update(env)
-    done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True,
-                          timeout=60, check=True)
+    done = subprocess.run([sys.executable, *options, "-c", code], env=child_env, capture_output=True,
+                          text=True, timeout=60, check=True)
     return done.stdout.strip()
 
 
@@ -118,6 +120,16 @@ def test_commands_load_no_numpy_dataclasses_or_inspect(tmp_path):
             f"codes = [main([c, '--out', {str(tmp_path)!r} + '/' + c]) for c in {sorted(cli._DEFAULTS)!r}]; "
             "print(codes, sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))")
     assert fresh_interpreter(code) == "[0, 0, 0, 0, 0] []"
+
+
+def test_files_are_read_and_written_without_pathlib(tmp_path):
+    # under -S no site hook has loaded pathlib, so only the CLI could load it
+    (tmp_path / "config.json").write_text("{}")
+    code = ("import sys; from thermoprobe.cli import main; "
+            f"codes = [main([c, '--config', {str(tmp_path / 'config.json')!r}, '--out', {str(tmp_path)!r} + '/' + c]) "
+            f"for c in {sorted(cli._DEFAULTS)!r}]; print(codes, 'pathlib' in sys.modules)")
+    assert fresh_interpreter(code, "-S") == "[0, 0, 0, 0, 0] False"
+    assert all((tmp_path / command).read_text() for command in cli._DEFAULTS)
 
 
 @needs_proc_tasks

@@ -1,7 +1,8 @@
 """The column renderer against json.dumps and the row-at-a-time CSV writer.
 
-Random tables, and the real tables of every command at its defaults, must
-render byte for byte as both oracles render the rows the table stands for.
+Random tables, fixed tables with scalar columns at every position, and the
+real tables of every command at its defaults, must render byte for byte as
+both oracles render the rows the table stands for.
 """
 
 import json
@@ -87,6 +88,22 @@ def tables(draw):
 @settings(deadline=None, database=None)
 @given(tables())
 def test_matches_json_dumps_and_csv_oracle(table):
+    assert_renders_as_oracles(table)
+
+
+SHARED = [0.1, -2.5e-320, 3]
+TRICKY = 'q"b\\p%\u00e9\u2603\U0001f600'
+
+
+@pytest.mark.parametrize("table", [
+    # a scalar column first, next to another scalar, then the lists
+    Table(("prep", "N", "dt", "rate"), [(TRICKY, 2, SHARED, [1.0, 2.0, 3.0]), ("ground", None, SHARED, [4, 5, 6])]),
+    # a scalar column last, after a mixed list
+    Table(("dt", "excess", "label"), [(SHARED, [None, 1.5, True], TRICKY), ([7.0], [False], 1e-300)]),
+    # two scalars between lists, and one list in two columns of a block
+    Table(("a", "b", "c", "d", "e"), [([1], TRICKY, -0.0, [2.5], None), (SHARED, 2**70, "", SHARED, False)]),
+], ids=["scalars-first", "scalar-last", "scalars-between"])
+def test_scalar_columns_at_every_position(table):
     assert_renders_as_oracles(table)
 
 

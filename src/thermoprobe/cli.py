@@ -35,26 +35,27 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-def _cell(value, fmt):
-    """One value as ``json.dumps`` writes it; a CSV cell holds a string as it is and None as nothing."""
-    if fmt == "csv" and (value is None or isinstance(value, str)):
-        return value or ""
-    return json.dumps(value)
+def _cells(values, fmt):
+    """Each scalar of a list as ``json.dumps`` writes it: by repr if all are exact ints and floats, else split from
+    one dump of the list, which escapes each newline in a value. In CSV a str is itself and None is empty."""
+    if set(map(type, values)) <= {int, float}:
+        return list(map(repr, values))
+    cells = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    if fmt == "csv":
+        cells = ["" if v is None else v if isinstance(v, str) else c for v, c in zip(values, cells)]
+    return cells
 
 
 def render_rows(table, fmt):
-    """Serialize a Table to CSV (shortest round-trip floats) or JSON, byte for
-    byte as ``json.dumps(rows, indent=2)`` of its rows as dicts.
-
-    Each distinct column list is encoded once, however many blocks share it,
-    and each block's scalar cells once, folded into the constant text around
-    them: a row is its list cells, one constant text before each and one
-    after the last. The tail replaces the last row's ending."""
+    """Serialize a Table to CSV (shortest round-trip floats) or JSON, byte for byte as ``json.dumps(rows, indent=2)``
+    of its rows as dicts. ``_cells`` encodes the column names, each block's scalars, folded into the constant text
+    around them, and each distinct column list once, however many blocks share it: a row is its list cells, one
+    constant text before each and one after the last. The tail replaces the last row's ending."""
     if not len(table):
         return "[]\n" if fmt == "json" else "\n"
-    names = table.columns
+    names = _cells(list(table.columns), fmt)
     if fmt == "json":
-        starts = [(",\n" if i else "  {\n") + "    " + json.dumps(k) + ": " for i, k in enumerate(names)]
+        starts = [(",\n" if i else "  {\n") + "    " + k + ": " for i, k in enumerate(names)]
         head, end, tail = "[\n", "\n  },\n", "\n  }\n]\n"
     else:
         starts = [""] + [","] * (len(names) - 1)
@@ -64,11 +65,10 @@ def render_rows(table, fmt):
         streams, text = [], ""
         for start, values in zip(starts, block):
             if not isinstance(values, list):
-                text += start + _cell(values, fmt)
+                text += start + _cells([values], fmt)[0]
                 continue
-            if id(values) not in encoded:  # repr of exact ints and floats is what json.dumps writes
-                exact = set(map(type, values)) <= {int, float}
-                encoded[id(values)] = list(map(repr, values)) if exact else [_cell(v, fmt) for v in values]
+            if id(values) not in encoded:
+                encoded[id(values)] = _cells(values, fmt)
             streams += repeat(text + start), encoded[id(values)]
             text = ""
         streams.append(repeat(text + end))  # the repeats are endless: zip stops at the block's lists

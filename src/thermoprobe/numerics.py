@@ -32,7 +32,7 @@ class Table:
     """
 
     def __init__(self, columns, blocks):
-        checked, sizes = set(), []
+        checked, sizes, blocks = set(), [], list(blocks)
         for block in blocks:
             lengths = {len(cell) for cell in block if isinstance(cell, list)}
             if len(block) != len(columns) or len(lengths) != 1:

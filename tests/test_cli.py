@@ -482,6 +482,16 @@ class TestTransientScan:
         assert code == 2 and text == ""
         assert err.startswith("thermoprobe: configuration error: config:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("top", [[1, 2], "points"])
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys, top):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(top))
+        code, text = run(tmp_path, ["transient-scan", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("thermoprobe: configuration error: config: top level must be a JSON object")
+        assert "Traceback" not in err
+
 
 class TestLimits:
     def test_default_rows(self, tmp_path):

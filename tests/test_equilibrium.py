@@ -234,6 +234,8 @@ class TestOptimalGap:
             optimal_gap([3, 4], [1, 4], 1.0)
         with pytest.raises(ValueError):
             optimal_gap([3], [1], -1.0)
+        with pytest.raises(ValueError):
+            optimal_gap([3, 4], [1], 1.0)
 
 
 class TestHessianCertificate:

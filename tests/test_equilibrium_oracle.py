@@ -114,7 +114,7 @@ def exact_peak(n, n0):
     return x, x * x * w / (1 + w) ** 2
 
 
-@pytest.mark.parametrize("t", [0.3, 1.0, 1.54, 1e-80, 1e77, 1e-100, 1e100])
+@pytest.mark.parametrize("t", [0.3, 1.0, 1.54, 1e-80, 1e77, 1e-100, 1e100, 2e-153, 1e153])
 def test_optimal_gap_columns(t):
     t2 = mp.mpf(t) ** 2
     for n, degeneracies in DEGENERACIES.items():

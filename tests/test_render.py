@@ -55,7 +55,7 @@ FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS
 STRINGS = st.one_of(st.text(), st.text(alphabet='a"\\,%\n\u00e9\u2603\U0001f600'))
 VALUES = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(-2**64, 2**64), st.none(),
                    st.booleans(), STRINGS)
-# a column of one kind takes the column-at-once paths, a mixed column the per-value one
+# a column of exact ints or floats takes the repr path, a mixed column the split of one dump
 COLUMNS = st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), FLOATS,
                            st.integers(-2**64, 2**64), VALUES])
 
@@ -93,6 +93,10 @@ def test_matches_json_dumps_and_csv_oracle(table):
 
 SHARED = [0.1, -2.5e-320, 3]
 TRICKY = 'q"b\\p%\u00e9\u2603\U0001f600'
+# one mixed list for the split of a single dump: a newline, which the dump
+# escapes, a quote, a comma, a non-ASCII character, None, a bool, an int
+# beyond the floats, a float subclass and a negative zero
+HAZARDS = ['a\nb"c,\u00e9', None, True, 2**70, np.float64(0.1), -0.0]
 
 
 @pytest.mark.parametrize("table", [
@@ -102,7 +106,11 @@ TRICKY = 'q"b\\p%\u00e9\u2603\U0001f600'
     Table(("dt", "excess", "label"), [(SHARED, [None, 1.5, True], TRICKY), ([7.0], [False], 1e-300)]),
     # two scalars between lists, and one list in two columns of a block
     Table(("a", "b", "c", "d", "e"), [([1], TRICKY, -0.0, [2.5], None), (SHARED, 2**70, "", SHARED, False)]),
-], ids=["scalars-first", "scalar-last", "scalars-between"])
+    # the blocks as a generator, which the table reads once to check them
+    Table(("prep", "N", "dt"), ((prep, n, SHARED) for prep, n in [(TRICKY, 2), ("ground", None)])),
+    # a mixed list shared by two blocks
+    Table(("v", "label"), [(HAZARDS, 1.5), (HAZARDS, TRICKY)]),
+], ids=["scalars-first", "scalar-last", "scalars-between", "generator-blocks", "mixed-shared"])
 def test_scalar_columns_at_every_position(table):
     assert_renders_as_oracles(table)
 

@@ -24,6 +24,14 @@ def _exp_neg(y):
     return m * _E1255[0], e + _E1255[1]
 
 
+def _scaled_square(factor, root, e):
+    """factor (root 2^e)^2 with the power of two applied once, to the result; inf from 2^1024."""
+    m, k = math.frexp(root)
+    q, j = math.frexp(factor * (m * m))
+    j += 2 * (k + e)
+    return math.ldexp(q, j) if j <= 1024 else math.inf  # q < 1: finite up to 2^1024
+
+
 def qfi_effective_two_level(xs, n, gap):
     """Closed-form QFI of an n-level probe with a single ground level and an
     (n-1)-fold degenerate excited level at ``gap``, as a list over the
@@ -45,10 +53,7 @@ def qfi_effective_two_level(xs, n, gap):
         (mh, eh), (mv, ev), (mg, eg) = _exp_neg(0.5 * v), math.frexp(v), math.frexp(gap)
         if not mh:  # else 0 * 2^k: inf where the powers of v pass 2^1024, as at v = 1e300
             return 0.0
-        m, e = math.frexp(mv * mv * mh / (mg * level))
-        q, k = math.frexp(degeneracy * (m * m))
-        k += 2 * (e + eh + 2 * ev - eg)
-        return math.ldexp(q, k) if k <= 1024 else math.inf  # q < 1: finite up to 2^1024
+        return _scaled_square(degeneracy, mv * mv * mh / (mg * level), eh + 2 * ev - eg)
     return list(map(at, xs))
 
 
@@ -77,8 +82,7 @@ def qfi_harmonic_equilibrium(gap, temperatures):
         (m, e), (mt, et) = _exp_neg(half), math.frexp(t)
         if not m:  # gap / t overflows from h = 9e307, and inf * 0 is NaN
             return 0.0
-        root = gap / t * m / mt
-        return math.ldexp(root * root, 2 * (e - et))
+        return _scaled_square(1.0, gap / t * m / mt, e - et)
     return list(map(at, temperatures))
 
 
@@ -173,20 +177,6 @@ def _variance_hessian_offdiag(f_i, f_j, s, h1, h2):
     return f_i * (f_j * (4.0 * h1 * (s - 2.0) + s * (4.0 - s) + 2.0 * h2 - 6.0 * h1 * h1 - 2.0))
 
 
-def hessian_shift_eigenvalue(n, x):
-    """Eigenvalue on excited-sector differences, (n-2)-fold degenerate,
-    halved before the division so that 2 (n-1) cannot overflow."""
-    return -(x - 2.0) / 2.0 / (n - 1)
-
-
-def hessian_pair_eigenvalue(n, x):
-    """Nonzero eigenvalue of the ground/excited 2x2 sector. The factor n is
-    forced by the zero row sums of the block matrix: the sector trace is a - c
-    and c = -a/(n-1), so the eigenvalue picks up n/(n-1) relative to the bare
-    diagonal entry. Written so that no factor overflows at any N a float holds."""
-    return -(x * x - 4.0) / 8.0 * (n / (n - 1))
-
-
 def hessian_blocks(n):
     """x_star, the entries (a, b, c, d) and the block eigenvalues (low, high)
     of the variance Hessian at the (n, 1) optimum, for an int n.
@@ -233,8 +223,10 @@ def hessian_certificate(ns):
     rows = []
     for k in ns:
         x, (a, b, c, d), (low, high) = hessian_blocks(k)
-        pair = hessian_pair_eigenvalue(k, x)
-        shift = hessian_shift_eigenvalue(k, x)
+        # The pair eigenvalue is the bare diagonal entry times n/(n-1), forced by the zero row
+        # sums (c = -a/(n-1)); the shift one is halved first, so that 2(n-1) cannot overflow.
+        pair = -(x * x - 4.0) / 8.0 * (k / (k - 1))
+        shift = -(x - 2.0) / 2.0 / (k - 1)
         errors = [abs(low - pair), abs(high)] + ([abs(b - d - shift)] if k > 2 else [])
         tol = 1e-8 * max(1.0, abs(low))
         certifies = low < -tol and abs(high) <= tol and (b - d < 0.0 or k == 2)
@@ -263,14 +255,13 @@ def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
     temperatures = [gap / v for v in xs]
     if not all(math.isfinite(t) and t > 0.0 for t in temperatures):
         raise NonFiniteState(f"temperature gap/x is not finite and positive on the grid (gap={gap:g})")
-    curves = [(n, qfi_effective_two_level, xs, n, gap) for n in n_list]
-    if include_harmonic:
-        curves.append(("ho", qfi_harmonic_equilibrium, gap, temperatures))
-    blocks = []
-    for label, kernel, *args in curves:
-        values = kernel(*args)
+
+    def block(label, values):
         peak = max(values)
         if not peak > 0.0:
             raise NonFiniteState(f"QFI curve N={label} has peak {peak}, which cannot normalize it")
-        blocks.append((label, temperatures, values, [v / peak for v in values]))
+        return label, temperatures, values, [v / peak for v in values]
+    blocks = [block(n, qfi_effective_two_level(xs, n, gap)) for n in n_list]
+    if include_harmonic:
+        blocks.append(block("ho", qfi_harmonic_equilibrium(gap, temperatures)))
     return Table(("N", "T", "qfi", "qfi_normalized"), blocks)

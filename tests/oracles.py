@@ -20,6 +20,8 @@
   two-level gap equation of the package is checked, and the dense n x n
   variance Hessian with all its eigenvalues, against which the package's
   2x2 block certificate is checked.
+- Measurements: the classical Fisher information of a projective qubit
+  measurement along any axis, whose maximum over axes is the QFI.
 - Roots: plain bisection.
 - Tables: the row dicts a column Table stands for, expanded one row at a
   time, so that tests read scans and the renderer's oracles see rows.
@@ -500,6 +502,20 @@ def certifies_maximum(eigenvalues):
     evs = np.asarray(eigenvalues)
     tol = 1e-8 * max(1.0, float(np.abs(evs).max()))
     return bool(evs.max() <= tol and np.sum(np.abs(evs) <= tol) == 1)
+
+
+# Measurements
+
+
+def projective_fisher(axis, r, dr):
+    """Classical Fisher information about T of a projective qubit measurement
+    along the unit ``axis`` n, for the Bloch vector r and its T-derivative dr.
+    The outcomes have probabilities (1 +- n.r) / 2, so it is
+    (n.dr)^2 / (1 - (n.r)^2). Its maximum over n is the QFI (Braunstein and
+    Caves, Phys. Rev. Lett. 72, 3439 (1994))."""
+    along = sum(a * b for a, b in zip(axis, r))
+    slope = sum(a * b for a, b in zip(axis, dr))
+    return slope * slope / (1 - along * along)
 
 
 # Roots

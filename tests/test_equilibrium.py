@@ -7,8 +7,6 @@ import pytest
 from thermoprobe.equilibrium import (
     hessian_blocks,
     hessian_certificate,
-    hessian_pair_eigenvalue,
-    hessian_shift_eigenvalue,
     optimal_gap,
     qfi_effective_two_level,
     qfi_equilibrium_scan,
@@ -249,22 +247,24 @@ class TestHessianCertificate:
 
     def test_three_level_eigenvalues(self):
         x, (a, b, c, d), (low, high) = hessian_blocks(3)
-        assert hessian_shift_eigenvalue(3, x) == pytest.approx(-(x - 2.0) / 4.0, rel=1e-14)
+        (row,) = rows_of(hessian_certificate([3]))
+        assert row["lambda_shift"] == pytest.approx(-(x - 2.0) / 4.0, rel=1e-14)
         # the pair eigenvalue carries the dimension factor demanded by the
         # zero-row-sum block structure: lambda = -n (x^2 - 4) / (8 (n - 1))
-        assert hessian_pair_eigenvalue(3, x) == pytest.approx(-3.0 * (x * x - 4.0) / 16.0, rel=1e-14)
-        assert low == pytest.approx(hessian_pair_eigenvalue(3, x), abs=1e-10)
-        assert b - d == pytest.approx(hessian_shift_eigenvalue(3, x), abs=1e-10)
+        assert row["lambda_pair"] == pytest.approx(-3.0 * (x * x - 4.0) / 16.0, rel=1e-14)
+        assert low == pytest.approx(row["lambda_pair"], abs=1e-10)
+        assert b - d == pytest.approx(row["lambda_shift"], abs=1e-10)
         assert high == pytest.approx(0.0, abs=1e-10)
 
     def test_two_level_by_hand(self):
         # 2x2 case: [[a, -a], [-a, a]] has eigenvalues {0, 2a}
-        x, (a, b, c, _), (low, high) = hessian_blocks(2)
+        _, (a, b, c, _), (low, high) = hessian_blocks(2)
         assert b == pytest.approx(a, rel=1e-12)
         assert c == pytest.approx(-a, rel=1e-12)
-        assert hessian_pair_eigenvalue(2, x) == pytest.approx(2 * a, rel=1e-12)
+        (row,) = rows_of(hessian_certificate([2]))
+        assert row["lambda_pair"] == pytest.approx(2 * a, rel=1e-12)
         assert [low, high] == pytest.approx([2 * a, 0.0], abs=1e-12)
-        assert rows_of(hessian_certificate([2]))[0]["lambda_shift"] is None
+        assert row["lambda_shift"] is None
 
     def test_entries_match_finite_differences(self):
         # ground truth: difference the variance itself around the optimum
@@ -298,13 +298,13 @@ class TestHessianCertificate:
     def test_blocks_match_the_dense_hessian(self):
         dims = range(2, 65)
         for n, row in zip(dims, rows_of(hessian_certificate(dims))):
-            x, abcd, (low, high) = hessian_blocks(n)
+            _, abcd, (low, high) = hessian_blocks(n)
             dense, row_sum = dense_hessian(n, abcd)
             block = np.sort([low, high] + [abcd[1] - abcd[3]] * (n - 2))
             assert np.abs(block - dense).max() <= 1e-14
             assert row["zero_mode_residual"] == pytest.approx(row_sum, abs=1e-14)
             assert row["certifies_maximum"] is certifies_maximum(dense) is True
-            analytic = np.sort([hessian_pair_eigenvalue(n, x), 0.0] + [hessian_shift_eigenvalue(n, x)] * (n - 2))
+            analytic = np.sort([row["lambda_pair"], 0.0] + [row["lambda_shift"]] * (n - 2))
             assert row["eigenvalue_error"] == pytest.approx(np.abs(dense - analytic).max(), abs=1e-14)
 
     def test_certifies_up_to_the_largest_dimension_a_float_holds(self):

@@ -52,34 +52,35 @@ class DissipationModel:
         self.relaxation_time = math.tanh(x / 2.0) / rate if rate > 0.0 else math.inf
 
 
-def qfi_transient(n, excited0, model, dts):
+def qfi_transient(n, x0, model, dts):
     """QFI of an n-level ladder, one ground level below n - 1 levels at the
     gap, after thermal contact of each length in the sequence ``dts``, as a
-    list, for a preparation with total excited population ``excited0`` shared
-    equally by the excited levels: 0 for the ground preparation, w0 / (1 + w0)
-    for a two-level Gibbs state with Boltzmann factor w0.
+    list, for the Gibbs preparation of ratio ``x0`` = gap / T_prep: math.inf
+    for the ground state, 0 for equal populations, below 0 for an inversion.
 
     The excited levels stay equally populated, so the QFI is the binary
     Fisher information (d_T E)^2 / (E (1 - E)) of the excited population
-    E = E_eq (1 - e^{-k dt}) + E_0 e^{-k dt}. With x = gap/T and w = e^{-x},
-    E_eq = (n-1) w / z and k = decay_rate * z, z = 1 + (n-1) w, and the
-    temperature enters through both: d_T E_eq = (x w / T) (n-1) / z^2 and
-    dt d_T k = k dt (x w / T) n / ((1 - w) z). The preparation and the
-    coupling are held fixed. 1 - E is formed as a sum, not as a difference,
-    and where E underflows to 0 the value is 0.
+    E = E_eq (1 - e^{-k dt}) + E_0 e^{-k dt}. With x = gap/T, w = e^{-x},
+    z = 1 + (n-1) w and w0, z0 alike at x0, E_eq = (n-1) w / z, E_0 =
+    (n-1) w0 / z0 and k = decay_rate * z. T enters through E_eq and k:
+    d_T E_eq = (x w / T) (n-1) / z^2 and dt d_T k = k dt (x w / T) n /
+    ((1 - w) z), with the preparation and the coupling held fixed. E_eq - E_0
+    = (n-1)(w - w0) / (z z0) takes w - w0 from an expm1 of -|x - x0|, so it
+    neither cancels nor overflows; 1 - E is a sum, and a 0 E gives a 0 QFI.
     """
-    w, scale, degeneracy = model.boltzmann, model.boltzmann_slope, excited_degeneracy(n)
-    z = 1.0 + degeneracy * w
-    excited_eq = degeneracy * w / z
-    rate = model.decay_rate * z
-    drift = excited_eq - excited0
-    z2, zw = z * z, model.boltzmann_complement * z
+    w, w0, scale, degeneracy = model.boltzmann, math.exp(-x0), model.boltzmann_slope, excited_degeneracy(n)
+    z, z0 = 1.0 + degeneracy * w, 1.0 + degeneracy * w0
+    excited_eq, excited0 = degeneracy * w / z, degeneracy * w0 / z0
+    ground0 = 1.0 - excited0 if excited0 <= 0.5 else 1.0 / z0  # 1 - E_0 with no cancellation
+    apart = model.ratio - x0  # -inf for the ground state, where w - w0 = w
+    drift = degeneracy * (-w * math.expm1(apart) if apart <= 0.0 else w0 * math.expm1(-apart)) / (z * z0)
+    rate, z2, zw = model.decay_rate * z, z * z, model.boltzmann_complement * z
 
     def at(d):
         q = rate * d
         stay, moved = math.exp(-q), -math.expm1(-q)
         excited = excited_eq * moved + excited0 * stay
-        ground = moved / z + (1.0 - excited0) * stay
+        ground = moved / z + ground0 * stay
         slope = scale * (degeneracy * moved / z2 + drift * stay * q * n / zw)
         return slope * (slope / excited if excited > 0.0 else 0.0) / ground
     return list(map(at, dts))
@@ -201,10 +202,9 @@ def transient_scan(model, dt_grid, n_list, t_preps, include_plus=False, include_
         blocks.append((label, n, dts, [v / d for v, d in zip(kernel(*args, model, dts), dts)]))
 
     for n in n_list:
-        add_curve("ground", n, qfi_transient, n, 0.0)
+        add_curve("ground", n, qfi_transient, n, math.inf)
     for t_prep in t_preps:
-        w0 = math.exp(-model.gap / t_prep)
-        add_curve(thermal_label(t_prep), 2, qfi_transient, 2, w0 / (1.0 + w0))
+        add_curve(thermal_label(t_prep), 2, qfi_transient, 2, model.gap / t_prep)
     if include_plus:
         add_curve("plus", 2, qfi_transient_plus)
     if include_harmonic:

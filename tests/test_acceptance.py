@@ -200,7 +200,7 @@ def test_criterion_07_short_time_limit():
     dt = 1e-4 * model.relaxation_time
     worst = 0.0
     for n in (2, 4, 10):
-        rate = qfi_transient(n, 0.0, model, [dt])[0] / dt
+        rate = qfi_transient(n, math.inf, model, [dt])[0] / dt
         want = ultimate_rate(n, x, gamma, temp)
         worst = max(worst, abs(rate / want - 1.0))
     ok = worst <= 1e-3
@@ -249,11 +249,10 @@ def test_criterion_09_preparation_dominance():
     x = optimal_interrogation_ratio()
     model = DissipationModel(gap=x * temp, temperature=temp, coupling=gamma)
     grid = np.array(log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0))
-    ground = qfi_transient(2, 0.0, model, grid) / grid
+    ground = qfi_transient(2, math.inf, model, grid) / grid
     curves = {}
     for t_prep in (0.8, 0.9):
-        w = math.exp(-model.gap / t_prep)
-        curves[t_prep] = qfi_transient(2, w / (1.0 + w), model, grid) / grid
+        curves[t_prep] = qfi_transient(2, model.gap / t_prep, model, grid) / grid
     plus = qfi_transient_plus(model, grid) / grid
 
     dominates = all((ground > curves[t]).all() for t in (0.8, 0.9)) and (ground > plus).all()

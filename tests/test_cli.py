@@ -347,6 +347,23 @@ class TestTransientScan:
         assert len(rows) == 5 * 200
         assert all(math.isfinite(float(r[k])) for r in rows for k in ("dt", "fisher_rate"))
 
+    def test_coldest_preparation_is_the_ground_state(self, tmp_path):
+        # gap / T_prep = 4.9e300, where e^{-x0} is 0 as at the ground state's x0 = inf
+        code, text = run(tmp_path, ["transient-scan", "--t-prep", "1e-300"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        thermal = [(r["dt"], r["fisher_rate"]) for r in rows if (r["prep"], r["N"]) == ("thermal-1e-300", "2")]
+        ground = [(r["dt"], r["fisher_rate"]) for r in rows if (r["prep"], r["N"]) == ("ground", "2")]
+        assert len(thermal) == 200 and thermal == ground
+
+    def test_hottest_preparation_writes_finite_rows(self, tmp_path):
+        # gap / T_prep = 4.9e-300: equal populations to the last bit
+        code, text = run(tmp_path, ["transient-scan", "--t-prep", "1e300"])
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert len(rows) == 4 * 200 and {r["prep"] for r in rows} == {"ground", "thermal-1e+300"}
+        assert all(math.isfinite(float(r["fisher_rate"])) and float(r["fisher_rate"]) >= 0.0 for r in rows)
+
     def test_underflowing_series_are_zero_and_unchanged(self, tmp_path):
         # at gap/T = 800 every exact value underflows, so each rate is 0.0; the
         # digest pins the whole output, dt column included, whose points are

@@ -41,12 +41,6 @@ def equilibrium_qfi(model):
     return qfi_thermal(thermalize(Spectrum((0.0, model.gap)), model.temperature))
 
 
-def gibbs_excited(n, ratio):
-    """Total excited population of the n-level Gibbs state."""
-    w = (n - 1) * math.exp(-ratio)
-    return w / (1.0 + w)
-
-
 class TestDissipationModel:
     def test_rates(self):
         m = DissipationModel(gap=2.0, temperature=1.0, coupling=0.5)
@@ -92,8 +86,7 @@ class TestDissipationModel:
     def test_detailed_balance_fixed_point(self):
         m = default_operating_model()
         for n in (2, 5):
-            excited = gibbs_excited(n, m.ratio)
-            gibbs = np.array([1.0 - excited] + [excited / (n - 1)] * (n - 1))
+            gibbs = thermalize(Spectrum((0.0,) + (m.gap,) * (n - 1)), m.temperature).population_array()
             assert np.abs(rate_matrix(n, m) @ gibbs).max() <= 1e-12
 
 
@@ -102,7 +95,7 @@ class TestTransientQfi:
         m = default_operating_model()
         tau = m.relaxation_time
         for u in np.geomspace(0.01, 10.0, 12):
-            got = qfi_transient(2, 0.0, m, [u * tau])[0]
+            got = qfi_transient(2, math.inf, m, [u * tau])[0]
             want = qfi_transient_closed_form_qubit(m.ratio, u * tau, tau, m.temperature)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -113,39 +106,43 @@ class TestTransientQfi:
             u = float(10.0 ** rng.uniform(-2.0, 1.0))
             m = DissipationModel(gap=x, temperature=1.0, coupling=1e-3)
             tau = m.relaxation_time
-            got = qfi_transient(2, 0.0, m, [u * tau])[0]
+            got = qfi_transient(2, math.inf, m, [u * tau])[0]
             want = qfi_transient_closed_form_qubit(x, u * tau, tau, 1.0)
             assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("n, excited0", [(4, 0.0), (4, 0.3), (10, 0.0)])
-    def test_ladder_matches_integrated_populations(self, n, excited0):
+    @pytest.mark.parametrize("n, x0, p0", [
+        (4, math.inf, [1.0, 0.0, 0.0, 0.0]),
+        (4, math.log(7.0), [0.7, 0.1, 0.1, 0.1]),  # e^{-x0} = 1/7: the Gibbs state with excited population 0.3
+        (10, math.inf, [1.0] + [0.0] * 9),
+    ], ids=["4-ground", "4-gibbs", "10-ground"])
+    def test_ladder_matches_integrated_populations(self, n, x0, p0):
         # RK4-integrated master equation, fidelity curvature across temperature
         m = DissipationModel(gap=3.0, temperature=1.0, coupling=5e-3)
         tau = m.relaxation_time
         dt = 1.3 * tau
-        p0 = np.array([1.0 - excited0] + [excited0 / (n - 1)] * (n - 1))
+        p0 = np.array(p0)
 
         def populations(temp):
             gen = rate_matrix(n, DissipationModel(gap=m.gap, temperature=temp, coupling=m.coupling))
             return integrate_ode(lambda y: gen @ y, p0, dt, tau / 400.0)
 
         oracle = qfi_bures_oracle(populations, m.temperature, step=1e-3)
-        assert qfi_transient(n, excited0, m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
+        assert qfi_transient(n, x0, m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
     def test_long_time_reaches_equilibrium_qfi(self):
         m = default_operating_model()
-        got = qfi_transient(2, 0.0, m, [60.0 * m.relaxation_time])[0]
+        got = qfi_transient(2, math.inf, m, [60.0 * m.relaxation_time])[0]
         assert got == pytest.approx(equilibrium_qfi(m), rel=1e-12)
 
     def test_gibbs_preparation_is_stationary(self):
-        # preparing at exactly T pins the state to the fixed point for all dt;
-        # with the preparation held fixed the transient QFI rises toward the
-        # equilibrium value as (1 - e^{-dt/tau})^2
+        # preparing at exactly T, x0 = gap/T, pins the state to the fixed point
+        # for all dt; with the preparation held fixed the transient QFI rises
+        # toward the equilibrium value as (1 - e^{-dt/tau})^2
         m = default_operating_model()
         tau = m.relaxation_time
         eq = equilibrium_qfi(m)
         for u in (0.2, 1.0, 7.0):
-            got = qfi_transient(2, gibbs_excited(2, m.ratio), m, [u * tau])[0]
+            got = qfi_transient(2, m.ratio, m, [u * tau])[0]
             assert got == pytest.approx((1.0 - math.exp(-u)) ** 2 * eq, rel=1e-12)
 
     def test_ground_qubit_matches_bloch_fidelity_oracle(self):
@@ -157,7 +154,7 @@ class TestTransientQfi:
             return relaxed_bloch((0.0, 0.0, -1.0), model, dt)
 
         oracle = qfi_bures_oracle(family, m.temperature, fidelity=fidelity_qubit, step=1e-2)
-        assert qfi_transient(2, 0.0, m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
+        assert qfi_transient(2, math.inf, m, [dt])[0] == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("u", [0.05, 0.5, 4.0])
     def test_plus_matches_lab_frame_bloch_fidelity_oracle(self, u):
@@ -188,7 +185,7 @@ class TestTransientQfi:
 
     def test_every_kernel_takes_a_sequence_and_returns_a_list(self):
         m = default_operating_model()
-        for kernel in (lambda s: qfi_transient(4, 0.0, m, s), lambda s: qfi_transient_plus(m, s),
+        for kernel in (lambda s: qfi_transient(4, math.inf, m, s), lambda s: qfi_transient_plus(m, s),
                        lambda s: qfi_harmonic_transient(m, s), lambda s: qfi_effective_two_level(s, 4, 1.0),
                        lambda s: qfi_harmonic_equilibrium(1.0, s)):
             values = kernel([1, 2, 3])
@@ -207,7 +204,7 @@ class TestTransientQfi:
         # at gap/T = 800, e^{-x} underflows and every exact value with it
         m = DissipationModel(gap=800.0, temperature=1.0, coupling=1e-3)
         grid = log_interrogation_grid(m, points=50)
-        for values in (qfi_transient(2, 0.0, m, grid), qfi_transient(2, 0.3, m, grid),
+        for values in (qfi_transient(2, math.inf, m, grid), qfi_transient(2, math.log(7 / 3), m, grid),
                        qfi_transient_plus(m, grid), qfi_harmonic_transient(m, grid)):
             assert values == [0.0] * 50
 
@@ -215,20 +212,20 @@ class TestTransientQfi:
     def test_low_temperature_tail_stays_positive(self, x):
         m = DissipationModel(gap=x, temperature=1.0, coupling=1e-3)
         grid = log_interrogation_grid(m, points=20)
-        for values in (qfi_transient(4, 0.0, m, grid), qfi_transient_plus(m, grid),
+        for values in (qfi_transient(4, math.inf, m, grid), qfi_transient_plus(m, grid),
                        qfi_harmonic_transient(m, grid)):
             assert all(v > 0.0 and math.isfinite(v) for v in values)
 
     def test_ground_rate_monotone_on_grid(self):
         m = default_operating_model()
         grid = np.array(log_interrogation_grid(m, points=50))
-        rates = qfi_transient(2, 0.0, m, grid) / grid
+        rates = qfi_transient(2, math.inf, m, grid) / grid
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_thermal_rate_has_interior_grid_maximum(self):
         m = default_operating_model()
         grid = np.array(log_interrogation_grid(m, points=60))
-        rates = qfi_transient(2, gibbs_excited(2, m.gap / 0.8), m, grid) / grid
+        rates = qfi_transient(2, m.gap / 0.8, m, grid) / grid
         assert max(rates[1:-1]) > max(rates[0], rates[-1])
 
 
@@ -248,8 +245,8 @@ class TestClosedForm:
         m2 = DissipationModel(gap=3.0, temperature=t, coupling=2e-3)
         assert m2.relaxation_time == pytest.approx(m1.relaxation_time / 2.0, rel=1e-14)
         u = 0.8
-        f1 = qfi_transient(2, 0.0, m1, [u * m1.relaxation_time])[0]
-        f2 = qfi_transient(2, 0.0, m2, [u * m2.relaxation_time])[0]
+        f1 = qfi_transient(2, math.inf, m1, [u * m1.relaxation_time])[0]
+        f2 = qfi_transient(2, math.inf, m2, [u * m2.relaxation_time])[0]
         assert f1 == pytest.approx(f2, rel=1e-10)
 
     def test_positive_finite_at_unit_ratio(self):

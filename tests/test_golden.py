@@ -24,8 +24,8 @@ GOLDEN = {
     "optimal-gap --format json": "99e95f62ff4a12fac443cdcae625c51b8c7b2c66cacac556822e4b62c3790d25",
     "hessian-check": "aab9e53d19fb9d6f957e70725fc05476a3e2af0ce6c4a5a004ee79a4660e8b37",
     "hessian-check --format json": "72f5163c4ea8f9bb28f1b3265645100299c85db9f554e6034199c65e0e903c2d",
-    "transient-scan": "f7839877d4c2f95447e98c720bff930d881e1d459f3b659ed60241eedc413676",
-    "transient-scan --format json": "9e6fb96159c13d493508c1f9cfb68854d5c54c16ba082d190cf23ac7c5b74e4f",
+    "transient-scan": "0bd1806be5c092feb1123dacb8c81fc8e2f08ff545c659e3a778210f4de55ad7",
+    "transient-scan --format json": "2a47ea006101e43ea537ee13ca8cc8108f1a11f5a0ae98862ba67883b7f8e4ae",
     "limits": "a8bcb77703f78c32d25065dfd4c66912d2be85cb88066e48c568617b2ec4fbe5",
     "limits --format json": "5426e71e1230b75464645efd7c2577e6fa697d7074933ed3424e39136dde829e",
     "hessian-check --n-max 5000": "2c05400e41684bfd8b4e52198301c8a30ba5193e46bd9206b2a7bd9b986add45",
@@ -34,7 +34,7 @@ GOLDEN = {
     "optimal-gap --n 10..64 --n0 1..9 --temperature 0.73":
         "70dd63464aceac3bbd7e418ac08fb964ae4e25b0f5fe009151105e98445a35eb",
     "transient-scan --include-plus --include-harmonic --points 2000":
-        "a05f633980bb0cf26493d79c7c636f07576cf7d5a5b8435d4330eb015eb2300a",
+        "7e3b83249144ded59276b68fe479ae9a2878f864b347a21e85a8dbfc9585fa88",
     'transient-scan --t-prep ""': "3abf878fca59f6cac14249bfa7b53a7dc40989a687a092dc39944ad20a3d68db",
     "equilibrium-scan --x-max 1e300 --points 50":
         "4f637218b552c222d0d924a36bd07720a90d39c97f7a46c764a542de78a98ad1",

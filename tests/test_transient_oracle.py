@@ -10,6 +10,11 @@ to 1000, T from 1e-3 to 1e3 and the coupling from 1e-6 to 1e-1, and every
 series must match to 1e-12 at every point; a cell written as 0.0 passes
 only where the exact value is below the smallest normal double.
 
+The thermal preparation, given to ``qfi_transient`` as its own ratio
+gap/T_prep, is checked at 40 digits to 5e-15 near equal populations, x from
+1e-8 to 2, for preparations colder and hotter than the sample; equal,
+inverted and mostly excited preparations are checked against the same oracle.
+
 The plus qubit's QFI is reached by a projective measurement along the axis
 of its symmetric logarithmic derivative and exceeded by no axis of a sphere
 grid; the energy axis falls short of it.
@@ -27,6 +32,7 @@ from thermoprobe.cli import _DEFAULTS, cmd_limits
 from thermoprobe.dynamics import (
     DissipationModel,
     log_interrogation_grid,
+    qfi_transient,
     qfi_transient_plus,
     transient_scan,
     ultimate_rate,
@@ -149,9 +155,11 @@ def oracle_rate(row, gap, gamma, temp):
 def test_every_series_matches_exact_derivatives(gap, temperature, gamma, points):
     model = DissipationModel(gap=gap, temperature=temperature, coupling=gamma)
     grid = log_interrogation_grid(model, points=points, lo=1e-3, hi=20.0)
-    rows = rows_of(transient_scan(model, grid, [2, 4, 10], [0.8], include_plus=True, include_harmonic=True))
+    # a preparation colder than the sample and, at every T but 1e3, one hotter
+    rows = rows_of(transient_scan(model, grid, [2, 4, 10], [0.8, 10.0], include_plus=True, include_harmonic=True))
     assert {(r["prep"], r["N"]) for r in rows} == {
-        ("ground", 2), ("ground", 4), ("ground", 10), ("thermal-0.8", 2), ("plus", 2), ("harmonic", "ho"),
+        ("ground", 2), ("ground", 4), ("ground", 10), ("thermal-0.8", 2), ("thermal-10", 2), ("plus", 2),
+        ("harmonic", "ho"),
     }
     errors = {}
     with mp.workdps(30 + int(gap / temperature) // 2):
@@ -164,6 +172,49 @@ def test_every_series_matches_exact_derivatives(gap, temperature, gamma, points)
     # "not e <= tol" so that a NaN error fails too
     failing = {key: bad for key, errs in errors.items() if (bad := [e for e in errs if not e <= REL_TOL])}
     assert not failing, failing
+
+
+THERMAL_REL_TOL = 5e-15
+
+
+def _ladder_errors(n, x0, model, dts):
+    """Relative errors of ``qfi_transient`` against the 40-digit ladder oracle."""
+    with mp.workdps(40):
+        weight = (n - 1) * mp.exp(-mp.mpf(x0))
+        args = (mp.mpf(model.gap), mp.mpf(model.coupling), mp.mpf(model.temperature))
+        return [float(abs(got / ladder_qfi(n, 1 / (1 + weight), *args, mp.mpf(dt)) - 1))
+                for got, dt in zip(qfi_transient(n, x0, model, dts), dts)]
+
+
+@pytest.mark.parametrize("temperature, t_prep, x", [
+    *((2.0, 0.8, x) for x in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8)),  # colder than the sample
+    *((1.0, 10.0, x) for x in (1e-3, 1e-5, 0.3, 2.0)),         # hotter
+])
+def test_thermal_preparation_near_equal_populations(temperature, t_prep, x):
+    # at small x both E_eq and E_0 are near 1/2 and their difference is of order x:
+    # formed as that difference, it lost digits as 1/x, to 7.3e-9 at x = 1e-8
+    model = DissipationModel(gap=x * temperature, temperature=temperature, coupling=0.1)
+    dts = [model.relaxation_time * u for u in (0.01, 0.3, 1.0, 5.0)]
+    errors = _ladder_errors(2, model.gap / t_prep, model, dts)
+    assert max(errors) <= THERMAL_REL_TOL, errors
+
+
+@pytest.mark.parametrize("n, x0, tol", [
+    (2, -1.5, THERMAL_REL_TOL),  # inversions
+    (4, -0.5, THERMAL_REL_TOL),
+    # At x0 = 0, and where the preparation holds far more excitation than the
+    # Gibbs state, d_T E is a near-cancelling sum of its two first-order terms
+    # in dt, so the error grows as 1/dt: up to 8e-14 at these contact times.
+    (2, 0.0, REL_TOL),
+    (4, 0.0, REL_TOL),
+    (1_000_000, 1.0, REL_TOL),  # ground population 2.7e-6: taken as 1 - E_0, the QFI was 1.3e-12 off
+])
+def test_equal_inverted_and_mostly_excited_preparations(n, x0, tol):
+    model = DissipationModel(gap=X_TILDE, temperature=1.0, coupling=1e-3)
+    # contact times in units of the ladder's own relaxation time, 1 / (decay_rate z)
+    rate = model.decay_rate * (1 + (n - 1) * model.boltzmann)
+    errors = _ladder_errors(n, x0, model, [u / rate for u in (0.01, 0.3, 1.0, 5.0)])
+    assert max(errors) <= tol, errors
 
 
 # Axes of a fixed grid over the half sphere; an axis and its opposite give one measurement

@@ -6,7 +6,7 @@ and certified, and partly thermalized probes relaxing under a thermal
 generator, where the QFI per unit time is traced over the contact time.
 """
 
-from .numerics import NoConvergence, NonFiniteState, Table
+from .numerics import NoConvergence, NonFiniteState, Table, geometric_grid
 from .equilibrium import (
     hessian_certificate,
     optimal_gap,
@@ -16,7 +16,6 @@ from .equilibrium import (
 )
 from .dynamics import (
     DissipationModel,
-    log_interrogation_grid,
     optimal_interrogation_ratio,
     qfi_harmonic_transient,
     qfi_transient,

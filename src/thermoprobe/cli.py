@@ -14,7 +14,6 @@ from itertools import chain, repeat
 
 from .dynamics import (
     DissipationModel,
-    log_interrogation_grid,
     optimal_interrogation_ratio,
     thermal_label,
     transient_scan,
@@ -134,11 +133,15 @@ def cmd_transient_scan(params):
             raise NonFiniteState(f"default gap x_tilde * T overflows at T={params['temperature']:g}")
     model = DissipationModel(gap=gap, temperature=params["temperature"], coupling=params["gamma"])
     tau = model.relaxation_time
-    if tau > 0.0 and params["span_min"] * tau < sys.float_info.min:
+    start, stop = params["span_min"] * tau, params["span_max"] * tau
+    if tau > 0.0 and start < sys.float_info.min:
         # a subnormal contact time carries too few digits for its rate
-        raise ConfigError("span_min", f"first contact time span_min * tau = {params['span_min'] * tau:g} is "
+        raise ConfigError("span_min", f"first contact time span_min * tau = {start:g} is "
                           f"below the smallest normal float; need span_min >= {sys.float_info.min / tau:g}")
-    grid = log_interrogation_grid(model, points=params["points"], lo=params["span_min"], hi=params["span_max"])
+    if not (start > 0.0 and stop < math.inf):
+        raise NonFiniteState(f"interrogation grid [{start:g}, {stop:g}] for relaxation time {tau:g} "
+                             "is not finite and positive")
+    grid = geometric_grid(start, stop, params["points"])
     return transient_scan(model, grid, params["n"], params["t_prep"],
                           include_plus=params["include_plus"], include_harmonic=params["include_harmonic"])
 

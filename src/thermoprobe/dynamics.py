@@ -9,7 +9,7 @@ excited state along +z, so the ground preparation has Bloch vector (0, 0, -1).
 
 import math
 
-from .numerics import NonFiniteState, Table, excited_degeneracy, geometric_grid
+from .numerics import NonFiniteState, Table, excited_degeneracy
 
 
 class DissipationModel:
@@ -162,19 +162,6 @@ def optimal_interrogation_ratio():
     scales the rate.
     """
     return 4.8887092350471315
-
-
-def log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0):
-    """Logarithmic interrogation-time grid spanning [lo, hi] relaxation times.
-    NonFiniteState when an end of the grid is zero or infinite, as it is for
-    an infinite relaxation time."""
-    tau = model.relaxation_time
-    start, stop = lo * tau, hi * tau
-    if not (start > 0.0 and stop < math.inf):
-        raise NonFiniteState(
-            f"interrogation grid [{start:g}, {stop:g}] for relaxation time {tau:g} is not finite and positive"
-        )
-    return geometric_grid(start, stop, points)
 
 
 def thermal_label(t_prep):

@@ -15,7 +15,6 @@ import pytest
 
 from thermoprobe.dynamics import (
     DissipationModel,
-    log_interrogation_grid,
     optimal_interrogation_ratio,
     qfi_harmonic_transient,
     qfi_transient,
@@ -28,6 +27,7 @@ from thermoprobe.equilibrium import (
     optimal_gap,
     qfi_effective_two_level,
 )
+from thermoprobe.numerics import geometric_grid
 
 from oracles import (
     Spectrum,
@@ -248,7 +248,7 @@ def test_criterion_09_preparation_dominance():
     temp, gamma = 1.0, 1e-3
     x = optimal_interrogation_ratio()
     model = DissipationModel(gap=x * temp, temperature=temp, coupling=gamma)
-    grid = np.array(log_interrogation_grid(model, points=200, lo=1e-3, hi=20.0))
+    grid = np.array(geometric_grid(1e-3 * model.relaxation_time, 20.0 * model.relaxation_time, 200))
     ground = qfi_transient(2, math.inf, model, grid) / grid
     curves = {}
     for t_prep in (0.8, 0.9):

@@ -392,20 +392,22 @@ class TestTransientScan:
         ["--temperature", "1e-300"],  # gap^3 underflows: the relaxation time is infinite
         ["--gamma", "1e-320"],        # coupling * gap^3 is subnormal: the time overflows
         ["--gamma", "1e-310"],        # finite relaxation time, but the grid's end overflows
+        pytest.param(["--span-max", "1e308"], id="span_max=1e308"),  # tau of 8.4, the last contact time overflows
     ])
     def test_degenerate_time_scale_exits_three(self, tmp_path, capsys, flags):
         code, text = run(tmp_path, ["transient-scan"] + flags)
         err = capsys.readouterr().err
         assert code == 3
         assert text == ""
-        assert "numerical failure" in err and "Traceback" not in err
+        assert "numerical failure: interrogation grid [" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--span-min", "1e-320"],
         ["--span-min", "5e-324"],
         ["--gamma", "1e308", "--gap", "1"],    # at the default span_min of a subnormal relaxation time,
         ["--gamma", "1e300", "--gap", "500"],  # 4.6e-309 and 8e-309
-    ], ids=["1e-320", "5e-324", "tau=4.6e-309", "tau=8e-309"])
+        ["--span-min", "5e-324", "--span-max", "1e308"],  # a subnormal first end wins over an infinite last
+    ], ids=["1e-320", "5e-324", "tau=4.6e-309", "tau=8e-309", "5e-324,span_max=1e308"])
     def test_subnormal_first_contact_time_exits_two(self, tmp_path, capsys, flags):
         # a subnormal dt carries too few digits for its rate, which came out 2 % off at 1e-320
         code, text = run(tmp_path, ["transient-scan", *flags, "--include-plus", "--include-harmonic"])

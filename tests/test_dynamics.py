@@ -5,7 +5,6 @@ import pytest
 
 from thermoprobe.dynamics import (
     DissipationModel,
-    log_interrogation_grid,
     optimal_interrogation_ratio,
     qfi_harmonic_transient,
     qfi_transient,
@@ -14,7 +13,7 @@ from thermoprobe.dynamics import (
     ultimate_rate,
 )
 from thermoprobe.equilibrium import optimal_gap, qfi_effective_two_level, qfi_harmonic_equilibrium
-from thermoprobe.numerics import NonFiniteState
+from thermoprobe.numerics import NonFiniteState, geometric_grid
 
 from oracles import (
     Spectrum,
@@ -203,7 +202,7 @@ class TestTransientQfi:
     def test_underflowing_boltzmann_factor_gives_zero_without_warnings(self):
         # at gap/T = 800, e^{-x} underflows and every exact value with it
         m = DissipationModel(gap=800.0, temperature=1.0, coupling=1e-3)
-        grid = log_interrogation_grid(m, points=50)
+        grid = geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 50)
         for values in (qfi_transient(2, math.inf, m, grid), qfi_transient(2, math.log(7 / 3), m, grid),
                        qfi_transient_plus(m, grid), qfi_harmonic_transient(m, grid)):
             assert values == [0.0] * 50
@@ -211,20 +210,20 @@ class TestTransientQfi:
     @pytest.mark.parametrize("x", [40.0, 100.0, 300.0])
     def test_low_temperature_tail_stays_positive(self, x):
         m = DissipationModel(gap=x, temperature=1.0, coupling=1e-3)
-        grid = log_interrogation_grid(m, points=20)
+        grid = geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 20)
         for values in (qfi_transient(4, math.inf, m, grid), qfi_transient_plus(m, grid),
                        qfi_harmonic_transient(m, grid)):
             assert all(v > 0.0 and math.isfinite(v) for v in values)
 
     def test_ground_rate_monotone_on_grid(self):
         m = default_operating_model()
-        grid = np.array(log_interrogation_grid(m, points=50))
+        grid = np.array(geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 50))
         rates = qfi_transient(2, math.inf, m, grid) / grid
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_thermal_rate_has_interior_grid_maximum(self):
         m = default_operating_model()
-        grid = np.array(log_interrogation_grid(m, points=60))
+        grid = np.array(geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 60))
         rates = qfi_transient(2, m.gap / 0.8, m, grid) / grid
         assert max(rates[1:-1]) > max(rates[0], rates[-1])
 
@@ -300,7 +299,7 @@ class TestOptimalRatio:
 class TestTransientScan:
     def test_standard_series_composition(self):
         m = default_operating_model()
-        grid = log_interrogation_grid(m, points=12)
+        grid = geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 12)
         rows = rows_of(transient_scan(m, grid, [2, 4, 10], [0.8, 0.9]))
         labels = {(r["prep"], r["N"]) for r in rows}
         assert labels == {("ground", 2), ("ground", 4), ("ground", 10),
@@ -318,7 +317,7 @@ class TestTransientScan:
 
     def test_harmonic_series(self):
         m = default_operating_model()
-        grid = log_interrogation_grid(m, points=5)
+        grid = geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 5)
         rows = rows_of(transient_scan(m, grid, [], [], include_harmonic=True))
         assert all(r["N"] == "ho" and r["fisher_rate"] > 0 for r in rows)
 

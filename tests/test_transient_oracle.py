@@ -31,7 +31,6 @@ import pytest
 from thermoprobe.cli import _DEFAULTS, cmd_limits
 from thermoprobe.dynamics import (
     DissipationModel,
-    log_interrogation_grid,
     qfi_transient,
     qfi_transient_plus,
     transient_scan,
@@ -154,7 +153,7 @@ def oracle_rate(row, gap, gamma, temp):
 ])
 def test_every_series_matches_exact_derivatives(gap, temperature, gamma, points):
     model = DissipationModel(gap=gap, temperature=temperature, coupling=gamma)
-    grid = log_interrogation_grid(model, points=points, lo=1e-3, hi=20.0)
+    grid = geometric_grid(1e-3 * model.relaxation_time, 20.0 * model.relaxation_time, points)
     # a preparation colder than the sample and, at every T but 1e3, one hotter
     rows = rows_of(transient_scan(model, grid, [2, 4, 10], [0.8, 10.0], include_plus=True, include_harmonic=True))
     assert {(r["prep"], r["N"]) for r in rows} == {

@@ -11,7 +11,6 @@ from .equilibrium import (
     hessian_certificate,
     optimal_gap,
     qfi_effective_two_level,
-    qfi_equilibrium_scan,
     qfi_harmonic_equilibrium,
 )
 from .dynamics import (
@@ -20,7 +19,6 @@ from .dynamics import (
     qfi_harmonic_transient,
     qfi_transient,
     qfi_transient_plus,
-    transient_scan,
     ultimate_rate,
 )
 

@@ -15,11 +15,12 @@ from itertools import chain, repeat
 from .dynamics import (
     DissipationModel,
     optimal_interrogation_ratio,
-    thermal_label,
-    transient_scan,
+    qfi_harmonic_transient,
+    qfi_transient,
+    qfi_transient_plus,
     ultimate_rate,
 )
-from .equilibrium import hessian_certificate, optimal_gap, qfi_equilibrium_scan
+from .equilibrium import hessian_certificate, optimal_gap, qfi_effective_two_level, qfi_harmonic_equilibrium
 from .numerics import NonFiniteState, Table, geometric_grid
 
 EXIT_OK = 0
@@ -93,8 +94,21 @@ def _command(name, field, rows, **defaults):
           n=[2, 4, 6, 8, 10], gap=1.0, x_min=0.5, x_max=50.0, points=400, harmonic=True)
 def cmd_equilibrium_scan(params):
     """QFI vs temperature curves at fixed gap"""
-    grid = geometric_grid(params["x_min"], params["x_max"], params["points"])
-    return qfi_equilibrium_scan(params["n"], grid, gap=params["gap"], include_harmonic=params["harmonic"])
+    gap = params["gap"]
+    xs = geometric_grid(params["x_min"], params["x_max"], params["points"])
+    temperatures = [gap / v for v in xs]
+    if not all(math.isfinite(t) and t > 0.0 for t in temperatures):
+        raise NonFiniteState(f"temperature gap/x is not finite and positive on the grid (gap={gap:g})")
+
+    def block(label, values):
+        peak = max(values)
+        if not peak > 0.0:
+            raise NonFiniteState(f"QFI curve N={label} has peak {peak}, which cannot normalize it")
+        return label, temperatures, values, [v / peak for v in values]
+    blocks = [block(n, qfi_effective_two_level(xs, n, gap)) for n in params["n"]]
+    if params["harmonic"]:
+        blocks.append(block("ho", qfi_harmonic_equilibrium(gap, temperatures)))
+    return Table(("N", "T", "qfi", "qfi_normalized"), blocks)
 
 
 @_command("optimal-gap", "n", lambda p: len(p["n"]) * len(p["n0"]), n=list(range(2, 11)), n0=[1], temperature=1.0)
@@ -123,7 +137,7 @@ def cmd_hessian_check(params):
           include_harmonic=False, points=200, span_min=1e-3, span_max=20.0)
 def cmd_transient_scan(params):
     """QFI per unit time vs interrogation time"""
-    labels = [thermal_label(t_prep) for t_prep in params["t_prep"]]
+    labels = [f"thermal-{t_prep:g}" for t_prep in params["t_prep"]]
     if len(set(labels)) < len(labels):
         raise ConfigError("t_prep", f"temperatures {params['t_prep']} share a series label: {labels}")
     gap = params["gap"]
@@ -141,9 +155,20 @@ def cmd_transient_scan(params):
     if not (start > 0.0 and stop < math.inf):
         raise NonFiniteState(f"interrogation grid [{start:g}, {stop:g}] for relaxation time {tau:g} "
                              "is not finite and positive")
-    grid = geometric_grid(start, stop, params["points"])
-    return transient_scan(model, grid, params["n"], params["t_prep"],
-                          include_plus=params["include_plus"], include_harmonic=params["include_harmonic"])
+    dts, blocks = geometric_grid(start, stop, params["points"]), []
+
+    def add_curve(label, n, qfi):  # the QFI per unit contact time; every block shares dts
+        blocks.append((label, n, dts, [v / d for v, d in zip(qfi, dts)]))
+
+    for n in params["n"]:
+        add_curve("ground", n, qfi_transient(n, math.inf, model, dts))
+    for label, t_prep in zip(labels, params["t_prep"]):
+        add_curve(label, 2, qfi_transient(2, gap / t_prep, model, dts))
+    if params["include_plus"]:
+        add_curve("plus", 2, qfi_transient_plus(model, dts))
+    if params["include_harmonic"]:
+        add_curve("harmonic", "ho", qfi_harmonic_transient(model, dts))
+    return Table(("prep", "N", "dt", "fisher_rate"), blocks)
 
 
 @_command("limits", "n", lambda p: len(p["n"]), n=[2, 4, 10], gamma=1e-3, temperature=1.0)

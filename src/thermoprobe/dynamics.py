@@ -1,7 +1,8 @@
 """Dissipative probe dynamics for partly thermalized thermometry: relaxation
 toward the Gibbs state under a thermal generator, the transient QFI of each
-preparation in closed form, the vacuum-prepared oscillator's included, the
-sensitivity-per-time figure of merit, and its short-interrogation limit.
+preparation in closed form, the vacuum-prepared oscillator's included, as a
+list over contact times, and the short-interrogation limit of the QFI per
+unit time. The transient-scan command divides each list by its contact times.
 
 Level convention for qubits: the Hamiltonian is (gap/2) sigma_z with the
 excited state along +z, so the ground preparation has Bloch vector (0, 0, -1).
@@ -9,7 +10,7 @@ excited state along +z, so the ground preparation has Bloch vector (0, 0, -1).
 
 import math
 
-from .numerics import NonFiniteState, Table, excited_degeneracy
+from .numerics import NonFiniteState, excited_degeneracy
 
 
 class DissipationModel:
@@ -162,38 +163,3 @@ def optimal_interrogation_ratio():
     scales the rate.
     """
     return 4.8887092350471315
-
-
-def thermal_label(t_prep):
-    """Series label of the two-level thermal preparation at temperature ``t_prep``."""
-    return f"thermal-{t_prep:g}"
-
-
-def transient_scan(model, dt_grid, n_list, t_preps, include_plus=False, include_harmonic=False):
-    """QFI-per-time curves for a set of preparations and probe dimensions.
-
-    The curves come in this order: a ground preparation for each n in
-    ``n_list``, a two-level thermal preparation at each temperature in
-    ``t_preps``, then the plus qubit and the harmonic vacuum when included.
-    Returns a Table with columns prep, N, dt, fisher_rate and one block per
-    curve, in which prep and N are the curve's labels and every block shares
-    one dt list. Each curve is one transient QFI call over the whole grid; the
-    Table refuses a rate that is not finite.
-    """
-    if not all(t > 0 for t in t_preps):
-        raise ValueError(f"preparation temperatures must be positive, got {t_preps}")
-    dts = [float(v) for v in dt_grid]
-    blocks = []
-
-    def add_curve(label, n, kernel, *args):
-        blocks.append((label, n, dts, [v / d for v, d in zip(kernel(*args, model, dts), dts)]))
-
-    for n in n_list:
-        add_curve("ground", n, qfi_transient, n, math.inf)
-    for t_prep in t_preps:
-        add_curve(thermal_label(t_prep), 2, qfi_transient, 2, model.gap / t_prep)
-    if include_plus:
-        add_curve("plus", 2, qfi_transient_plus)
-    if include_harmonic:
-        add_curve("harmonic", "ho", qfi_harmonic_transient)
-    return Table(("prep", "N", "dt", "fisher_rate"), blocks)

@@ -1,7 +1,7 @@
 """Thermal-equilibrium sensitivity of fully thermalized probes: the
-closed-form QFI of effective two-level spectra and of the oscillator, the
-optimal gap and peak QFI in closed form, the certificate that the optimum is
-a true maximum of the energy variance, and the equilibrium scan over temperature.
+closed-form QFI of effective two-level spectra and of the oscillator, each as
+a list over a grid, the optimal gap and peak QFI in closed form, and the
+certificate that the optimum is a true maximum of the energy variance.
 """
 
 import math
@@ -234,34 +234,3 @@ def hessian_certificate(ns):
         rows.append((k, x, pair, shift if k > 2 else None, k - 2, max(errors), residual, certifies))
     return Table(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity",
                   "eigenvalue_error", "zero_mode_residual", "certifies_maximum"), [tuple(map(list, zip(*rows)))])
-
-
-def qfi_equilibrium_scan(n_list, x_grid, gap=1.0, include_harmonic=True):
-    """Equilibrium QFI curves versus temperature at fixed probe gap.
-
-    Returns a Table with columns N, T, qfi, qfi_normalized and one block per
-    probe, in which N is the probe's label and every block shares one T list.
-    The normalized column divides each curve by its peak over the grid. The
-    harmonic-oscillator curve is appended with N = "ho" when requested. Each
-    curve is one kernel call over the grid. NonFiniteState when a temperature
-    is not finite and positive or a curve's peak, its normalizer, is not positive.
-    """
-    n_list = list(n_list)
-    if not n_list and not include_harmonic:
-        raise ValueError("need at least one probe series")
-    xs = [float(v) for v in x_grid]
-    if not xs or not all(v > 0.0 for v in xs):
-        raise ValueError("x_grid must be nonempty and strictly positive")
-    temperatures = [gap / v for v in xs]
-    if not all(math.isfinite(t) and t > 0.0 for t in temperatures):
-        raise NonFiniteState(f"temperature gap/x is not finite and positive on the grid (gap={gap:g})")
-
-    def block(label, values):
-        peak = max(values)
-        if not peak > 0.0:
-            raise NonFiniteState(f"QFI curve N={label} has peak {peak}, which cannot normalize it")
-        return label, temperatures, values, [v / peak for v in values]
-    blocks = [block(n, qfi_effective_two_level(xs, n, gap)) for n in n_list]
-    if include_harmonic:
-        blocks.append(block("ho", qfi_harmonic_equilibrium(gap, temperatures)))
-    return Table(("N", "T", "qfi", "qfi_normalized"), blocks)

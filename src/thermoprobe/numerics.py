@@ -1,4 +1,4 @@
-"""Shared pieces: the column table that scans and commands return, the
+"""Shared pieces: the column table that the commands return, the
 geometric grid, the checked excited degeneracy of a probe and the exception
 types the other modules raise. Everything in the package is deterministic:
 identical inputs produce bit-identical outputs."""

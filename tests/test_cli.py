@@ -562,6 +562,8 @@ RULE_CASES = [
     ("transient-scan", "gap", -1.0),
     ("transient-scan", "gap", BEYOND_FLOATS),
     ("transient-scan", "t_prep", [0.8, -0.9]),
+    ("transient-scan", "t_prep", [0.8, 0.0]),
+    ("transient-scan", "t_prep", [0.8, math.nan]),
     ("transient-scan", "points", 0),
     ("transient-scan", "points", 1),
     ("transient-scan", "span_min", 0.0),
@@ -762,6 +764,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, config", [
         (["transient-scan", "--t-prep", "0.8000001,0.8000002"], None),
         (["transient-scan"], {"t_prep": [0.8000001, 0.8000002]}),
+        # the collision is refused before the default gap x_tilde * T overflows
+        (["transient-scan", "--t-prep", "0.8000001,0.8000002", "--temperature", "1e308"], None),
     ])
     def test_thermal_temperatures_sharing_a_label_exit_two(self, tmp_path, capsys, argv, config):
         # both curves would be labelled thermal-0.8, so the output could not be read back

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from thermoprobe.cli import _DEFAULTS, cmd_transient_scan
 from thermoprobe.dynamics import (
     DissipationModel,
     optimal_interrogation_ratio,
     qfi_harmonic_transient,
     qfi_transient,
     qfi_transient_plus,
-    transient_scan,
     ultimate_rate,
 )
 from thermoprobe.equilibrium import optimal_gap, qfi_effective_two_level, qfi_harmonic_equilibrium
@@ -298,9 +298,7 @@ class TestOptimalRatio:
 
 class TestTransientScan:
     def test_standard_series_composition(self):
-        m = default_operating_model()
-        grid = geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 12)
-        rows = rows_of(transient_scan(m, grid, [2, 4, 10], [0.8, 0.9]))
+        rows = rows_of(cmd_transient_scan({**_DEFAULTS["transient-scan"], "points": 12}))
         labels = {(r["prep"], r["N"]) for r in rows}
         assert labels == {("ground", 2), ("ground", 4), ("ground", 10),
                           ("thermal-0.8", 2), ("thermal-0.9", 2)}
@@ -308,28 +306,19 @@ class TestTransientScan:
         assert all(math.isfinite(r["fisher_rate"]) and r["fisher_rate"] > 0 for r in rows)
 
     def test_ground_curves_ordered_by_degeneracy_at_small_dt(self):
-        m = default_operating_model()
-        grid = [1e-3 * m.relaxation_time]
-        rows = rows_of(transient_scan(m, grid, [2, 4, 10], []))
-        rates = {r["N"]: r["fisher_rate"] for r in rows}
+        rows = rows_of(cmd_transient_scan({**_DEFAULTS["transient-scan"], "t_prep": [], "points": 2}))
+        rates = {r["N"]: r["fisher_rate"] for r in rows if r["dt"] == rows[0]["dt"]}
         assert rates[4] / rates[2] == pytest.approx(3.0, rel=1e-3)
         assert rates[10] / rates[2] == pytest.approx(9.0, rel=1e-3)
 
     def test_harmonic_series(self):
-        m = default_operating_model()
-        grid = geometric_grid(1e-3 * m.relaxation_time, 20.0 * m.relaxation_time, 5)
-        rows = rows_of(transient_scan(m, grid, [], [], include_harmonic=True))
+        params = {**_DEFAULTS["transient-scan"], "n": [], "t_prep": [], "include_harmonic": True, "points": 5}
+        rows = rows_of(cmd_transient_scan(params))
         assert all(r["N"] == "ho" and r["fisher_rate"] > 0 for r in rows)
 
     def test_blocks_in_order_ground_thermal_plus_harmonic(self):
-        m = default_operating_model()
-        table = transient_scan(m, [0.1, 0.2], [4, 2], [1.7, 0.5], include_plus=True, include_harmonic=True)
+        table = cmd_transient_scan({**_DEFAULTS["transient-scan"], "n": [4, 2], "t_prep": [1.7, 0.5],
+                                    "include_plus": True, "include_harmonic": True, "points": 2})
         assert [block[:2] for block in table.blocks] == [
             ("ground", 4), ("ground", 2), ("thermal-1.7", 2), ("thermal-0.5", 2), ("plus", 2), ("harmonic", "ho"),
         ]
-
-    @pytest.mark.parametrize("t_prep", [0.0, -0.8, math.nan])
-    def test_nonpositive_preparation_temperature(self, t_prep):
-        m = default_operating_model()
-        with pytest.raises(ValueError):
-            transient_scan(m, [0.1], [2], [0.9, t_prep])

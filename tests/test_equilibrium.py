@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thermoprobe.cli import _DEFAULTS, cmd_equilibrium_scan
 from thermoprobe.equilibrium import (
     hessian_blocks,
     hessian_certificate,
     optimal_gap,
     qfi_effective_two_level,
-    qfi_equilibrium_scan,
     qfi_harmonic_equilibrium,
 )
 from thermoprobe.numerics import NoConvergence
@@ -365,7 +365,8 @@ class TestOptimality:
 
 class TestEquilibriumScan:
     def test_row_structure(self):
-        rows = rows_of(qfi_equilibrium_scan([2, 4], [1.0, 2.0, 3.0], gap=1.0))
+        params = {**_DEFAULTS["equilibrium-scan"], "n": [2, 4], "x_min": 1.0, "x_max": 3.0, "points": 3}
+        rows = rows_of(cmd_equilibrium_scan(params))
         assert len(rows) == 3 * 3  # two probes + harmonic
         assert set(rows[0]) == {"N", "T", "qfi", "qfi_normalized"}
         for series in (2, 4, "ho"):
@@ -393,12 +394,6 @@ class TestEquilibriumScan:
     def test_two_level_qfi_is_zero_where_the_half_exponential_underflows(self, x):
         # from x = 1.34e154 on, x^2 overflows, and inf * e^{-x/2} would be NaN
         assert qfi_effective_two_level([x], 2, 1.0) == [0.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            qfi_equilibrium_scan([], [1.0], include_harmonic=False)
-        with pytest.raises(ValueError):
-            qfi_equilibrium_scan([2], [-1.0])
 
 
 class TestFullWidthHalfMax:

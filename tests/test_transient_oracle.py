@@ -28,12 +28,11 @@ import math
 
 import pytest
 
-from thermoprobe.cli import _DEFAULTS, cmd_limits
+from thermoprobe.cli import _DEFAULTS, cmd_limits, cmd_transient_scan
 from thermoprobe.dynamics import (
     DissipationModel,
     qfi_transient,
     qfi_transient_plus,
-    transient_scan,
     ultimate_rate,
 )
 from thermoprobe.numerics import geometric_grid
@@ -152,10 +151,12 @@ def oracle_rate(row, gap, gamma, temp):
     (1000.0, 1.0, 1e-3, 2),    # x = 1000: every series is written as 0.0
 ])
 def test_every_series_matches_exact_derivatives(gap, temperature, gamma, points):
-    model = DissipationModel(gap=gap, temperature=temperature, coupling=gamma)
-    grid = geometric_grid(1e-3 * model.relaxation_time, 20.0 * model.relaxation_time, points)
-    # a preparation colder than the sample and, at every T but 1e3, one hotter
-    rows = rows_of(transient_scan(model, grid, [2, 4, 10], [0.8, 10.0], include_plus=True, include_harmonic=True))
+    # contact times geometric_grid(1e-3 tau, 20 tau, points); a preparation colder than the
+    # sample and, at every T but 1e3, one hotter
+    params = {**_DEFAULTS["transient-scan"], "gap": gap, "temperature": temperature, "gamma": gamma,
+              "points": points, "span_min": 1e-3, "span_max": 20.0, "t_prep": [0.8, 10.0],
+              "include_plus": True, "include_harmonic": True}
+    rows = rows_of(cmd_transient_scan(params))
     assert {(r["prep"], r["N"]) for r in rows} == {
         ("ground", 2), ("ground", 4), ("ground", 10), ("thermal-0.8", 2), ("thermal-10", 2), ("plus", 2),
         ("harmonic", "ho"),

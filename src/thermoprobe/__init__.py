@@ -6,7 +6,7 @@ and certified, and partly thermalized probes relaxing under a thermal
 generator, where the QFI per unit time is traced over the contact time.
 """
 
-from .numerics import NoConvergence, NonFiniteState, Table, geometric_grid
+from .numerics import NoConvergence, NonFiniteState, geometric_grid
 from .equilibrium import (
     hessian_certificate,
     optimal_gap,

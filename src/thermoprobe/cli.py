@@ -129,7 +129,9 @@ def cmd_optimal_gap(params):
 @_command("hessian-check", "n_max", lambda p: p["n_max"] - p["n_min"] + 1, n_min=2, n_max=20, temperature=1.0)
 def cmd_hessian_check(params):
     """curvature certificate of the optimal spectrum"""
-    return hessian_certificate(range(params["n_min"], params["n_max"] + 1))
+    ns = list(range(params["n_min"], params["n_max"] + 1))
+    return Table(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity", "eigenvalue_error",
+                  "zero_mode_residual", "certifies_maximum"), [(ns, *hessian_certificate(ns))])
 
 
 @_command("transient-scan", "points", lambda p: p["points"] * (len(p["n"]) + len(p["t_prep"]) + 2),

@@ -7,7 +7,7 @@ certificate that the optimum is a true maximum of the energy variance.
 import math
 from decimal import Context, Decimal, localcontext
 
-from .numerics import NoConvergence, NonFiniteState, Table, excited_degeneracy
+from .numerics import NoConvergence, NonFiniteState, excited_degeneracy
 
 _PEAKS = Context(prec=28)  # eleven digits more than a double carries
 _NORMAL = 2.2250738585072014e-308  # the smallest normal float
@@ -216,10 +216,9 @@ def hessian_certificate(ns):
     has one negative eigenvalue and one within 1e-8 of zero, relative to the
     negative one (or 1): its mode is the uniform energy shift, which the two
     distinct row sums of the Hessian check. No tolerance is applied to b - d,
-    whose magnitude falls as 1/n. Returns a Table with columns N, x_star,
-    lambda_pair, lambda_shift (empty at N = 2), shift_multiplicity,
-    eigenvalue_error, zero_mode_residual and certifies_maximum.
-    """
+    whose magnitude falls as 1/n. Returns seven lists, one entry per n: x_star,
+    lambda_pair, lambda_shift (None at n = 2), shift_multiplicity,
+    eigenvalue_error, zero_mode_residual and certifies_maximum."""
     rows = []
     for k in ns:
         x, (a, b, c, d), (low, high) = hessian_blocks(k)
@@ -231,6 +230,5 @@ def hessian_certificate(ns):
         tol = 1e-8 * max(1.0, abs(low))
         certifies = low < -tol and abs(high) <= tol and (b - d < 0.0 or k == 2)
         residual = max(abs(a + (k - 1) * c), abs(c + b + (k - 2) * d))
-        rows.append((k, x, pair, shift if k > 2 else None, k - 2, max(errors), residual, certifies))
-    return Table(("N", "x_star", "lambda_pair", "lambda_shift", "shift_multiplicity",
-                  "eigenvalue_error", "zero_mode_residual", "certifies_maximum"), [tuple(map(list, zip(*rows)))])
+        rows.append((x, pair, shift if k > 2 else None, k - 2, max(errors), residual, certifies))
+    return tuple([row[i] for row in rows] for i in range(7))

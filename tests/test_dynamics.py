@@ -12,7 +12,7 @@ from thermoprobe.dynamics import (
     qfi_transient_plus,
     ultimate_rate,
 )
-from thermoprobe.equilibrium import optimal_gap, qfi_effective_two_level, qfi_harmonic_equilibrium
+from thermoprobe.equilibrium import hessian_certificate, optimal_gap, qfi_effective_two_level, qfi_harmonic_equilibrium
 from thermoprobe.numerics import NonFiniteState, geometric_grid
 
 from oracles import (
@@ -198,6 +198,12 @@ class TestTransientQfi:
         for ns, n0s in ((4, [2]), ([4], 2), (4, 2)):
             with pytest.raises(TypeError):
                 optimal_gap(ns, n0s, 1.0)
+        columns = hessian_certificate([2, 3, 4])
+        assert [type(c) for c in columns] == [list] * 7 and [len(c) for c in columns] == [3] * 7
+        assert hessian_certificate((2, 3, 4)) == hessian_certificate(range(2, 5)) == columns
+        with pytest.raises(TypeError):
+            hessian_certificate(4)
+        assert hessian_certificate([]) == ([],) * 7
 
     def test_underflowing_boltzmann_factor_gives_zero_without_warnings(self):
         # at gap/T = 800, e^{-x} underflows and every exact value with it

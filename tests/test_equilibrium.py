@@ -238,22 +238,24 @@ class TestOptimalGap:
 
 class TestHessianCertificate:
     def test_analytic_matches_numeric(self):
-        rows = rows_of(hessian_certificate([2, 3, 7, 20]))
-        assert [r["N"] for r in rows] == [2, 3, 7, 20]
-        for row in rows:
-            assert row["eigenvalue_error"] <= 1e-8
-            assert row["certifies_maximum"] is True
-            assert row["shift_multiplicity"] == row["N"] - 2
+        dims = [2, 3, 7, 20]
+        columns = hessian_certificate(dims)
+        _, _, _, multiplicities, errors, _, certified = columns
+        assert [len(column) for column in columns] == [len(dims)] * 7
+        for n, multiplicity, error, certifies in zip(dims, multiplicities, errors, certified):
+            assert error <= 1e-8
+            assert certifies is True
+            assert multiplicity == n - 2
 
     def test_three_level_eigenvalues(self):
         x, (a, b, c, d), (low, high) = hessian_blocks(3)
-        (row,) = rows_of(hessian_certificate([3]))
-        assert row["lambda_shift"] == pytest.approx(-(x - 2.0) / 4.0, rel=1e-14)
+        _, [pair], [shift], *_ = hessian_certificate([3])
+        assert shift == pytest.approx(-(x - 2.0) / 4.0, rel=1e-14)
         # the pair eigenvalue carries the dimension factor demanded by the
         # zero-row-sum block structure: lambda = -n (x^2 - 4) / (8 (n - 1))
-        assert row["lambda_pair"] == pytest.approx(-3.0 * (x * x - 4.0) / 16.0, rel=1e-14)
-        assert low == pytest.approx(row["lambda_pair"], abs=1e-10)
-        assert b - d == pytest.approx(row["lambda_shift"], abs=1e-10)
+        assert pair == pytest.approx(-3.0 * (x * x - 4.0) / 16.0, rel=1e-14)
+        assert low == pytest.approx(pair, abs=1e-10)
+        assert b - d == pytest.approx(shift, abs=1e-10)
         assert high == pytest.approx(0.0, abs=1e-10)
 
     def test_two_level_by_hand(self):
@@ -261,10 +263,10 @@ class TestHessianCertificate:
         _, (a, b, c, _), (low, high) = hessian_blocks(2)
         assert b == pytest.approx(a, rel=1e-12)
         assert c == pytest.approx(-a, rel=1e-12)
-        (row,) = rows_of(hessian_certificate([2]))
-        assert row["lambda_pair"] == pytest.approx(2 * a, rel=1e-12)
+        _, [pair], [shift], *_ = hessian_certificate([2])
+        assert pair == pytest.approx(2 * a, rel=1e-12)
         assert [low, high] == pytest.approx([2 * a, 0.0], abs=1e-12)
-        assert row["lambda_shift"] is None
+        assert shift is None
 
     def test_entries_match_finite_differences(self):
         # ground truth: difference the variance itself around the optimum
@@ -290,31 +292,32 @@ class TestHessianCertificate:
                 assert fd == pytest.approx(want, abs=5e-6)
 
     def test_zero_mode_is_uniform_shift(self):
-        row = rows_of(hessian_certificate([6]))[0]
-        assert row["zero_mode_residual"] <= 1e-12
+        *_, [residual], _ = hessian_certificate([6])
+        assert residual <= 1e-12
         eigenvalues, _ = dense_hessian(6, hessian_blocks(6)[1])
         assert len([v for v in eigenvalues if abs(v) <= 1e-8]) == 1
 
     def test_blocks_match_the_dense_hessian(self):
         dims = range(2, 65)
-        for n, row in zip(dims, rows_of(hessian_certificate(dims))):
+        _, pairs, shifts, _, errors, residuals, certified = hessian_certificate(dims)
+        for n, pair, shift, error, residual, certifies in zip(dims, pairs, shifts, errors, residuals, certified):
             _, abcd, (low, high) = hessian_blocks(n)
             dense, row_sum = dense_hessian(n, abcd)
             block = np.sort([low, high] + [abcd[1] - abcd[3]] * (n - 2))
             assert np.abs(block - dense).max() <= 1e-14
-            assert row["zero_mode_residual"] == pytest.approx(row_sum, abs=1e-14)
-            assert row["certifies_maximum"] is certifies_maximum(dense) is True
-            analytic = np.sort([row["lambda_pair"], 0.0] + [row["lambda_shift"]] * (n - 2))
-            assert row["eigenvalue_error"] == pytest.approx(np.abs(dense - analytic).max(), abs=1e-14)
+            assert residual == pytest.approx(row_sum, abs=1e-14)
+            assert certifies is certifies_maximum(dense) is True
+            analytic = np.sort([pair, 0.0] + [shift] * (n - 2))
+            assert error == pytest.approx(np.abs(dense - analytic).max(), abs=1e-14)
 
     def test_certifies_up_to_the_largest_dimension_a_float_holds(self):
         # b and (n - 2) d are about 1/n and stay normal floats while n does
         n = 2**1024 - 2**970  # float(n) is the largest finite float
-        (row,) = rows_of(hessian_certificate([n]))
-        x = Fraction(row["x_star"])
-        assert row["certifies_maximum"] is True
-        assert row["lambda_shift"] == pytest.approx(float(-(x - 2) / (2 * (n - 1))), rel=1e-12)
-        assert row["lambda_pair"] == pytest.approx(float(-(x * x - 4) * n / (8 * (n - 1))), rel=1e-15)
+        [x_star], [pair], [shift], _, _, _, [certifies] = hessian_certificate([n])
+        x = Fraction(x_star)
+        assert certifies is True
+        assert shift == pytest.approx(float(-(x - 2) / (2 * (n - 1))), rel=1e-12)
+        assert pair == pytest.approx(float(-(x * x - 4) * n / (8 * (n - 1))), rel=1e-15)
 
     def test_dimension_too_small(self):
         with pytest.raises(ValueError, match="n >= 2"):

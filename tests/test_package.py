@@ -4,7 +4,8 @@ module but ``dynamics`` and ``cli`` reads a ``DissipationModel`` field, the
 test-only oracles stay out of it, every module parses as Python 3.10, the
 oldest that pyproject.toml accepts, it defines no dataclass, the README's
 quick start runs and its line count of ``src/`` holds, the modules from
-outside the package that ``src/`` imports are a pinned set, running every
+outside the package that ``src/`` imports are a pinned set, only ``cli``
+builds a ``Table``, the package's public names are a pinned list, running every
 command loads neither numpy nor dataclasses nor inspect, nor pathlib to
 read ``--config`` and write ``--out``, importing it starts no thread and
 leaves OPENBLAS_NUM_THREADS alone, only the CLI run as the
@@ -19,6 +20,7 @@ import re
 import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,23 @@ def test_imports_from_outside_the_package_are_pinned():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert sorted(imported) == ["argparse", "decimal", "gc", "io", "itertools", "json", "math", "sys"]
+
+
+def test_only_the_cli_builds_a_table():
+    # every kernel returns lists; each command's runner names its columns and builds its Table
+    builders = sorted({module for module in LAYERS for node in ast.walk(parse(module)) if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Table"})
+    assert builders == ["cli"]
+
+
+def test_public_names_are_pinned():
+    # the kernels, the model, the grid and the two exceptions; a new export is added here on purpose
+    public = sorted(name for name, value in vars(thermoprobe).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == ["DissipationModel", "NoConvergence", "NonFiniteState", "geometric_grid", "hessian_certificate",
+                      "optimal_gap", "optimal_interrogation_ratio", "qfi_effective_two_level",
+                      "qfi_harmonic_equilibrium", "qfi_harmonic_transient", "qfi_transient", "qfi_transient_plus",
+                      "ultimate_rate"]
 
 
 @pytest.mark.parametrize("module", [m for m in LAYERS if m not in ("dynamics", "cli")])

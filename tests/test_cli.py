@@ -11,7 +11,7 @@ import pytest
 
 from thermoprobe import cli
 from thermoprobe.dynamics import DissipationModel, optimal_interrogation_ratio, ultimate_rate
-from thermoprobe.numerics import Table, geometric_grid
+from thermoprobe.numerics import geometric_grid
 
 from oracles import UNREADABLE_CONFIGS, UNWRITABLE_STDOUTS, flag, place_unreadable_config, unwritable_stdout
 from test_golden import GOLDEN
@@ -173,9 +173,12 @@ class TestOptimalGap:
         assert rows[0]["variance_excess_vs_lower_n0"] == ""
         assert float(rows[1]["variance_excess_vs_lower_n0"]) > 0.0
 
-    def test_invalid_degeneracy_exits_two(self, tmp_path):
-        code, _ = run(tmp_path, ["optimal-gap", "--n", "2", "--n0", "2"])
+    def test_invalid_degeneracy_exits_two(self, tmp_path, capsys):
+        # a runner check, n0 within [1, n - 1], which the shared rules cannot express
+        code, text = run(tmp_path, ["optimal-gap", "--n", "2", "--n0", "2"])
         assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("thermoprobe: configuration error: n0:")
 
     def test_range_syntax(self, tmp_path):
         code, text = run(tmp_path, ["optimal-gap", "--n", "2..4"])
@@ -930,12 +933,12 @@ class TestRowBudget:
 
 class TestRendering:
     def test_none_becomes_empty_cell(self):
-        text = cli.render_rows(Table(("a", "b"), [([1], [None])]), "csv")
+        text = cli.render_rows(cli.Table(("a", "b"), [([1], [None])]), "csv")
         assert text == "a,b\n1,\n"
 
     def test_float_shortest_round_trip(self):
         value = 0.1 + 0.2
-        text = cli.render_rows(Table(("v",), [([value],)]), "csv")
+        text = cli.render_rows(cli.Table(("v",), [([value],)]), "csv")
         assert float(text.splitlines()[1]) == value
 
 

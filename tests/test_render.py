@@ -1,4 +1,6 @@
-"""The column renderer against json.dumps and the row-at-a-time CSV writer.
+"""The output contract: the column renderer against json.dumps and the
+row-at-a-time CSV writer, and the Table's refusal of malformed blocks and of
+inf and NaN cells.
 
 Random tables, fixed tables with scalar columns at every position, and the
 real tables of every command at its defaults, must render byte for byte as
@@ -6,12 +8,14 @@ both oracles render the rows the table stands for.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from thermoprobe import cli
-from thermoprobe.numerics import Table
+from thermoprobe.cli import Table
+from thermoprobe.numerics import NonFiniteState
 
 from oracles import rows_of
 
@@ -129,6 +133,44 @@ def test_empty_row_list():
 def test_malformed_block_is_rejected(blocks):
     with pytest.raises(ValueError):
         Table(("a", "b"), blocks)
+
+
+class TestTableGuard:
+    COLUMNS = ("prep", "N", "dt", "rate")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_list_cell_names_column_and_labels(self, bad):
+        good = ("ground", 2, [1.0, 2.0], [0.5, 0.25])
+        with pytest.raises(NonFiniteState, match=r"^rate is not finite at prep=thermal-0\.8, N=2$"):
+            Table(self.COLUMNS, [good, ("thermal-0.8", 2, good[2], [0.5, bad])])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_scalar_cell_names_column_and_labels(self, bad):
+        with pytest.raises(NonFiniteState, match=r"^N is not finite at prep=plus, N=(inf|-inf|nan)$"):
+            Table(self.COLUMNS, [("plus", bad, [1.0], [0.5])])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_first_list_column_names_the_failing_row(self, bad):
+        with pytest.raises(NonFiniteState, match=r"^x is not finite at N=5, label=a$"):
+            Table(("N", "label", "x"), [([4, 5, 6], "a", [1.0, bad, bad])])
+        with pytest.raises(NonFiniteState, match=r"^label is not finite at N=4, label=(inf|-inf|nan)$"):
+            Table(("N", "label", "x"), [([4, 5, 6], bad, [1.0, 1.0, 1.0])])
+
+    def test_non_finite_after_none_in_a_mixed_list(self):
+        with pytest.raises(NonFiniteState, match=r"^x is not finite at N=3$"):
+            Table(("N", "x"), [([2, 3], [None, math.nan])])
+
+    def test_shared_list_is_named_in_its_first_block(self):
+        shared = [1.0, math.inf]
+        with pytest.raises(NonFiniteState, match=r"^T is not finite at N=2$"):
+            Table(("N", "T"), [(2, shared), (4, shared)])
+
+    def test_accepts_finite_values_of_every_kind(self):
+        big = 2**1024 - 2**970  # rounds to 2**1024, beyond the floats
+        cells = [None, "ho", True, False, -0.0, 5e-324, -1.7976931348623157e308, big, -big, np.float64(0.5)]
+        table = Table(("N", "v", "w"), [(big, cells, list(range(len(cells)))), ("x", cells, [big] * len(cells)),
+                                       (None, [-0.0], [5e-324])])
+        assert len(table) == 2 * len(cells) + 1
 
 
 @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
